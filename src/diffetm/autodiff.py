@@ -265,34 +265,6 @@ def sum_all(x: Tensor) -> Tensor:
     return _node(np.array([[x.data.sum()]]), (x,), back)
 
 
-_PRIMITIVES: dict[str, Callable[..., Tensor]] = {
-    "affine": affine,
-    "relu": relu,
-    "softmax_rows": softmax_rows,
-    "log_rows": log_rows,
-    "hadamard": hadamard,
-    "add": add,
-    "scale": scale,
-    "sum_all": sum_all,
-    # extensions used by the model on top of the required set
-    "matmul": matmul,
-    "transpose": transpose,
-    "exp": exp,
-    "sub": sub,
-    "clamp_min": clamp_min,
-    "add_scalar": add_scalar,
-}
-
-
-def forward_primitive(kind: str, *inputs) -> Tensor:
-    """Dispatch a primitive by name; see _PRIMITIVES for the known kinds."""
-    try:
-        fn = _PRIMITIVES[kind]
-    except KeyError:
-        raise ValueError(f"unknown primitive kind {kind!r}") from None
-    return fn(*inputs)
-
-
 # ---------------------------------------------------------------------------
 # backward pass
 

@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,8 @@ class ConfigError(ValueError):
     """A config key is unknown, mistyped, or references a missing path."""
 
 
-# key -> (type, default, description); None defaults mean "unset"
+# key -> (type, default, description); None defaults mean "unset".  Model
+# and training defaults are those of ModelConfig and TrainConfig.
 CONFIG_SCHEMA: dict[str, tuple[type, object, str]] = {
     # corpus
     "train_file": (str, None, "one-document-per-line train split"),
@@ -54,23 +55,23 @@ CONFIG_SCHEMA: dict[str, tuple[type, object, str]] = {
     "stopword_file": (str, None, "optional newline-separated stop-word list"),
     "corpus_dir": (str, None, "directory of ingested corpus artifacts"),
     # model
-    "num_topics": (int, 50, "number of topics K"),
-    "embed_size": (int, 300, "word/topic embedding width"),
-    "hidden_size": (int, 800, "encoder hidden width"),
-    "diff_steps": (int, 100, "forward-diffusion step count T"),
-    "beta_start": (float, 0.0, "first noise-schedule beta"),
-    "beta_end": (float, 0.02, "last noise-schedule beta"),
-    "kl_weight": (float, 1.0, "weight of the KL term in the loss"),
-    "mode": (str, "diffusion", "diffusion | no_diffusion | standard_etm"),
-    "seed": (int, 0, "master seed for init/shuffle/noise streams"),
+    "num_topics": (int, ModelConfig.num_topics, "number of topics K"),
+    "embed_size": (int, ModelConfig.embed_size, "word/topic embedding width"),
+    "hidden_size": (int, ModelConfig.hidden_size, "encoder hidden width"),
+    "diff_steps": (int, ModelConfig.diff_steps, "forward-diffusion step count T"),
+    "beta_start": (float, ModelConfig.beta_start, "first noise-schedule beta"),
+    "beta_end": (float, ModelConfig.beta_end, "last noise-schedule beta"),
+    "kl_weight": (float, ModelConfig.kl_weight, "weight of the KL term in the loss"),
+    "mode": (str, ModelConfig.mode, "diffusion | no_diffusion | standard_etm"),
+    "seed": (int, ModelConfig.seed, "master seed for init/shuffle/noise streams"),
     # training
-    "epochs": (int, 300, "training epochs"),
-    "batch_size": (int, 1000, "mini-batch size"),
-    "learning_rate": (float, 0.008, "Adam learning rate"),
-    "eval_every": (int, 1, "validate every N epochs"),
-    "max_checkpoints": (int, 0, "retained improving checkpoints (0 = all)"),
-    "deterministic": (bool, False, "suppress wall-clock so artifacts are bitwise stable"),
-    "clip_norm": (float, 0.0, "global gradient-norm clip (0 = off)"),
+    "epochs": (int, TrainConfig.epochs, "training epochs"),
+    "batch_size": (int, TrainConfig.batch_size, "mini-batch size"),
+    "learning_rate": (float, TrainConfig.learning_rate, "Adam learning rate"),
+    "eval_every": (int, TrainConfig.eval_every, "validate every N epochs"),
+    "max_checkpoints": (int, TrainConfig.max_checkpoints, "retained improving checkpoints (0 = all)"),
+    "deterministic": (bool, TrainConfig.deterministic, "suppress wall-clock so artifacts are bitwise stable"),
+    "clip_norm": (float, TrainConfig.clip_norm, "global gradient-norm clip (0 = off)"),
     "output_dir": (str, "runs", "root directory for run artifacts"),
     # evaluation
     "eval_split": (str, "test", "split evaluated by eval/kl-test"),
@@ -161,30 +162,12 @@ def run_id_of(cfg: dict) -> str:
 
 
 def model_config_of(cfg: dict) -> ModelConfig:
-    return ModelConfig(
-        num_topics=cfg["num_topics"],
-        embed_size=cfg["embed_size"],
-        hidden_size=cfg["hidden_size"],
-        diff_steps=cfg["diff_steps"],
-        beta_start=cfg["beta_start"],
-        beta_end=cfg["beta_end"],
-        kl_weight=cfg["kl_weight"],
-        mode=cfg["mode"],
-        seed=cfg["seed"],
-    )
+    return ModelConfig(**{f.name: cfg[f.name] for f in fields(ModelConfig)})
 
 
 def train_config_of(cfg: dict, output_dir: Path) -> TrainConfig:
-    return TrainConfig(
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        learning_rate=cfg["learning_rate"],
-        eval_every=cfg["eval_every"],
-        max_checkpoints=cfg["max_checkpoints"],
-        deterministic=cfg["deterministic"],
-        output_dir=str(output_dir),
-        clip_norm=cfg["clip_norm"],
-    )
+    keys = {f.name: cfg[f.name] for f in fields(TrainConfig) if f.name != "output_dir"}
+    return TrainConfig(**keys, output_dir=str(output_dir))
 
 
 def _sha256(path: Path) -> str:
@@ -193,6 +176,10 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _run_artifacts(run_dir: Path) -> list[Path]:
+    return [p for p in sorted(run_dir.glob("*")) if p.name != "manifest.json"]
 
 
 def write_manifest(out_dir: Path, command: str, cfg: dict, artifacts: list[Path]) -> Path:
@@ -294,10 +281,10 @@ def cmd_train(cfg: dict) -> int:
     except Diverged as exc:
         if exc.report is not None:
             (run_dir / "train_report.json").write_text(exc.report.to_json())
-        write_manifest(run_dir, "train", cfg, sorted(run_dir.glob("*")))
+        write_manifest(run_dir, "train", cfg, _run_artifacts(run_dir))
         print(f"[train] diverged: {exc}", file=sys.stderr)
         return 1
-    write_manifest(run_dir, "train", cfg, [p for p in sorted(run_dir.glob("*")) if p.name != "manifest.json"])
+    write_manifest(run_dir, "train", cfg, _run_artifacts(run_dir))
     print(
         f"[train] best validation perplexity {report.best_val_perplexity:.2f} "
         f"at epoch {report.best_epoch} -> {run_dir}"
@@ -320,11 +307,15 @@ def _load_eval_inputs(cfg: dict, checkpoint: str) -> tuple:
         raise ConfigError(f"checkpoint does not exist: {ckpt_path}")
     store, model_config = load_checkpoint(ckpt_path)
     dataset = load_dataset(_require_dir_key(cfg, "corpus_dir"))
-    if dataset.vocab.V != store["word_emb"].rows:
+    _require_vocab(store, dataset)
+    return store, model_config, dataset, ckpt_path
+
+
+def _require_vocab(store, dataset: Dataset) -> None:
+    if store["word_emb"].rows != dataset.vocab.V:
         raise VocabularyMismatch(
             f"checkpoint vocabulary {store['word_emb'].rows} != corpus vocabulary {dataset.vocab.V}"
         )
-    return store, model_config, dataset, ckpt_path
 
 
 def cmd_eval(cfg: dict, checkpoint: str) -> int:
@@ -420,25 +411,16 @@ def cmd_kl_test(cfg: dict, run_dir_arg: str) -> int:
     dataset = load_dataset(_require_dir_key(cfg, "corpus_dir"))
     split = dataset.split(cfg["eval_split"])
     points = []
-    best = float("inf")
     for ckpt in ckpts:
-        epoch = int(ckpt.stem.removeprefix("checkpoint_epoch"))
         store, model_config = load_checkpoint(ckpt)
-        if store["word_emb"].rows != dataset.vocab.V:
-            raise VocabularyMismatch(
-                f"checkpoint vocabulary {store['word_emb'].rows} != corpus vocabulary {dataset.vocab.V}"
-            )
+        _require_vocab(store, dataset)
         ppl, kl = trainer_mod.validate(store, model_config, split)
-        if ppl < best:
-            best = ppl
-            points.append((epoch, kl, ppl))
+        points.append((int(ckpt.stem.removeprefix("checkpoint_epoch")), kl, ppl))
+    traj = trainer_mod.improving_trajectory(points)
     csv_path = run_dir / "kl_test.csv"
-    lines = ["epoch,kl,perplexity"]
-    for epoch, kl, ppl in points:
-        lines.append(f"{epoch},{kl!r},{ppl!r}")
-    csv_path.write_text("\n".join(lines) + "\n")
+    csv_path.write_text(traj.to_csv())
     write_manifest(run_dir, "kl-test", cfg, [csv_path])
-    print(f"[kl-test] {len(points)} improving checkpoints -> {csv_path}")
+    print(f"[kl-test] {len(traj.points)} improving checkpoints -> {csv_path}")
     return 0
 
 

@@ -1,5 +1,5 @@
 """Bag-of-words corpus pipeline: tokenization, document-frequency pruned
-vocabulary, vectorization, normalization, splits, and binary caching.
+vocabulary, vectorization, splits, batching, and binary caching.
 
 Input is one document per line of UTF-8 text.  All constructed objects are
 immutable-in-practice after ingestion and safe for concurrent reads.
@@ -112,14 +112,6 @@ def vectorize(tokens: list[str], vocab: Vocabulary) -> BowDocument | None:
     return BowDocument(counts=counts, total=sum(counts.values()))
 
 
-def normalize(bow: BowDocument, size: int) -> np.ndarray:
-    """Dense relative-frequency vector of the given length; sums to 1."""
-    vec = np.zeros(size)
-    for idx, n in bow.counts.items():
-        vec[idx] = n / bow.total
-    return vec
-
-
 @dataclass
 class BowCorpus:
     """One split's documents, bound to a vocabulary by ref id."""
@@ -142,6 +134,13 @@ def dense_counts(corpus: BowCorpus, indices, size: int) -> np.ndarray:
         for idx, n in corpus.docs[i].counts.items():
             x[row, idx] = n
     return x
+
+
+def iter_batches(corpus: BowCorpus, size: int, batch_size: int):
+    """Dense count rows of every document in corpus order, batch_size at a time."""
+    n = len(corpus)
+    for start in range(0, n, batch_size):
+        yield dense_counts(corpus, range(start, min(start + batch_size, n)), size)
 
 
 def split_corpus(

@@ -6,20 +6,21 @@ reference corpus (the training split, never test, to avoid leakage) over
 each topic's top 10 words; diversity is the unique fraction of the top 25
 words across topics; quality is their product; perplexity is the
 exponentiated per-token negative log-likelihood on the deterministic
-evaluation path.
+evaluation path, computed in one pass together with the mean closed-form
+KL that validation also reports.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import BowCorpus, dense_counts
+from .corpus import BowCorpus, iter_batches
 from .model import ModelConfig, predict_batch, store_vocab_size, topic_word_dist
 
 N_COHERENCE = 10
@@ -76,13 +77,15 @@ def npmi_pair(p_i: float, p_j: float, p_ij: float) -> float:
     """Normalized pointwise mutual information for one word pair.
 
     Degenerate cases keep the score total and bounded: a never-co-occurring
-    pair scores -1, a pair present in every document scores 0.
+    pair scores -1, a pair present in every document scores 0.  Rounding
+    can carry the ratio past the bounds (two words always seen together
+    give 1 + 2**-52), so it is clipped to [-1, 1].
     """
     if p_ij == 0.0:
         return -1.0
     if p_ij == 1.0:
         return 0.0
-    return math.log(p_ij / (p_i * p_j)) / (-math.log(p_ij))
+    return min(1.0, max(-1.0, math.log(p_ij / (p_i * p_j)) / (-math.log(p_ij))))
 
 
 def npmi_coherence(topics: list[list[int]], stats: CooccurrenceStats) -> float:
@@ -114,6 +117,30 @@ def topic_quality(coherence: float, diversity: float) -> float:
     return coherence * diversity
 
 
+def perplexity_and_kl(
+    store: ad.ParamStore,
+    config: ModelConfig,
+    corpus_split: BowCorpus,
+    batch_size: int = 1024,
+) -> tuple[float, float]:
+    """One deterministic pass over the split: exp(-sum(X log X') / sum(X))
+    and the per-document mean of the closed-form KL against N(0, I)."""
+    if len(corpus_split) == 0:
+        raise ValueError("perplexity: empty split")
+    log_lik = 0.0
+    tokens = 0.0
+    kl_sum = 0.0
+    for x in iter_batches(corpus_split, store_vocab_size(store), batch_size):
+        latents, x_prime = predict_batch(x, store, config)
+        log_lik += float((x * np.log(np.maximum(x_prime, 1e-12))).sum())
+        tokens += float(x.sum())
+        per_doc = 0.5 * (
+            latents.mu ** 2 + np.exp(latents.logvar) - latents.logvar - 1.0
+        ).sum(axis=1)
+        kl_sum += float(per_doc.sum())
+    return float(np.exp(-log_lik / tokens)), kl_sum / len(corpus_split)
+
+
 def perplexity(
     store: ad.ParamStore,
     config: ModelConfig,
@@ -121,20 +148,7 @@ def perplexity(
     batch_size: int = 1024,
 ) -> float:
     """exp(-sum(X log X') / sum(X)) over the split, deterministic path."""
-    if len(corpus_split) == 0:
-        raise ValueError("perplexity: empty split")
-    v = store_vocab_size(store)
-    cfg = replace(config, eval_path="deterministic")
-    log_lik = 0.0
-    tokens = 0.0
-    n = len(corpus_split)
-    for start in range(0, n, batch_size):
-        idx = range(start, min(start + batch_size, n))
-        x = dense_counts(corpus_split, idx, v)
-        _, x_prime = predict_batch(x, store, cfg)
-        log_lik += float((x * np.log(np.maximum(x_prime, 1e-12))).sum())
-        tokens += float(x.sum())
-    return float(np.exp(-log_lik / tokens))
+    return perplexity_and_kl(store, config, corpus_split, batch_size)[0]
 
 
 @dataclass

@@ -18,14 +18,13 @@ Modes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 
 MODES = ("diffusion", "no_diffusion", "standard_etm")
-EVAL_PATHS = ("sampled", "deterministic")
 
 
 class InvalidSchedule(ValueError):
@@ -85,7 +84,6 @@ class ModelConfig:
     beta_end: float = 0.02
     kl_weight: float = 1.0
     mode: str = "diffusion"
-    eval_path: str = "sampled"
     seed: int = 0
 
     def validate(self) -> None:
@@ -106,24 +104,13 @@ class ModelConfig:
             )
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.eval_path not in EVAL_PATHS:
-            raise ValueError(
-                f"eval_path must be one of {EVAL_PATHS}, got {self.eval_path!r}"
-            )
 
     def schedule(self) -> NoiseSchedule:
         return linear_schedule(self.diff_steps, self.beta_start, self.beta_end)
 
 
-# parameter names, in checkpoint order
+# encoder parameter-name prefixes, in checkpoint order
 ENCODER_PREFIXES = ("diff", "mu", "sigma")
-
-
-def param_names(prefixes: tuple[str, ...] = ENCODER_PREFIXES) -> list[str]:
-    names = []
-    for p in prefixes:
-        names += [f"{p}.w1", f"{p}.b1", f"{p}.w2", f"{p}.b2", f"{p}.w3", f"{p}.b3"]
-    return names + ["topic_emb", "word_emb"]
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -198,43 +185,38 @@ def encode_mu_logvar(x_norm: ad.Tensor, store: ad.ParamStore) -> tuple[ad.Tensor
 
 
 def sample_eps(
-    x0: ad.Tensor,
+    x0: ad.Tensor | None,
     schedule: NoiseSchedule,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     mode: str,
+    shape: tuple[int, int] | None = None,
 ) -> ad.Tensor:
-    """Draw the latent driver for one batch (the sampled path).
+    """The latent driver eps for one batch.
 
-    diffusion uses the one-shot closed form of running the noising chain to
-    its end; with an empty schedule (or beta identically 0) no noise is
-    drawn and X0 passes through unchanged.
+    Given an rng, eps is drawn (the sampled path); without one it is its
+    conditional mean given X0 and no randomness is consumed (the
+    deterministic path).  diffusion uses the one-shot closed form of running
+    the noising chain to its end; with an empty schedule (or beta
+    identically 0) X0 passes through unchanged.  standard_etm has no X0 in
+    the model, so shape gives the size of eps there.
     """
     if mode == "no_diffusion":
         return x0
     if mode == "standard_etm":
-        return ad.Tensor(rng.standard_normal(x0.data.shape))
+        shape = x0.data.shape if shape is None else shape
+        return ad.Tensor(np.zeros(shape) if rng is None else rng.standard_normal(shape))
     if mode != "diffusion":
         raise ValueError(f"unknown mode {mode!r}")
     abar = schedule.final_alpha_bar
     if abar == 1.0:
         return x0
+    if rng is None:
+        return ad.scale(x0, math.sqrt(abar))
     noise = rng.standard_normal(x0.data.shape)
     return ad.add(
         ad.scale(x0, math.sqrt(abar)),
         ad.Tensor(math.sqrt(1.0 - abar) * noise),
     )
-
-
-def _deterministic_eps(x0: ad.Tensor | None, schedule: NoiseSchedule, mode: str, shape) -> ad.Tensor:
-    """Conditional mean of eps, used on the deterministic evaluation path."""
-    if mode == "no_diffusion":
-        return x0
-    if mode == "standard_etm":
-        return ad.Tensor(np.zeros(shape))
-    abar = schedule.final_alpha_bar
-    if abar == 1.0:
-        return x0
-    return ad.scale(x0, math.sqrt(abar))
 
 
 def reparameterize(eps: ad.Tensor, mu: ad.Tensor, logvar: ad.Tensor) -> ad.Tensor:
@@ -281,7 +263,9 @@ def kl_loss(mu: ad.Tensor, logvar: ad.Tensor) -> ad.Tensor:
     term = ad.add_scalar(
         ad.sub(ad.add(ad.hadamard(mu, mu), ad.exp(logvar)), logvar), -1.0
     )
-    return ad.scale(ad.sum_all(term), 0.5 / n_docs)
+    # every term is >= 0 in exact arithmetic, but rounding can carry a sum
+    # of near-zero terms just below 0
+    return ad.clamp_min(ad.scale(ad.sum_all(term), 0.5 / n_docs), 0.0)
 
 
 def total_loss(recon: ad.Tensor, kl: ad.Tensor, weight: float) -> ad.Tensor:
@@ -318,18 +302,14 @@ class ForwardResult:
         return self.recon.item(), self.kl.item(), self.total.item()
 
 
-def forward_batch(
+def _forward_core(
     x_counts: np.ndarray,
     store: ad.ParamStore,
     config: ModelConfig,
-    rng: np.random.Generator | None = None,
-) -> ForwardResult:
-    """Full forward pass over a batch of raw count rows.
-
-    On the sampled path rng supplies the noise; the deterministic path
-    replaces eps by its conditional mean and consumes no randomness.  One
-    beta is shared by every document of the batch.
-    """
+    rng: np.random.Generator | None,
+) -> tuple[LatentBatch, ad.Tensor, ad.Tensor, ad.Tensor]:
+    """Encoders, latent driver and decoder, shared by training and
+    evaluation; returns the latents, mu, logvar and the reconstruction X'."""
     config.validate()
     totals = x_counts.sum(axis=1, keepdims=True)
     if np.any(totals <= 0):
@@ -337,26 +317,12 @@ def forward_batch(
     x_norm = ad.Tensor(x_counts / totals)
 
     x0 = None if config.mode == "standard_etm" else encode_x0(x_norm, store)
-    schedule = config.schedule()
-    if config.eval_path == "deterministic":
-        eps = _deterministic_eps(x0, schedule, config.mode, (x_norm.rows, config.num_topics))
-    else:
-        if rng is None:
-            raise ValueError("forward_batch: sampled path needs an rng")
-        if config.mode == "standard_etm":
-            eps = ad.Tensor(rng.standard_normal((x_norm.rows, config.num_topics)))
-        else:
-            eps = sample_eps(x0, schedule, rng, config.mode)
-
+    eps = sample_eps(x0, config.schedule(), rng, config.mode, (x_norm.rows, config.num_topics))
     mu, logvar = encode_mu_logvar(x_norm, store)
     z = reparameterize(eps, mu, logvar)
     theta = doc_topic_dist(z)
     beta = topic_word_dist(store["topic_emb"], store["word_emb"])
     x_prime = reconstruct(theta, beta)
-
-    recon = reconstruction_loss(x_counts, x_prime)
-    kl = kl_loss(mu, logvar)
-    total = total_loss(recon, kl, config.kl_weight)
 
     latents = LatentBatch(
         x0=None if x0 is None else x0.data,
@@ -366,6 +332,25 @@ def forward_batch(
         z=z.data,
         theta=theta.data,
     )
+    return latents, mu, logvar, x_prime
+
+
+def forward_batch(
+    x_counts: np.ndarray,
+    store: ad.ParamStore,
+    config: ModelConfig,
+    rng: np.random.Generator | None = None,
+) -> ForwardResult:
+    """Full forward pass with losses over a batch of raw count rows.
+
+    Given an rng, eps is sampled (training); without one it is replaced by
+    its conditional mean and no randomness is consumed (evaluation).  One
+    beta is shared by every document of the batch.
+    """
+    latents, mu, logvar, x_prime = _forward_core(x_counts, store, config, rng)
+    recon = reconstruction_loss(x_counts, x_prime)
+    kl = kl_loss(mu, logvar)
+    total = total_loss(recon, kl, config.kl_weight)
     return ForwardResult(latents=latents, recon=recon, kl=kl, total=total)
 
 
@@ -374,9 +359,8 @@ def predict_batch(
     store: ad.ParamStore,
     config: ModelConfig,
 ) -> tuple[LatentBatch, np.ndarray]:
-    """Evaluation-only forward pass on the deterministic path; no graph."""
-    cfg = replace(config, eval_path="deterministic")
+    """Evaluation pass on the deterministic path: the latents and X', with
+    no loss and no graph."""
     with ad.no_grad():
-        result = forward_batch(x_counts, store, cfg)
-        beta = topic_word_dist(store["topic_emb"], store["word_emb"]).data
-    return result.latents, result.latents.theta @ beta
+        latents, _, _, x_prime = _forward_core(x_counts, store, config, None)
+    return latents, x_prime.data

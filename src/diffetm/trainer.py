@@ -12,20 +12,22 @@ from __future__ import annotations
 import json
 import struct
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
+from itertools import count
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from . import autodiff as ad
 from . import metrics as metrics_mod
-from .corpus import BowCorpus, Dataset, dense_counts
+from .corpus import BowCorpus, Dataset, dense_counts, iter_batches
 from .model import (
     MODES,
     ModelConfig,
+    check_param_shapes,
     forward_batch,
     init_params,
-    predict_batch,
     store_vocab_size,
 )
 
@@ -42,7 +44,7 @@ class Diverged(RuntimeError):
 
 
 class CorruptCheckpoint(ValueError):
-    """Checkpoint magic, version, or framing did not validate."""
+    """Checkpoint magic, version, framing, names or shapes did not validate."""
 
 
 @dataclass
@@ -144,8 +146,8 @@ def save_checkpoint(store: ad.ParamStore, config: ModelConfig, path: str | Path)
 
 
 def load_checkpoint(path: str | Path) -> tuple[ad.ParamStore, ModelConfig]:
-    """Rebuild a parameter store and config; eval_path defaults to
-    deterministic since a loaded model is meant for evaluation."""
+    """Rebuild a parameter store and config, checking that the parameters
+    fit the configuration."""
     data = Path(path).read_bytes()
     if data[:8] != CKPT_MAGIC:
         raise CorruptCheckpoint(f"{path}: not a checkpoint file (bad magic)")
@@ -167,7 +169,6 @@ def load_checkpoint(path: str | Path) -> tuple[ad.ParamStore, ModelConfig]:
             beta_end=bt,
             kl_weight=lam,
             mode=MODES[mode_idx],
-            eval_path="deterministic",
             seed=seed,
         )
         offset = 12 + struct.calcsize("<IIIIdddBq")
@@ -177,9 +178,9 @@ def load_checkpoint(path: str | Path) -> tuple[ad.ParamStore, ModelConfig]:
         for _ in range(n_params):
             (name_len,) = struct.unpack_from("<I", data, offset)
             offset += 4
-            name = data[offset:offset + name_len].decode("utf-8")
             if len(data) < offset + name_len:
                 raise CorruptCheckpoint(f"{path}: truncated name block")
+            name = data[offset:offset + name_len].decode("utf-8")
             offset += name_len
             rows, cols = struct.unpack_from("<II", data, offset)
             offset += 8
@@ -189,10 +190,18 @@ def load_checkpoint(path: str | Path) -> tuple[ad.ParamStore, ModelConfig]:
             arr = np.frombuffer(data, dtype="<f4", count=rows * cols, offset=offset)
             offset += nbytes
             store.add(name, arr.astype(np.float64).reshape(rows, cols))
+        if offset != len(data):
+            raise CorruptCheckpoint(f"{path}: {len(data) - offset} trailing bytes")
+        if "word_emb" not in store:
+            raise CorruptCheckpoint(f"{path}: missing parameter 'word_emb'")
+        config.validate()
+        check_param_shapes(store, config, store_vocab_size(store))
     except struct.error as exc:
         raise CorruptCheckpoint(f"{path}: truncated checkpoint ({exc})") from None
-    if offset != len(data):
-        raise CorruptCheckpoint(f"{path}: {len(data) - offset} trailing bytes")
+    except CorruptCheckpoint:
+        raise
+    except ValueError as exc:  # a name not in UTF-8, a duplicate name, a bad config or shape
+        raise CorruptCheckpoint(f"{path}: {exc}") from None
     return store, config
 
 
@@ -207,19 +216,7 @@ def validate(
     batch_size: int = 1024,
 ) -> tuple[float, float]:
     """Held-out perplexity and the mean closed-form KL, deterministic path."""
-    ppl = metrics_mod.perplexity(store, config, valid_corpus, batch_size=batch_size)
-    v = store_vocab_size(store)
-    kl_sum = 0.0
-    n = len(valid_corpus)
-    for start in range(0, n, batch_size):
-        idx = range(start, min(start + batch_size, n))
-        x = dense_counts(valid_corpus, idx, v)
-        latents, _ = predict_batch(x, store, config)
-        per_doc = 0.5 * (
-            latents.mu ** 2 + np.exp(latents.logvar) - latents.logvar - 1.0
-        ).sum(axis=1)
-        kl_sum += float(per_doc.sum())
-    return ppl, kl_sum / n
+    return metrics_mod.perplexity_and_kl(store, config, valid_corpus, batch_size)
 
 
 def realized_z_kl(
@@ -235,15 +232,12 @@ def realized_z_kl(
     the closed form assumes, so this and the closed-form term are logged
     side by side without being compared.
     """
-    cfg = replace(config, eval_path="sampled")
     v = store_vocab_size(store)
-    n = len(corpus_split)
-    zs = []
     with ad.no_grad():
-        for start in range(0, n, batch_size):
-            idx = range(start, min(start + batch_size, n))
-            x = dense_counts(corpus_split, idx, v)
-            zs.append(forward_batch(x, store, cfg, rng).latents.z)
+        zs = [
+            forward_batch(x, store, config, rng).latents.z
+            for x in iter_batches(corpus_split, v, batch_size)
+        ]
     z = np.concatenate(zs, axis=0)
     mean = z.mean(axis=0)
     var = z.var(axis=0)
@@ -286,7 +280,6 @@ def train(
     v = data.vocab.V
     store = init_params(model_config, v, init_rng)
     adam = ad.AdamState(lr=train_config.learning_rate)
-    train_cfg = replace(model_config, eval_path="sampled")
 
     out_dir = Path(train_config.output_dir) if train_config.output_dir else None
     if out_dir is not None:
@@ -301,7 +294,7 @@ def train(
         sum_recon = sum_kl = sum_total = 0.0
         for idx in _epoch_batches(n, train_config.batch_size, shuffle_rng):
             x = dense_counts(data.train, idx, v)
-            result = forward_batch(x, store, train_cfg, noise_rng)
+            result = forward_batch(x, store, model_config, noise_rng)
             recon, kl, total = result.values()
             if not np.isfinite(total):
                 report.wall_seconds = _elapsed(started, train_config)
@@ -358,20 +351,24 @@ def _elapsed(started: float, train_config: TrainConfig) -> float:
     return 0.0 if train_config.deterministic else time.monotonic() - started
 
 
-def log_kl_trajectory(report: TrainReport, path: str | Path | None = None) -> KlTrajectory:
-    """Extract the improving-checkpoint epochs as (epoch, kl, perplexity).
+def improving_trajectory(points: Iterable[tuple[int, float | None, float | None]]) -> KlTrajectory:
+    """Keep the (epoch, kl, perplexity) points whose perplexity beats every
+    earlier one, skipping points that were not evaluated.
 
     The perplexity column is strictly decreasing by construction.
     """
-    points = []
+    kept = []
     best = float("inf")
-    for i, ppl in enumerate(report.val_perplexity):
-        if ppl is None:
-            continue
-        if ppl < best:
+    for epoch, kl, ppl in points:
+        if ppl is not None and ppl < best:
             best = ppl
-            points.append((i + 1, report.val_kl[i], ppl))
-    traj = KlTrajectory(points=points)
+            kept.append((epoch, kl, ppl))
+    return KlTrajectory(points=kept)
+
+
+def log_kl_trajectory(report: TrainReport, path: str | Path | None = None) -> KlTrajectory:
+    """Extract the improving-checkpoint epochs as (epoch, kl, perplexity)."""
+    traj = improving_trajectory(zip(count(1), report.val_kl, report.val_perplexity))
     if path is not None:
         Path(path).write_text(traj.to_csv())
     return traj

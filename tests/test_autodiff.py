@@ -36,16 +36,6 @@ class TestPrimitives:
         with pytest.raises(ad.ShapeMismatch):
             ad.hadamard(ad.Tensor([[1.0, 2.0]]), ad.Tensor([[1.0]]))
 
-    def test_forward_primitive_dispatch(self):
-        out = ad.forward_primitive("relu", ad.Tensor([[-3.0, 3.0]]))
-        np.testing.assert_array_equal(out.data, [[0.0, 3.0]])
-        out = ad.forward_primitive("scale", ad.Tensor([[2.0]]), 4.0)
-        assert out.item() == 8.0
-
-    def test_forward_primitive_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown primitive"):
-            ad.forward_primitive("convolve", ad.Tensor([[1.0]]))
-
     def test_debug_finite_check(self):
         ad.check_finite = True
         try:

@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from diffetm import cli
+from diffetm.model import ModelConfig
+from diffetm.trainer import TrainConfig
 from diffetm.synth import write_split_files
 
 
@@ -81,6 +84,13 @@ class TestConfig:
         cfg2["seed"] += 1
         assert cli.run_id_of(cfg1) != cli.run_id_of(cfg2)
 
+    def test_model_defaults_are_the_dataclass_defaults(self):
+        assert cli.model_config_of(cli.load_config()) == ModelConfig()
+
+    def test_train_defaults_are_the_dataclass_defaults(self):
+        train_config = cli.train_config_of(cli.load_config(), Path("runs/x"))
+        assert train_config == TrainConfig(output_dir="runs/x")
+
     def test_missing_config_file(self):
         with pytest.raises(cli.ConfigError, match="not found"):
             cli.load_config("/nonexistent/config.json")
@@ -143,6 +153,19 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", str(workspace["cfg_path"])]) == 0
         assert (run_dir / "train_report.json").read_bytes() == report_before
         assert (run_dir / "best.ckpt").read_bytes() == ckpt_before
+
+
+    def test_diverged_rerun_manifest_excludes_itself(self, workspace, tmp_path):
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps({
+            **workspace["cfg"], "learning_rate": 1e9, "epochs": 60, "output_dir": str(tmp_path / "runs"),
+        }))
+        assert cli.main(["train", "--config", str(path)]) == 1
+        assert cli.main(["train", "--config", str(path)]) == 1
+        run_dir = tmp_path / "runs" / cli.run_id_of(cli.load_config(str(path)))
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert "train_report.json" in manifest["artifacts"]
+        assert "manifest.json" not in manifest["artifacts"]
 
 
 class TestEvalCommand:

@@ -96,27 +96,18 @@ def test_vectorize_roundtrip_counts(tokens):
         assert all(n > 0 for n in doc.counts.values())
 
 
-class TestNormalize:
-    def test_two_entries(self):
-        vec = cp.normalize(cp.BowDocument({0: 2, 1: 1}, 3), 2)
-        np.testing.assert_allclose(vec, [2 / 3, 1 / 3])
+class TestIterBatches:
+    def test_batches_cover_the_split_in_order(self):
+        docs = [cp.BowDocument({i % 3: i + 1}, i + 1) for i in range(7)]
+        corpus = cp.BowCorpus("valid", docs, "ref")
+        batches = list(cp.iter_batches(corpus, 3, 3))
+        assert [b.shape for b in batches] == [(3, 3), (3, 3), (1, 3)]
+        np.testing.assert_array_equal(
+            np.concatenate(batches), cp.dense_counts(corpus, range(7), 3)
+        )
 
-    def test_single_word_document(self):
-        vec = cp.normalize(cp.BowDocument({3: 5}, 5), 4)
-        np.testing.assert_array_equal(vec, [0, 0, 0, 1])
-
-    def test_direct_division(self):
-        vec = cp.normalize(cp.BowDocument({0: 1, 1: 1, 2: 2}, 4), 3)
-        np.testing.assert_allclose(vec, [0.25, 0.25, 0.5])
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.dictionaries(st.integers(0, 9), st.integers(1, 50), min_size=1))
-def test_normalize_is_a_distribution(counts):
-    doc = cp.BowDocument(counts, sum(counts.values()))
-    vec = cp.normalize(doc, 10)
-    assert abs(vec.sum() - 1.0) <= 1e-9
-    assert (vec >= 0).all()
+    def test_empty_split_yields_nothing(self):
+        assert list(cp.iter_batches(cp.BowCorpus("test", [], "ref"), 4, 2)) == []
 
 
 def _docs(n):

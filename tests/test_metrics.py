@@ -36,6 +36,11 @@ class TestNpmi:
         coh = mx.npmi_coherence([[0, 1]], stats)
         assert coh == pytest.approx(1.0)
 
+    def test_perfect_association_stays_within_bounds(self):
+        # log(p / p**2) / -log(p) rounds to 1 + 2**-52 at p = 5/8
+        stats = mx.build_cooccurrence(corpus_of([set()] * 3 + [{0, 1}] * 5), 2)
+        assert mx.npmi_coherence([[0, 1]], stats) == 1.0
+
     def test_independent_words(self):
         # p(0)=0.5, p(1)=0.5, p(0,1)=0.25 = p(0)p(1)
         stats = mx.build_cooccurrence(corpus_of([{0, 1}, {0}, {1}, set()]), 2)

@@ -119,6 +119,19 @@ class TestSampleEps:
         out = m.sample_eps(x0, sched, np.random.default_rng(1), "diffusion")
         assert out is x0
 
+    def test_no_rng_gives_the_conditional_mean(self):
+        x0 = ad.Tensor(np.random.default_rng(0).normal(size=(4, 3)))
+        sched = m.linear_schedule(100, 0.0, 0.02)
+        out = m.sample_eps(x0, sched, None, "diffusion")
+        np.testing.assert_array_equal(out.data, math.sqrt(sched.final_alpha_bar) * x0.data)
+        assert m.sample_eps(x0, sched, None, "no_diffusion") is x0
+        zeros = m.sample_eps(None, sched, None, "standard_etm", (4, 3))
+        np.testing.assert_array_equal(zeros.data, np.zeros((4, 3)))
+
+    def test_standard_mode_draws_the_given_shape(self):
+        out = m.sample_eps(None, m.linear_schedule(10, 0.0, 0.1), np.random.default_rng(7), "standard_etm", (5, 2))
+        np.testing.assert_array_equal(out.data, np.random.default_rng(7).standard_normal((5, 2)))
+
     def test_standard_mode_moments(self):
         x0 = ad.Tensor(np.ones((100_000, 4)))
         out = m.sample_eps(x0, m.linear_schedule(10, 0.0, 0.1), np.random.default_rng(7), "standard_etm")
@@ -300,7 +313,6 @@ def test_kl_loss_nonnegative(mu, logvar):
 class TestForwardBatch:
     def test_standard_etm_deterministic_path_gives_z_equals_mu(self):
         cfg, store, x = small_setup(mode="standard_etm")
-        cfg = replace(cfg, eval_path="deterministic")
         result = m.forward_batch(x, store, cfg)
         np.testing.assert_array_equal(result.latents.z, result.latents.mu)
         assert result.latents.x0 is None
@@ -352,10 +364,14 @@ class TestForwardBatch:
             err = ad.finite_diff_check(store, name, loss, max_coords=4, seed=1)
             assert err <= 1e-4, f"{name}: {err}"
 
-    def test_sampled_path_requires_rng(self):
+    def test_no_rng_takes_the_conditional_mean_path(self):
         cfg, store, x = small_setup()
-        with pytest.raises(ValueError, match="rng"):
-            m.forward_batch(x, store, cfg)
+        result = m.forward_batch(x, store, cfg)
+        latents, _ = m.predict_batch(x, store, cfg)
+        abar = cfg.schedule().final_alpha_bar
+        np.testing.assert_array_equal(result.latents.eps, latents.eps)
+        np.testing.assert_array_equal(result.latents.theta, latents.theta)
+        np.testing.assert_allclose(result.latents.eps, math.sqrt(abar) * result.latents.x0)
 
     def test_empty_document_rejected(self):
         cfg, store, x = small_setup()
@@ -383,6 +399,24 @@ class TestPredictBatch:
         latents2, x_prime2 = m.predict_batch(x, store, cfg)
         np.testing.assert_array_equal(x_prime, x_prime2)
         np.testing.assert_array_equal(latents.theta, latents2.theta)
+
+    def test_beta_computed_once_and_no_loss(self, monkeypatch):
+        cfg, store, x = small_setup()
+        calls = []
+
+        def counted(name):
+            fn = getattr(m, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("topic_word_dist", "reconstruction_loss", "kl_loss"):
+            monkeypatch.setattr(m, name, counted(name))
+        m.predict_batch(x, store, cfg)
+        assert calls == ["topic_word_dist"]
 
     def test_diffusion_deterministic_path_shrinks_x0(self):
         cfg, store, x = small_setup()

@@ -1,8 +1,11 @@
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from diffetm import autodiff as ad
+from diffetm import model
 from diffetm import trainer as tr
 from diffetm.corpus import dense_counts
 from diffetm.model import ModelConfig, forward_batch, init_params
@@ -91,6 +94,20 @@ class TestValidate:
         assert ppl1 == pytest.approx(ppl2, rel=1e-12)
         assert kl1 == pytest.approx(kl2, rel=1e-12)
 
+    def test_one_deterministic_pass_per_document(self, tiny_dataset, tiny_config, monkeypatch):
+        store = init_params(tiny_config, tiny_dataset.vocab.V, np.random.default_rng(1))
+        expected = tr.validate(store, tiny_config, tiny_dataset.valid, batch_size=3)
+        rows = []
+        encode = model.encode_mu_logvar
+
+        def counted(x_norm, store):
+            rows.append(x_norm.rows)
+            return encode(x_norm, store)
+
+        monkeypatch.setattr(model, "encode_mu_logvar", counted)
+        assert tr.validate(store, tiny_config, tiny_dataset.valid, batch_size=3) == expected
+        assert sum(rows) == len(tiny_dataset.valid)
+
 
 def replace_docs(corpus, docs):
     from diffetm.corpus import BowCorpus
@@ -119,6 +136,10 @@ class TestKlTrajectory:
         ppls = [p[2] for p in traj.points]
         assert all(a > b for a, b in zip(ppls, ppls[1:]))
 
+    def test_filter_keeps_the_given_epochs(self):
+        traj = tr.improving_trajectory([(3, 0.5, 90.0), (7, 0.4, 95.0), (12, 0.3, 80.0)])
+        assert traj.points == [(3, 0.5, 90.0), (12, 0.3, 80.0)]
+
     def test_skips_unevaluated_epochs(self):
         traj = tr.log_kl_trajectory(self._report([None, 90.0, None, 85.0]))
         assert [p[0] for p in traj.points] == [2, 4]
@@ -139,8 +160,7 @@ class TestCheckpointIO:
         tr.save_checkpoint(store, tiny_config, path)
         loaded, loaded_cfg = tr.load_checkpoint(path)
         x = dense_counts(tiny_dataset.valid, range(4), v)
-        cfg_det = replace(tiny_config, eval_path="deterministic")
-        before = forward_batch(x, store, cfg_det).total.item()
+        before = forward_batch(x, store, tiny_config).total.item()
         after = forward_batch(x, loaded, replace(loaded_cfg, mode=tiny_config.mode)).total.item()
         assert abs(after - before) / abs(before) <= 1e-5
         assert loaded_cfg.num_topics == tiny_config.num_topics
@@ -172,6 +192,54 @@ class TestCheckpointIO:
         raw[8] = 99
         path.write_bytes(bytes(raw))
         with pytest.raises(tr.CorruptCheckpoint, match="version 99"):
+            tr.load_checkpoint(path)
+
+    NAME0 = 8 + 4 + struct.calcsize("<IIIIdddBq") + 4  # first name-length field
+
+    def _saved(self, tmp_path, config, store=None):
+        store = init_params(config, 9, np.random.default_rng(2)) if store is None else store
+        path = tmp_path / "model.ckpt"
+        tr.save_checkpoint(store, config, path)
+        return path, bytearray(path.read_bytes())
+
+    def test_name_length_checked_before_decoding(self, tiny_config, tmp_path):
+        path, raw = self._saved(tmp_path, tiny_config)
+        struct.pack_into("<I", raw, self.NAME0, len(raw))
+        path.write_bytes(bytes(raw))
+        with pytest.raises(tr.CorruptCheckpoint, match="truncated name block"):
+            tr.load_checkpoint(path)
+
+    def test_name_not_utf8(self, tiny_config, tmp_path):
+        path, raw = self._saved(tmp_path, tiny_config)
+        raw[self.NAME0 + 4] = 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(tr.CorruptCheckpoint, match="utf-8"):
+            tr.load_checkpoint(path)
+
+    def test_duplicate_name(self, tiny_config, tmp_path):
+        path, raw = self._saved(tmp_path, tiny_config)
+        # the second parameter, diff.b1, is renamed diff.w1
+        second = self.NAME0 + 4 + len(b"diff.w1") + 8 + 4 * 9 * tiny_config.hidden_size
+        assert raw[second + 4:second + 11] == b"diff.b1"
+        raw[second + 4:second + 11] = b"diff.w1"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(tr.CorruptCheckpoint, match="duplicate"):
+            tr.load_checkpoint(path)
+
+    def test_missing_parameter(self, tiny_config, tmp_path):
+        full = init_params(tiny_config, 9, np.random.default_rng(2))
+        store = ad.ParamStore()
+        for name, t in full.items():
+            if name != "topic_emb":
+                store.add(name, t.data)
+        path, _ = self._saved(tmp_path, tiny_config, store)
+        with pytest.raises(tr.CorruptCheckpoint, match="topic_emb"):
+            tr.load_checkpoint(path)
+
+    def test_invalid_config(self, tiny_config, tmp_path):
+        store = init_params(tiny_config, 9, np.random.default_rng(2))
+        path, _ = self._saved(tmp_path, replace(tiny_config, beta_end=2.0), store)
+        with pytest.raises(tr.CorruptCheckpoint, match="beta_end"):
             tr.load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
