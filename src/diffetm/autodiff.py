@@ -1,4 +1,8 @@
-"""Reverse-mode automatic differentiation over dense 2-D float64 arrays.
+"""Reverse-mode automatic differentiation over dense 2-D float arrays.
+
+Arrays are float32 when given as float32 and float64 otherwise; every
+primitive computes its output and its gradients in its operands' dtype, so
+a graph built from float32 parameters and inputs stays float32 end to end.
 
 The graph is rebuilt on every forward evaluation (define-by-run): each
 primitive returns a new Tensor that remembers its inputs and how to push a
@@ -9,8 +13,9 @@ every leaf created with ``requires=True``.
 Backward closures receive the output gradient as an argument and capture
 only input tensors and saved arrays, never the output node itself, so a
 released graph is reclaimed by reference counting alone (no cycles).
-Gradient buffers are never mutated in place; accumulation rebinds
-``t.grad``, so freshly computed arrays may be shared safely.
+Gradient buffers are never mutated in place (``adam_update`` only reads
+them); accumulation rebinds ``t.grad``, so freshly computed arrays may be
+shared safely.
 """
 
 from __future__ import annotations
@@ -52,13 +57,23 @@ def no_grad() -> Iterator[None]:
         _grad_enabled = prev
 
 
+def _as_float(data, copy: bool = False) -> np.ndarray:
+    """data as a float32 array if it is float32, else as a float64 array."""
+    arr = np.asarray(data)
+    dtype = np.float32 if arr.dtype.type is np.float32 else np.float64
+    return np.array(arr, dtype=dtype) if copy else np.asarray(arr, dtype=dtype)
+
+
 class Tensor:
-    """A dense 2-D float64 array, optionally a node in the current graph."""
+    """A dense 2-D float array, optionally a node in the current graph.
+
+    float32 data stays float32; any other data becomes float64.
+    """
 
     __slots__ = ("data", "grad", "requires", "_parents", "_backward")
 
     def __init__(self, data, requires: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = _as_float(data)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
         elif arr.ndim == 1:
@@ -260,7 +275,7 @@ def sum_all(x: Tensor) -> Tensor:
     shape = x.data.shape
 
     def back(g: np.ndarray) -> None:
-        _accum(x, np.full(shape, g[0, 0]))
+        _accum(x, np.full(shape, g[0, 0], dtype=x.data.dtype))
 
     return _node(np.array([[x.data.sum()]]), (x,), back)
 
@@ -294,7 +309,7 @@ def backward(output: Tensor) -> None:
             if p.requires and id(p) not in visited:
                 stack.append((p, False))
 
-    output.grad = np.ones((1, 1))
+    output.grad = np.ones_like(output.data)
     for node in reversed(topo):
         if node._backward is not None:
             node._backward(node.grad)
@@ -308,7 +323,11 @@ def backward(output: Tensor) -> None:
 
 
 class ParamStore:
-    """Named trainable tensors, each with its own same-shape gradient buffer."""
+    """Named trainable tensors, each with its own same-shape gradient buffer.
+
+    A parameter keeps the dtype it was added with (float32 stays float32,
+    anything else becomes float64); models compute in that dtype.
+    """
 
     def __init__(self) -> None:
         self._params: dict[str, Tensor] = {}
@@ -316,7 +335,7 @@ class ParamStore:
     def add(self, name: str, array: np.ndarray) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.array(array, dtype=np.float64), requires=True)
+        t = Tensor(_as_float(array, copy=True), requires=True)
         t.grad = np.zeros_like(t.data)
         self._params[name] = t
         return t
@@ -367,23 +386,37 @@ class AdamState:
 
 
 def adam_update(params: ParamStore, state: AdamState) -> None:
-    """One bias-corrected Adam step over every parameter; zeroes gradients."""
+    """One bias-corrected Adam step over every parameter; zeroes gradients.
+
+    The moments are updated in place and the step is built in one scratch
+    buffer per parameter; gradient arrays, which may be shared, are only read.
+    """
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
         m = state.m.get(name)
-        v = state.v.get(name)
         if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
-        p.data -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+            m = state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        v = state.v[name]
+        buf = np.empty_like(p.data)
+        m *= b1
+        v *= b2
+        if p.grad is not None:
+            np.multiply(p.grad, 1.0 - b1, out=buf)
+            m += buf
+            np.multiply(p.grad, p.grad, out=buf)
+            buf *= 1.0 - b2
+            v += buf
+        # lr * (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(v, c2, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += state.eps
+        np.divide(m, buf, out=buf)
+        buf *= state.lr / c1
+        p.data -= buf
     params.zero_grads()
 
 
@@ -404,27 +437,37 @@ def finite_diff_check(
     loss_fn must be deterministic (freeze any noise source by reconstructing
     it inside the closure).  Returns the max over sampled coordinates of
     |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+
+    The check runs in float64: every parameter of the store is converted for
+    its duration, then its original array (dtype and values) is put back.
     """
-    params.zero_grads()
-    backward(loss_fn())
-    analytic = params[name].grad.copy()
+    originals = [(t, t.data) for _, t in params.items()]
+    for t, data in originals:
+        t.data = data.astype(np.float64)
+    try:
+        params.zero_grads()
+        backward(loss_fn())
+        analytic = params[name].grad.copy()
 
-    flat = params[name].data.reshape(-1)
-    n = flat.size
-    rng = np.random.default_rng(seed)
-    coords = rng.choice(n, size=min(max_coords, n), replace=False)
+        flat = params[name].data.reshape(-1)
+        n = flat.size
+        rng = np.random.default_rng(seed)
+        coords = rng.choice(n, size=min(max_coords, n), replace=False)
 
-    worst = 0.0
-    for idx in coords:
-        orig = flat[idx]
-        flat[idx] = orig + step
-        f_plus = loss_fn().item()
-        flat[idx] = orig - step
-        f_minus = loss_fn().item()
-        flat[idx] = orig
-        numeric = (f_plus - f_minus) / (2.0 * step)
-        a = analytic.reshape(-1)[idx]
-        rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
-        worst = max(worst, rel)
-    params.zero_grads()
+        worst = 0.0
+        for idx in coords:
+            orig = flat[idx]
+            flat[idx] = orig + step
+            f_plus = loss_fn().item()
+            flat[idx] = orig - step
+            f_minus = loss_fn().item()
+            flat[idx] = orig
+            numeric = (f_plus - f_minus) / (2.0 * step)
+            a = analytic.reshape(-1)[idx]
+            rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
+            worst = max(worst, rel)
+    finally:
+        for t, data in originals:
+            t.data = data
+        params.zero_grads()
     return worst

@@ -298,7 +298,7 @@ def _export_top_words(beta, vocab, n: int, path: Path) -> None:
         fh.write("topic_id\trank\ttoken\tprobability\n")
         for topic_id, words in enumerate(lists):
             for rank, w in enumerate(words, start=1):
-                fh.write(f"{topic_id}\t{rank}\t{vocab.tokens[w]}\t{beta[topic_id, w]!r}\n")
+                fh.write(f"{topic_id}\t{rank}\t{vocab.tokens[w]}\t{float(beta[topic_id, w])!r}\n")
 
 
 def _load_eval_inputs(cfg: dict, checkpoint: str) -> tuple:

@@ -115,21 +115,25 @@ ENCODER_PREFIXES = ("diff", "mu", "sigma")
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(np.float32)
 
 
 def init_params(config: ModelConfig, vocab_size: int, rng: np.random.Generator) -> ad.ParamStore:
-    """Glorot-uniform weights, zero biases, seeded by the caller's rng."""
+    """Glorot-uniform weights, zero biases, seeded by the caller's rng.
+
+    The parameters are float32, the dtype the model computes in; the
+    weights are drawn in float64 and rounded.
+    """
     config.validate()
     v, h, k, e = vocab_size, config.hidden_size, config.num_topics, config.embed_size
     store = ad.ParamStore()
     for prefix in ENCODER_PREFIXES:
         store.add(f"{prefix}.w1", _glorot(rng, v, h))
-        store.add(f"{prefix}.b1", np.zeros((1, h)))
+        store.add(f"{prefix}.b1", np.zeros((1, h), dtype=np.float32))
         store.add(f"{prefix}.w2", _glorot(rng, h, h))
-        store.add(f"{prefix}.b2", np.zeros((1, h)))
+        store.add(f"{prefix}.b2", np.zeros((1, h), dtype=np.float32))
         store.add(f"{prefix}.w3", _glorot(rng, h, k))
-        store.add(f"{prefix}.b3", np.zeros((1, k)))
+        store.add(f"{prefix}.b3", np.zeros((1, k), dtype=np.float32))
     store.add("topic_emb", _glorot(rng, k, e))
     store.add("word_emb", _glorot(rng, v, e))
     return store
@@ -147,6 +151,9 @@ def check_param_shapes(store: ad.ParamStore, config: ModelConfig, vocab_size: in
         })
     expect["topic_emb"] = (k, e)
     expect["word_emb"] = (v, e)
+    for name in store.names():
+        if name not in expect:
+            raise ValueError(f"unexpected parameter {name!r}")
     for name, shape in expect.items():
         if name not in store:
             raise ValueError(f"missing parameter {name!r}")
@@ -190,6 +197,7 @@ def sample_eps(
     rng: np.random.Generator | None,
     mode: str,
     shape: tuple[int, int] | None = None,
+    dtype: np.dtype | None = None,
 ) -> ad.Tensor:
     """The latent driver eps for one batch.
 
@@ -199,12 +207,20 @@ def sample_eps(
     the noising chain to its end; with an empty schedule (or beta
     identically 0) X0 passes through unchanged.  standard_etm has no X0 in
     the model, so shape gives the size of eps there.
+
+    Noise is always drawn in float64, so the rng stream does not depend on
+    the dtype, and then cast to dtype: by default X0's, or float64 when
+    there is no X0.
     """
+    if dtype is None:
+        dtype = np.float64 if x0 is None else x0.data.dtype
     if mode == "no_diffusion":
         return x0
     if mode == "standard_etm":
         shape = x0.data.shape if shape is None else shape
-        return ad.Tensor(np.zeros(shape) if rng is None else rng.standard_normal(shape))
+        if rng is None:
+            return ad.Tensor(np.zeros(shape, dtype=dtype))
+        return ad.Tensor(rng.standard_normal(shape).astype(dtype, copy=False))
     if mode != "diffusion":
         raise ValueError(f"unknown mode {mode!r}")
     abar = schedule.final_alpha_bar
@@ -215,7 +231,7 @@ def sample_eps(
     noise = rng.standard_normal(x0.data.shape)
     return ad.add(
         ad.scale(x0, math.sqrt(abar)),
-        ad.Tensor(math.sqrt(1.0 - abar) * noise),
+        ad.Tensor((math.sqrt(1.0 - abar) * noise).astype(dtype, copy=False)),
     )
 
 
@@ -248,11 +264,13 @@ def reconstruction_loss(
     """Negative log-likelihood -sum(X * log X') averaged over documents.
 
     clamp guards the log against softmax underflow; pass None to disable,
-    in which case a nonpositive entry raises DomainError.
+    in which case a nonpositive entry raises DomainError.  The counts are
+    taken in X''s dtype.
     """
     n_docs = x_counts.shape[0]
     logged = ad.log_rows(x_prime if clamp is None else ad.clamp_min(x_prime, clamp))
-    return ad.scale(ad.sum_all(ad.hadamard(ad.Tensor(x_counts), logged)), -1.0 / n_docs)
+    counts = ad.Tensor(np.asarray(x_counts, dtype=x_prime.data.dtype))
+    return ad.scale(ad.sum_all(ad.hadamard(counts, logged)), -1.0 / n_docs)
 
 
 def kl_loss(mu: ad.Tensor, logvar: ad.Tensor) -> ad.Tensor:
@@ -309,15 +327,21 @@ def _forward_core(
     rng: np.random.Generator | None,
 ) -> tuple[LatentBatch, ad.Tensor, ad.Tensor, ad.Tensor]:
     """Encoders, latent driver and decoder, shared by training and
-    evaluation; returns the latents, mu, logvar and the reconstruction X'."""
+    evaluation; returns the latents, mu, logvar and the reconstruction X'.
+
+    Everything is computed in the dtype of the store's parameters.
+    """
     config.validate()
+    dtype = store["word_emb"].data.dtype
     totals = x_counts.sum(axis=1, keepdims=True)
     if np.any(totals <= 0):
         raise ValueError("forward_batch: a document row has zero tokens")
-    x_norm = ad.Tensor(x_counts / totals)
+    x_norm = ad.Tensor((x_counts / totals).astype(dtype, copy=False))
 
     x0 = None if config.mode == "standard_etm" else encode_x0(x_norm, store)
-    eps = sample_eps(x0, config.schedule(), rng, config.mode, (x_norm.rows, config.num_topics))
+    eps = sample_eps(
+        x0, config.schedule(), rng, config.mode, (x_norm.rows, config.num_topics), dtype
+    )
     mu, logvar = encode_mu_logvar(x_norm, store)
     z = reparameterize(eps, mu, logvar)
     theta = doc_topic_dist(z)

@@ -25,6 +25,7 @@ from .corpus import BowCorpus, Dataset, dense_counts, iter_batches
 from .model import (
     MODES,
     ModelConfig,
+    _forward_core,
     check_param_shapes,
     forward_batch,
     init_params,
@@ -147,7 +148,11 @@ def save_checkpoint(store: ad.ParamStore, config: ModelConfig, path: str | Path)
 
 def load_checkpoint(path: str | Path) -> tuple[ad.ParamStore, ModelConfig]:
     """Rebuild a parameter store and config, checking that the parameters
-    fit the configuration."""
+    fit the configuration.
+
+    The parameters stay float32, as stored, so a reloaded checkpoint is the
+    saved float32 model bit for bit.
+    """
     data = Path(path).read_bytes()
     if data[:8] != CKPT_MAGIC:
         raise CorruptCheckpoint(f"{path}: not a checkpoint file (bad magic)")
@@ -189,7 +194,7 @@ def load_checkpoint(path: str | Path) -> tuple[ad.ParamStore, ModelConfig]:
                 raise CorruptCheckpoint(f"{path}: truncated array for {name!r}")
             arr = np.frombuffer(data, dtype="<f4", count=rows * cols, offset=offset)
             offset += nbytes
-            store.add(name, arr.astype(np.float64).reshape(rows, cols))
+            store.add(name, arr.reshape(rows, cols))
         if offset != len(data):
             raise CorruptCheckpoint(f"{path}: {len(data) - offset} trailing bytes")
         if "word_emb" not in store:
@@ -230,12 +235,13 @@ def realized_z_kl(
 
     Diagnostic only: with diffusion the marginal of z is not the Gaussian
     the closed form assumes, so this and the closed-form term are logged
-    side by side without being compared.
+    side by side without being compared.  Only the latents are computed,
+    no loss.
     """
     v = store_vocab_size(store)
     with ad.no_grad():
         zs = [
-            forward_batch(x, store, config, rng).latents.z
+            _forward_core(x, store, config, rng)[0].z
             for x in iter_batches(corpus_split, v, batch_size)
         ]
     z = np.concatenate(zs, axis=0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from diffetm import autodiff as ad
 from diffetm.corpus import Dataset, build_vocabulary, split_corpus, tokenize_line, vectorize
 from diffetm.model import ModelConfig
 from diffetm.synth import generate_docs
@@ -35,3 +36,20 @@ def batch_of(dataset: Dataset, split="train", n=6, seed=0) -> np.ndarray:
     corpus = dataset.split(split)
     idx = list(range(min(n, len(corpus))))
     return dense_counts(corpus, idx, dataset.vocab.V)
+
+
+def _float64_copy(store: ad.ParamStore) -> ad.ParamStore:
+    out = ad.ParamStore()
+    for name, t in store.items():
+        out.add(name, t.data.astype(np.float64))
+    return out
+
+
+@pytest.fixture
+def as_float64():
+    """Copy a parameter store to float64.
+
+    The model computes in its store's dtype, so tests that check a float64
+    identity at a float64 tolerance build their store through this.
+    """
+    return _float64_copy

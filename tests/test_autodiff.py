@@ -210,11 +210,50 @@ class TestFiniteDiffCheck:
         err = ad.finite_diff_check(store, "p", lambda: ad.sum_all(ad.hadamard(p, p)))
         assert err <= 1e-7
 
+    def test_runs_in_float64_and_restores_a_float32_store(self):
+        store = ad.ParamStore()
+        p = store.add("p", np.array([[0.1, 0.2, 0.3]], dtype=np.float32))
+        q = store.add("q", np.array([[1.5]], dtype=np.float32))
+        p_array, p_before, q_before = p.data, p.data.copy(), q.data.copy()
+        seen = []
+
+        def loss():
+            seen.append((p.data.dtype, q.data.dtype))
+            return ad.sum_all(ad.hadamard(ad.exp(p), ad.exp(p)))
+
+        # at step 1e-5 a float32 loss would be far off the analytic gradient
+        assert ad.finite_diff_check(store, "p", loss) <= 1e-7
+        assert set(seen) == {(np.dtype(np.float64),) * 2}
+        assert p.data is p_array
+        for t, before in ((p, p_before), (q, q_before)):
+            assert t.data.dtype == np.float32
+            assert t.data.tobytes() == before.tobytes()
+        assert p.grad.dtype == q.grad.dtype == np.float32
+
     def test_constant_loss(self):
         store = ad.ParamStore()
         param(store, "p", [[1.0, 2.0]])
         err = ad.finite_diff_check(store, "p", lambda: ad.Tensor([[4.0]]))
         assert err == 0.0
+
+
+class TestDtype:
+    def test_float32_kept_anything_else_float64(self):
+        assert ad.Tensor(np.ones((2, 2), dtype=np.float32)).data.dtype == np.float32
+        assert ad.Tensor([[1, 2]]).data.dtype == np.float64
+        assert ad.Tensor(np.ones((1, 1), dtype=np.float16)).data.dtype == np.float64
+        store = ad.ParamStore()
+        assert store.add("a", np.ones((1, 2), dtype=np.float32)).data.dtype == np.float32
+        assert store.add("b", np.ones((1, 2), dtype=np.float32)).grad.dtype == np.float32
+        assert store.add("c", [[1.0]]).data.dtype == np.float64
+
+    def test_backward_keeps_float32(self):
+        store = ad.ParamStore()
+        p = store.add("p", np.array([[1.0, -2.0, 3.0]], dtype=np.float32))
+        # sum_all's backward and the 1x1 seed used to be float64
+        ad.backward(ad.scale(ad.sum_all(ad.relu(ad.hadamard(p, p))), 0.5))
+        assert p.grad.dtype == np.float32
+        np.testing.assert_array_equal(p.grad, [[1.0, -2.0, 3.0]])
 
 
 class TestAdam:
@@ -254,6 +293,46 @@ class TestAdam:
         p.grad = np.array([[3.0, 3.0]])
         ad.adam_update(store, ad.AdamState(lr=0.0))
         np.testing.assert_array_equal(p.data, before)
+
+    def test_matches_the_reference_formula(self):
+        rng = np.random.default_rng(4)
+        store = ad.ParamStore()
+        p = param(store, "p", rng.normal(size=(3, 4)))
+        state = ad.AdamState(lr=0.01)
+        ref, m, v = p.data.copy(), np.zeros((3, 4)), np.zeros((3, 4))
+        for t in range(1, 5):
+            g = rng.normal(size=(3, 4))
+            p.grad = g.copy()
+            ad.adam_update(store, state)
+            m = 0.9 * m + 0.1 * g
+            v = 0.999 * v + 0.001 * g * g
+            ref -= 0.01 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
+            np.testing.assert_allclose(p.data, ref, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(state.m["p"], m, rtol=1e-12)
+        np.testing.assert_allclose(state.v["p"], v, rtol=1e-12)
+
+    def test_shared_gradient_is_not_written(self):
+        store = ad.ParamStore()
+        a = param(store, "a", [[1.0, 2.0]])
+        b = param(store, "b", [[3.0, 4.0]])
+        shared = np.array([[0.5, -0.25]])
+        a.grad = b.grad = shared
+        state = ad.AdamState(lr=0.1)
+        ad.adam_update(store, state)
+        np.testing.assert_array_equal(shared, [[0.5, -0.25]])
+        # b saw the same gradient as a
+        np.testing.assert_array_equal(state.m["a"], state.m["b"])
+        np.testing.assert_array_equal(state.v["a"], state.v["b"])
+
+    def test_float32_parameters_and_moments_stay_float32(self):
+        store = ad.ParamStore()
+        p = store.add("p", np.array([[1.0, -1.0]], dtype=np.float32))
+        state = ad.AdamState(lr=0.1)
+        for _ in range(2):
+            p.grad = np.array([[0.3, -0.7]], dtype=np.float32)
+            ad.adam_update(store, state)
+        assert p.data.dtype == state.m["p"].dtype == state.v["p"].dtype == np.float32
+        assert p.grad.dtype == np.float32
 
     def test_gradients_zeroed_after_step(self):
         store = ad.ParamStore()

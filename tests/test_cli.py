@@ -216,6 +216,22 @@ class TestTopicsCommand:
         assert len(lines) > 1
 
 
+    def test_probabilities_are_plain_decreasing_numbers(self, workspace):
+        ckpt = workspace["run_dir"] / "best.ckpt"
+        assert cli.main(["topics", "--config", str(workspace["cfg_path"]), "--checkpoint", str(ckpt)]) == 0
+        out_dir = workspace["root"] / "runs" / f"topics_{cli.run_id_of(cli.load_config(str(workspace['cfg_path'])))}"
+        by_topic = {}
+        for line in (out_dir / "top_words.tsv").read_text().splitlines()[1:]:
+            topic_id, rank, _, probability = line.split("\t")
+            p = float(probability)
+            assert 0.0 < p <= 1.0, line
+            by_topic.setdefault(topic_id, []).append((int(rank), p))
+        assert by_topic
+        for rows in by_topic.values():
+            probs = [p for _, p in sorted(rows)]
+            assert all(a >= b for a, b in zip(probs, probs[1:]))
+
+
 class TestSweepCommand:
     def test_sweep_rows_and_t0_equivalence(self, workspace):
         assert cli.main(["sweep-t", "--config", str(workspace["cfg_path"])]) == 0

@@ -115,31 +115,53 @@ class TestQuality:
         assert mx.topic_quality(0.73, 0.0) == 0.0
 
 
+def zero_store(config, v):
+    store = init_params(config, v, np.random.default_rng(0))
+    for _, t in store.items():
+        t.data[:] = 0.0
+    return store
+
+
+def double_loop_perplexity(store, config, split, v):
+    """exp(-sum(X log X') / sum(X)) one entry at a time, in float64."""
+    from diffetm.model import predict_batch
+
+    x = batch_of_dense(split, v)
+    _, x_prime = predict_batch(x, store, config)
+    num = 0.0
+    den = 0.0
+    for d in range(x.shape[0]):
+        for j in range(v):
+            num -= x[d, j] * math.log(x_prime[d, j])
+            den += x[d, j]
+    return math.exp(num / den)
+
+
 class TestPerplexity:
-    def test_zero_logit_model_gives_v(self, tiny_dataset, tiny_config):
+    def test_zero_logit_model_gives_v(self, tiny_dataset, tiny_config, as_float64):
         v = tiny_dataset.vocab.V
-        store = init_params(tiny_config, v, np.random.default_rng(0))
-        for _, t in store.items():
-            t.data[:] = 0.0
+        store = as_float64(zero_store(tiny_config, v))
         ppl = mx.perplexity(store, tiny_config, tiny_dataset.test)
         assert ppl == pytest.approx(v, rel=1e-9)
 
-    def test_matches_double_loop_oracle(self, tiny_dataset, tiny_config):
-        from diffetm.model import predict_batch
+    def test_zero_logit_model_gives_v_float32(self, tiny_dataset, tiny_config):
+        v = tiny_dataset.vocab.V
+        ppl = mx.perplexity(zero_store(tiny_config, v), tiny_config, tiny_dataset.test)
+        assert ppl == pytest.approx(v, rel=1e-6)
 
+    def test_matches_double_loop_oracle(self, tiny_dataset, tiny_config, as_float64):
+        v = tiny_dataset.vocab.V
+        store = as_float64(init_params(tiny_config, v, np.random.default_rng(3)))
+        split = BowCorpus("test", tiny_dataset.test.docs[:3], tiny_dataset.test.vocab_ref)
+        expected = double_loop_perplexity(store, tiny_config, split, v)
+        assert mx.perplexity(store, tiny_config, split) == pytest.approx(expected, rel=1e-9)
+
+    def test_matches_double_loop_oracle_float32(self, tiny_dataset, tiny_config):
         v = tiny_dataset.vocab.V
         store = init_params(tiny_config, v, np.random.default_rng(3))
         split = BowCorpus("test", tiny_dataset.test.docs[:3], tiny_dataset.test.vocab_ref)
-        x = batch_of_dense(split, v)
-        _, x_prime = predict_batch(x, store, tiny_config)
-        num = 0.0
-        den = 0.0
-        for d in range(x.shape[0]):
-            for j in range(v):
-                num -= x[d, j] * math.log(x_prime[d, j])
-                den += x[d, j]
-        expected = math.exp(num / den)
-        assert mx.perplexity(store, tiny_config, split) == pytest.approx(expected, rel=1e-9)
+        expected = double_loop_perplexity(store, tiny_config, split, v)
+        assert mx.perplexity(store, tiny_config, split) == pytest.approx(expected, rel=1e-6)
 
     def test_invariant_under_duplication(self, tiny_dataset, tiny_config):
         v = tiny_dataset.vocab.V

@@ -335,24 +335,37 @@ class TestForwardBatch:
         assert r1.kl.item() == r2.kl.item()
         np.testing.assert_array_equal(r1.latents.z, r2.latents.z)
 
-    def test_total_gradient_is_linear_in_parts(self):
-        cfg, store, x = small_setup(seed=5)
-        rng_seed = 21
+    @staticmethod
+    def _gradient_parts(cfg, store, x):
+        """Gradients of the reconstruction, KL and total losses, per parameter."""
 
         def part(which):
             store.zero_grads()
-            res = m.forward_batch(x, store, cfg, np.random.default_rng(rng_seed))
+            res = m.forward_batch(x, store, cfg, np.random.default_rng(21))
             ad.backward({"recon": res.recon, "kl": res.kl, "total": res.total}[which])
             return {name: store[name].grad.copy() for name in store.names()}
 
-        g_recon = part("recon")
-        g_kl = part("kl")
-        g_total = part("total")
+        parts = part("recon"), part("kl"), part("total")
+        store.zero_grads()
+        return parts
+
+    def test_total_gradient_is_linear_in_parts(self, as_float64):
+        cfg, store, x = small_setup(seed=5)
+        g_recon, g_kl, g_total = self._gradient_parts(cfg, as_float64(store), x)
         for name in g_total:
             np.testing.assert_allclose(
                 g_total[name], g_recon[name] + cfg.kl_weight * g_kl[name], atol=1e-10
             )
-        store.zero_grads()
+
+    def test_total_gradient_is_linear_in_parts_float32(self):
+        # float32 rounding scales with the gradient, so the error is taken
+        # relative to each parameter's gradient norm
+        cfg, store, x = small_setup(seed=5)
+        g_recon, g_kl, g_total = self._gradient_parts(cfg, store, x)
+        for name, g in g_total.items():
+            assert g.dtype == np.float32
+            err = np.linalg.norm(g - (g_recon[name] + cfg.kl_weight * g_kl[name]))
+            assert err <= 1e-6 * np.linalg.norm(g), name
 
     def test_gradients_match_finite_differences_all_params(self):
         cfg, store, x = small_setup(seed=7)
@@ -392,6 +405,46 @@ class TestForwardBatch:
         np.testing.assert_allclose(x_prime.sum(axis=1), 1.0, atol=1e-6)
 
 
+class TestDtype:
+    @pytest.mark.parametrize("mode", m.MODES)
+    def test_training_step_stays_float32(self, mode):
+        cfg, store, x = small_setup(mode=mode)
+        result = m.forward_batch(x, store, cfg, np.random.default_rng(1))
+        seen, stack = set(), [result.total]
+        while stack:
+            t = stack.pop()
+            if id(t) in seen:
+                continue
+            seen.add(id(t))
+            assert t.data.dtype == np.float32, t
+            stack.extend(t._parents)
+        assert len(seen) > len(store)
+        for latent in vars(result.latents).values():
+            assert latent is None or latent.dtype == np.float32
+        ad.backward(result.total)
+        state = ad.AdamState(lr=0.01)
+        for name, t in store.items():
+            assert t.data.dtype == t.grad.dtype == np.float32, name
+        ad.adam_update(store, state)
+        for name, t in store.items():
+            assert t.data.dtype == t.grad.dtype == np.float32, name
+            assert state.m[name].dtype == state.v[name].dtype == np.float32, name
+
+    def test_noise_is_drawn_in_float64_then_cast(self):
+        sched = m.linear_schedule(10, 0.0, 0.1)
+        x0 = ad.Tensor(np.ones((3, 2), dtype=np.float32))
+        out = m.sample_eps(x0, sched, np.random.default_rng(4), "diffusion")
+        abar = sched.final_alpha_bar
+        noise = math.sqrt(1.0 - abar) * np.random.default_rng(4).standard_normal((3, 2))
+        expected = np.float32(math.sqrt(abar)) * x0.data + noise.astype(np.float32)
+        assert out.data.dtype == np.float32
+        np.testing.assert_array_equal(out.data, expected)
+        etm = m.sample_eps(None, sched, np.random.default_rng(4), "standard_etm", (3, 2), np.float32)
+        np.testing.assert_array_equal(
+            etm.data, np.random.default_rng(4).standard_normal((3, 2)).astype(np.float32)
+        )
+
+
 class TestPredictBatch:
     def test_no_graph_and_deterministic(self):
         cfg, store, x = small_setup()
@@ -429,6 +482,12 @@ class TestCheckParamShapes:
     def test_roundtrip_passes(self):
         cfg, store, _ = small_setup()
         m.check_param_shapes(store, cfg, 12)
+
+    def test_extra_parameter_fails(self):
+        cfg, store, _ = small_setup()
+        store.add("stray", np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="unexpected parameter 'stray'"):
+            m.check_param_shapes(store, cfg, 12)
 
     def test_wrong_vocab_fails(self):
         cfg, store, _ = small_setup()

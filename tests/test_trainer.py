@@ -7,7 +7,7 @@ import pytest
 from diffetm import autodiff as ad
 from diffetm import model
 from diffetm import trainer as tr
-from diffetm.corpus import dense_counts
+from diffetm.corpus import dense_counts, iter_batches
 from diffetm.model import ModelConfig, forward_batch, init_params
 
 
@@ -60,8 +60,8 @@ class TestTrain:
         assert report.best_val_perplexity == min(observed)
         store, cfg = tr.load_checkpoint(tmp_path / "best.ckpt")
         ppl, _ = tr.validate(store, cfg, tiny_dataset.valid)
-        # float32 storage rounds the loaded parameters
-        assert abs(ppl - report.best_val_perplexity) / report.best_val_perplexity < 1e-4
+        # the model trains in float32, which the checkpoint stores exactly
+        assert ppl == report.best_val_perplexity
 
     def test_eval_every_fills_gaps_with_none(self, tiny_dataset, tiny_config):
         report = tr.train(tiny_config, tiny_train_config(epochs=4, eval_every=2), tiny_dataset)
@@ -77,13 +77,24 @@ class TestTrain:
         assert (tmp_path / "best.ckpt").exists()
 
 
+def uniform_store(config, v):
+    store = init_params(config, v, np.random.default_rng(0))
+    for _, t in store.items():
+        t.data[:] = 0.0
+    return store
+
+
 class TestValidate:
-    def test_uniform_model_perplexity_equals_v(self, tiny_dataset, tiny_config):
-        store = init_params(tiny_config, tiny_dataset.vocab.V, np.random.default_rng(0))
-        for _, t in store.items():
-            t.data[:] = 0.0
+    def test_uniform_model_perplexity_equals_v(self, tiny_dataset, tiny_config, as_float64):
+        store = as_float64(uniform_store(tiny_config, tiny_dataset.vocab.V))
         ppl, kl = tr.validate(store, tiny_config, tiny_dataset.valid)
         assert ppl == pytest.approx(tiny_dataset.vocab.V, rel=1e-9)
+        assert kl == 0.0
+
+    def test_uniform_model_perplexity_equals_v_float32(self, tiny_dataset, tiny_config):
+        store = uniform_store(tiny_config, tiny_dataset.vocab.V)
+        ppl, kl = tr.validate(store, tiny_config, tiny_dataset.valid)
+        assert ppl == pytest.approx(tiny_dataset.vocab.V, rel=1e-6)
         assert kl == 0.0
 
     def test_invariant_to_document_order(self, tiny_dataset, tiny_config):
@@ -107,6 +118,32 @@ class TestValidate:
         monkeypatch.setattr(model, "encode_mu_logvar", counted)
         assert tr.validate(store, tiny_config, tiny_dataset.valid, batch_size=3) == expected
         assert sum(rows) == len(tiny_dataset.valid)
+
+
+class TestRealizedZKl:
+    def test_builds_no_loss(self, tiny_dataset, tiny_config, monkeypatch):
+        store = init_params(tiny_config, tiny_dataset.vocab.V, np.random.default_rng(1))
+
+        def no_loss(*args):
+            raise AssertionError("realized_z_kl built a loss")
+
+        for name in ("reconstruction_loss", "kl_loss", "total_loss"):
+            monkeypatch.setattr(model, name, no_loss)
+        assert np.isfinite(tr.realized_z_kl(store, tiny_config, tiny_dataset.valid, np.random.default_rng(2)))
+
+    def test_same_draws_as_the_training_forward_pass(self, tiny_dataset, tiny_config):
+        store = init_params(tiny_config, tiny_dataset.vocab.V, np.random.default_rng(1))
+        got = tr.realized_z_kl(
+            store, tiny_config, tiny_dataset.valid, np.random.default_rng(2), batch_size=3
+        )
+        rng = np.random.default_rng(2)
+        z = np.concatenate([
+            forward_batch(x, store, tiny_config, rng).latents.z
+            for x in iter_batches(tiny_dataset.valid, tiny_dataset.vocab.V, 3)
+        ])
+        var = np.maximum(z.var(axis=0), 1e-12)
+        mean = z.mean(axis=0)
+        assert got == float(0.5 * (mean ** 2 + var - np.log(var) - 1.0).sum())
 
 
 def replace_docs(corpus, docs):
@@ -175,6 +212,22 @@ class TestCheckpointIO:
             np.testing.assert_array_equal(
                 loaded[name].data, t.data.astype(np.float32).astype(np.float64)
             )
+
+    def test_reload_is_the_float32_model_bit_for_bit(self, tiny_config, tmp_path):
+        store = init_params(tiny_config, 9, np.random.default_rng(2))
+        path = tmp_path / "model.ckpt"
+        tr.save_checkpoint(store, tiny_config, path)
+        loaded, _ = tr.load_checkpoint(path)
+        for name, t in store.items():
+            assert loaded[name].data.dtype == np.float32
+            assert loaded[name].data.tobytes() == t.data.tobytes()
+
+    def test_extra_parameter(self, tiny_config, tmp_path):
+        store = init_params(tiny_config, 9, np.random.default_rng(2))
+        store.add("stray", np.ones((2, 3), dtype=np.float32))
+        path, _ = self._saved(tmp_path, tiny_config, store)
+        with pytest.raises(tr.CorruptCheckpoint, match="unexpected parameter 'stray'"):
+            tr.load_checkpoint(path)
 
     def test_truncated_file(self, tiny_config, tmp_path):
         store = init_params(tiny_config, 9, np.random.default_rng(2))
