@@ -15,12 +15,15 @@ only input tensors and saved arrays, never the output node itself, so a
 released graph is reclaimed by reference counting alone (no cycles).
 Gradient buffers are never mutated in place (``adam_update`` only reads
 them); accumulation rebinds ``t.grad``, so freshly computed arrays may be
-shared safely.
+shared safely.  A zeroed gradient is a read-only all-zero view, which the
+first accumulation replaces rather than adds to.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -105,10 +108,27 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires={self.requires})"
 
 
+# read-only 0-d zeros that every zeroed gradient is a broadcast view of
+_ZERO = {np.dtype(dt): np.zeros((), dtype=dt) for dt in (np.float32, np.float64)}
+for _z in _ZERO.values():
+    _z.flags.writeable = False
+
+
+def _zero_grad(data: np.ndarray) -> np.ndarray:
+    """An all-zero gradient shaped like data: a read-only broadcast view that
+    takes no memory, and that _accum replaces instead of adding to."""
+    return np.broadcast_to(_ZERO[data.dtype], data.shape)
+
+
+def _is_zero_grad(g: np.ndarray) -> bool:
+    zero = _ZERO.get(g.dtype)
+    return zero is not None and g.base is zero
+
+
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires:
         return
-    t.grad = g if t.grad is None else t.grad + g
+    t.grad = g if t.grad is None or _is_zero_grad(t.grad) else t.grad + g
 
 
 def _node(
@@ -271,6 +291,26 @@ def add_scalar(x: Tensor, c: float) -> Tensor:
     return _node(x.data + float(c), (x,), back)
 
 
+def gather(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
+    """The entries x[rows[i], cols[i]] as one 1 x n row.
+
+    The (row, col) pairs must be distinct: the backward scatters the row's
+    gradient into zeros shaped like x by assignment, so a repeated pair
+    would keep only one of its gradients.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    if rows.shape != cols.shape or rows.ndim != 1:
+        raise ShapeMismatch(f"gather: rows {rows.shape} and cols {cols.shape}")
+
+    def back(g: np.ndarray) -> None:
+        out = np.zeros_like(x.data)
+        out[rows, cols] = g[0]
+        _accum(x, out)
+
+    return _node(x.data[rows, cols], (x,), back)
+
+
 def sum_all(x: Tensor) -> Tensor:
     shape = x.data.shape
 
@@ -336,7 +376,7 @@ class ParamStore:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
         t = Tensor(_as_float(array, copy=True), requires=True)
-        t.grad = np.zeros_like(t.data)
+        t.grad = _zero_grad(t.data)
         self._params[name] = t
         return t
 
@@ -356,8 +396,10 @@ class ParamStore:
         return self._params.items()
 
     def zero_grads(self) -> None:
+        """Every gradient reads as zeros again, without a full-size pass: the
+        next backward binds its first gradient instead of adding it."""
         for t in self._params.values():
-            t.grad = np.zeros_like(t.data)
+            t.grad = _zero_grad(t.data)
 
     def grad_global_norm(self) -> float:
         sq = 0.0
@@ -385,29 +427,74 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+# elements per Adam block: the block's slices of the parameter, gradient,
+# moments and scratch stay in cache across the step's elementwise passes
+ADAM_BLOCK = 1 << 16
+
+
+def _usable_cores() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def adam_update(params: ParamStore, state: AdamState) -> None:
     """One bias-corrected Adam step over every parameter; zeroes gradients.
 
-    The moments are updated in place and the step is built in one scratch
-    buffer per parameter; gradient arrays, which may be shared, are only read.
+    Every parameter is updated in blocks of ADAM_BLOCK elements, and the
+    blocks are split evenly across the usable cores.  Each element sees the
+    same operations in the same order as an unblocked step, so the result
+    is bit for bit the same.  The moments are updated in place; gradient
+    arrays, which may be shared, are only read.
     """
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** state.t
-    c2 = 1.0 - b2 ** state.t
+    blocks = []
     for name, p in params.items():
         m = state.m.get(name)
         if m is None:
             m = state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
         v = state.v[name]
-        buf = np.empty_like(p.data)
+        if not all(a.flags.c_contiguous for a in (p.data, m, v)):
+            blocks.append((p.data, p.grad, m, v))
+            continue
+        pf, mf, vf = (a.reshape(-1) for a in (p.data, m, v))
+        g = None if p.grad is None else np.ravel(p.grad)
+        for lo in range(0, pf.size, ADAM_BLOCK):
+            hi = lo + ADAM_BLOCK
+            blocks.append((pf[lo:hi], None if g is None else g[lo:hi], mf[lo:hi], vf[lo:hi]))
+    workers = min(_usable_cores(), len(blocks))
+    if workers <= 1:
+        _adam_blocks(blocks, state)
+    else:
+        # contiguous runs of blocks with about equal element counts, one per
+        # core; numpy releases the GIL inside each elementwise pass
+        ends = np.cumsum([b[0].size for b in blocks])
+        cuts = np.searchsorted(ends, ends[-1] * np.arange(1, workers) / workers)
+        runs = [blocks[a:b] for a, b in zip([0, *cuts], [*cuts, len(blocks)])]
+        with ThreadPoolExecutor(workers - 1, thread_name_prefix="adam") as pool:
+            futures = [pool.submit(_adam_blocks, run, state) for run in runs[1:]]
+            _adam_blocks(runs[0], state)
+            for f in futures:
+                f.result()
+    params.zero_grads()
+
+
+def _adam_blocks(blocks, state: AdamState) -> None:
+    """The Adam step on (param, grad, m, v) slices, in place."""
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1 ** state.t
+    c2 = 1.0 - b2 ** state.t
+    scratch = None
+    for p, g, m, v in blocks:
+        if scratch is None or scratch.size < p.size or scratch.dtype != p.dtype:
+            scratch = np.empty(max(p.size, ADAM_BLOCK), dtype=p.dtype)
+        buf = scratch[:p.size].reshape(p.shape)
         m *= b1
         v *= b2
-        if p.grad is not None:
-            np.multiply(p.grad, 1.0 - b1, out=buf)
+        if g is not None:
+            np.multiply(g, 1.0 - b1, out=buf)
             m += buf
-            np.multiply(p.grad, p.grad, out=buf)
+            np.multiply(g, g, out=buf)
             buf *= 1.0 - b2
             v += buf
         # lr * (m / c1) / (sqrt(v / c2) + eps)
@@ -416,8 +503,7 @@ def adam_update(params: ParamStore, state: AdamState) -> None:
         buf += state.eps
         np.divide(m, buf, out=buf)
         buf *= state.lr / c1
-        p.data -= buf
-    params.zero_grads()
+        p -= buf
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,12 @@ immutable-in-practice after ingestion and safe for concurrent reads.
 from __future__ import annotations
 
 import hashlib
+import operator
 import string
 import struct
 from collections import Counter
+from collections.abc import Iterable, Sequence
+from itertools import chain
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -112,27 +115,105 @@ def vectorize(tokens: list[str], vocab: Vocabulary) -> BowDocument | None:
     return BowDocument(counts=counts, total=sum(counts.values()))
 
 
-@dataclass
 class BowCorpus:
-    """One split's documents, bound to a vocabulary by ref id."""
+    """One split's documents, bound to a vocabulary by ref id.
 
-    split: str
-    docs: list[BowDocument]
-    vocab_ref: str
+    The documents are stored as one CSR triple: document d holds the word
+    ids ``ids[indptr[d]:indptr[d + 1]]``, ascending and distinct, with their
+    counts at the same positions of ``counts``.  The three int64 arrays are
+    read-only.  ``docs`` is a read-only view that builds a BowDocument on
+    each access; it is no second copy of the corpus.
+    """
+
+    def __init__(self, split: str, docs: Iterable[BowDocument], vocab_ref: str):
+        docs = list(docs)
+        lengths = np.fromiter((len(d.counts) for d in docs), np.int64, count=len(docs))
+        total = int(lengths.sum())
+        ids = np.fromiter(chain.from_iterable(d.counts for d in docs), np.int64, count=total)
+        counts = np.fromiter(
+            chain.from_iterable(d.counts.values() for d in docs), np.int64, count=total
+        )
+        # sort each document's entries by id: one sort by (document, id)
+        width = int(ids.max()) + 1 if total else 1
+        order = np.argsort(np.repeat(np.arange(len(docs)), lengths) * width + ids)
+        indptr = np.zeros(len(docs) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        self._bind(split, indptr, ids[order], counts[order], vocab_ref)
+
+    @classmethod
+    def from_csr(
+        cls,
+        split: str,
+        indptr: np.ndarray,
+        ids: np.ndarray,
+        counts: np.ndarray,
+        vocab_ref: str,
+    ) -> "BowCorpus":
+        """A corpus over CSR arrays laid out as the class describes; the
+        layout is not checked here."""
+        corpus = cls.__new__(cls)
+        corpus._bind(split, indptr, ids, counts, vocab_ref)
+        return corpus
+
+    def _bind(self, split, indptr, ids, counts, vocab_ref) -> None:
+        self.split = split
+        self.vocab_ref = vocab_ref
+        # views, so that marking them read-only leaves the caller's arrays be
+        self.indptr, self.ids, self.counts = (
+            np.asarray(a, dtype=np.int64).view() for a in (indptr, ids, counts)
+        )
+        for a in (self.indptr, self.ids, self.counts):
+            a.flags.writeable = False
+
+    @property
+    def docs(self) -> "DocumentView":
+        return DocumentView(self)
 
     def __len__(self) -> int:
-        return len(self.docs)
+        return len(self.indptr) - 1
 
     def total_tokens(self) -> int:
-        return sum(d.total for d in self.docs)
+        return int(self.counts.sum())
+
+    def entry_docs(self) -> np.ndarray:
+        """The document index of every (id, count) entry."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+
+class DocumentView(Sequence):
+    """A corpus's documents as BowDocuments, built on access; read-only."""
+
+    def __init__(self, corpus: BowCorpus):
+        self._corpus = corpus
+
+    def __len__(self) -> int:
+        return len(self._corpus)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        n = len(self)
+        i = operator.index(i)
+        if not -n <= i < n:
+            raise IndexError(f"document {i} out of range for {n} documents")
+        if i < 0:
+            i += n
+        c = self._corpus
+        a, b = c.indptr[i], c.indptr[i + 1]
+        counts = c.counts[a:b].tolist()
+        return BowDocument(counts=dict(zip(c.ids[a:b].tolist(), counts)), total=sum(counts))
 
 
 def dense_counts(corpus: BowCorpus, indices, size: int) -> np.ndarray:
-    """Materialize raw count rows for the given document indices."""
-    x = np.zeros((len(indices), size))
-    for row, i in enumerate(indices):
-        for idx, n in corpus.docs[i].counts.items():
-            x[row, idx] = n
+    """Materialize raw count rows (float64) for the given document indices."""
+    docs = np.asarray(indices, dtype=np.int64)
+    starts = corpus.indptr[docs]
+    lengths = corpus.indptr[docs + 1] - starts
+    rows = np.repeat(np.arange(len(docs)), lengths)
+    # entry k of the batch is entry k - (entries of earlier rows) of its document
+    at = np.arange(len(rows)) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    x = np.zeros((len(docs), size))
+    x[rows, corpus.ids[at]] = corpus.counts[at]
     return x
 
 
@@ -331,41 +412,82 @@ def read_vocabulary(path: str | Path) -> Vocabulary:
 
 def write_corpus_cache(corpus: BowCorpus, vocab_size: int, path: str | Path) -> None:
     """Binary cache: magic, version u32, V u32, N u32, then per document a
-    pair count u32 followed by (id u32, count u32) pairs, little-endian."""
+    pair count u32 followed by (id u32, count u32) pairs, ids ascending,
+    little-endian."""
+    lengths = np.diff(corpus.indptr)
+    body = np.empty(len(corpus) + 2 * len(corpus.ids), dtype="<u4")
+    body[np.arange(len(corpus)) + 2 * corpus.indptr[:-1]] = lengths
+    at = _id_positions(corpus.entry_docs())
+    body[at] = corpus.ids
+    body[at + 1] = corpus.counts
     with open(path, "wb") as fh:
         fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<III", CACHE_VERSION, vocab_size, len(corpus.docs)))
-        for doc in corpus.docs:
-            items = sorted(doc.counts.items())
-            fh.write(struct.pack("<I", len(items)))
-            fh.write(struct.pack(f"<{2 * len(items)}I", *(v for kv in items for v in kv)))
+        fh.write(struct.pack("<III", CACHE_VERSION, vocab_size, len(corpus)))
+        fh.write(body.tobytes())
+
+
+def _id_positions(entry_docs: np.ndarray) -> np.ndarray:
+    """Word-index position in the cache body of each entry's id: entry k of
+    document d comes after d + 1 pair counts and k earlier pairs."""
+    return entry_docs + 1 + 2 * np.arange(len(entry_docs))
 
 
 def read_corpus_cache(path: str | Path, split: str, vocab: Vocabulary) -> BowCorpus:
+    """Load a cache written by write_corpus_cache.
+
+    Raises CacheFormatError unless the file is a complete cache of this
+    version and vocabulary size in which every document has at least one
+    pair, its ids are ascending, distinct and below V, and every count is
+    positive.
+    """
     data = Path(path).read_bytes()
     if data[:8] != CACHE_MAGIC:
         raise CacheFormatError(f"{path}: not a corpus cache (bad magic)")
-    try:
-        version, size, n_docs = struct.unpack_from("<III", data, 8)
-        if version != CACHE_VERSION:
-            raise CacheFormatError(
-                f"{path}: cache version {version}, expected {CACHE_VERSION}"
-            )
-        if size != vocab.V:
-            raise CacheFormatError(
-                f"{path}: cache vocabulary size {size} != {vocab.V}"
-            )
-        offset = 20
-        docs = []
-        for _ in range(n_docs):
-            (n_items,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            flat = struct.unpack_from(f"<{2 * n_items}I", data, offset)
-            offset += 8 * n_items
-            counts = {flat[2 * i]: flat[2 * i + 1] for i in range(n_items)}
-            docs.append(BowDocument(counts=counts, total=sum(counts.values())))
-    except struct.error as exc:
-        raise CacheFormatError(f"{path}: truncated cache ({exc})") from None
-    if offset != len(data):
-        raise CacheFormatError(f"{path}: {len(data) - offset} trailing bytes")
-    return BowCorpus(split=split, docs=docs, vocab_ref=vocab.ref_id)
+    if len(data) < 20:
+        raise CacheFormatError(f"{path}: truncated cache (no header)")
+    version, size, n_docs = struct.unpack_from("<III", data, 8)
+    if version != CACHE_VERSION:
+        raise CacheFormatError(f"{path}: cache version {version}, expected {CACHE_VERSION}")
+    if size != vocab.V:
+        raise CacheFormatError(f"{path}: cache vocabulary size {size} != {vocab.V}")
+    words = (len(data) - 20) // 4
+    body = np.frombuffer(data, dtype="<u4", count=words, offset=20)
+    # every document takes at least one word, its pair count
+    if n_docs > words:
+        raise CacheFormatError(f"{path}: truncated cache ({n_docs} documents in {words} words)")
+    lengths = np.empty(n_docs, dtype=np.int64)
+    pos = 0
+    for d in range(n_docs):
+        if pos >= words:
+            raise CacheFormatError(f"{path}: truncated cache at document {d}")
+        n = int(body[pos])
+        if n == 0:
+            raise CacheFormatError(f"{path}: document {d} has no (id, count) pairs")
+        lengths[d] = n
+        pos += 1 + 2 * n
+    if pos > words:
+        raise CacheFormatError(f"{path}: truncated cache at document {n_docs - 1}")
+    if 20 + 4 * pos != len(data):
+        raise CacheFormatError(f"{path}: {len(data) - 20 - 4 * pos} trailing bytes")
+
+    entry_docs = np.repeat(np.arange(n_docs), lengths)
+    at = _id_positions(entry_docs)
+    ids = body[at].astype(np.int64)
+    counts = body[at + 1].astype(np.int64)
+    bad = np.flatnonzero(ids >= size)
+    if bad.size:
+        raise CacheFormatError(
+            f"{path}: document {entry_docs[bad[0]]} has word id {ids[bad[0]]} >= V={size}"
+        )
+    bad = np.flatnonzero(counts == 0)
+    if bad.size:
+        raise CacheFormatError(f"{path}: document {entry_docs[bad[0]]} has a zero count")
+    # consecutive entries of one document must have strictly ascending ids
+    bad = np.flatnonzero((np.diff(ids) <= 0) & (entry_docs[1:] == entry_docs[:-1]))
+    if bad.size:
+        raise CacheFormatError(
+            f"{path}: document {entry_docs[bad[0]]} has unsorted or duplicate word ids"
+        )
+    indptr = np.zeros(n_docs + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return BowCorpus.from_csr(split, indptr, ids, counts, vocab.ref_id)

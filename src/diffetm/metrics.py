@@ -21,7 +21,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import BowCorpus, iter_batches
-from .model import ModelConfig, predict_batch, store_vocab_size, topic_word_dist
+from .model import (
+    ModelConfig,
+    nonzero_entries,
+    predict_batch,
+    store_vocab_size,
+    topic_word_dist,
+)
 
 N_COHERENCE = 10
 N_DIVERSITY = 25
@@ -65,12 +71,19 @@ class CooccurrenceStats:
 
 
 def build_cooccurrence(corpus: BowCorpus, vocab_size: int) -> CooccurrenceStats:
-    where: list[list[int]] = [[] for _ in range(vocab_size)]
-    for doc_id, doc in enumerate(corpus.docs):
-        for w in doc.counts:
-            where[w].append(doc_id)
-    postings = [np.array(ids, dtype=np.int64) for ids in where]
-    return CooccurrenceStats(n_docs=len(corpus.docs), postings=postings)
+    """Postings of every word id below vocab_size, from the corpus's CSR
+    arrays: a stable sort of the entries by word id keeps each word's
+    documents in ascending order."""
+    ids = corpus.ids
+    if ids.size and ids.max() >= vocab_size:
+        raise VocabularyMismatch(
+            f"word id {ids.max()} outside reference vocabulary of {vocab_size}"
+        )
+    # numpy radix-sorts 16-bit keys, several times faster than int64 ones
+    keys = ids.astype(np.uint16) if vocab_size <= 1 << 16 else ids
+    by_word = corpus.entry_docs()[np.argsort(keys, kind="stable")]
+    ends = np.cumsum(np.bincount(ids, minlength=vocab_size))
+    return CooccurrenceStats(n_docs=len(corpus), postings=np.split(by_word, ends[:-1]))
 
 
 def npmi_pair(p_i: float, p_j: float, p_ij: float) -> float:
@@ -124,7 +137,10 @@ def perplexity_and_kl(
     batch_size: int = 1024,
 ) -> tuple[float, float]:
     """One deterministic pass over the split: exp(-sum(X log X') / sum(X))
-    and the per-document mean of the closed-form KL against N(0, I)."""
+    and the per-document mean of the closed-form KL against N(0, I).
+
+    The log-likelihood sums over the nonzero counts only, the entries where
+    X log X' can differ from 0."""
     if len(corpus_split) == 0:
         raise ValueError("perplexity: empty split")
     log_lik = 0.0
@@ -132,8 +148,10 @@ def perplexity_and_kl(
     kl_sum = 0.0
     for x in iter_batches(corpus_split, store_vocab_size(store), batch_size):
         latents, x_prime = predict_batch(x, store, config)
-        log_lik += float((x * np.log(np.maximum(x_prime, 1e-12))).sum())
-        tokens += float(x.sum())
+        rows, cols = nonzero_entries(x)
+        counts = x[rows, cols]
+        log_lik += float((counts * np.log(np.maximum(x_prime[rows, cols], 1e-12))).sum())
+        tokens += float(counts.sum())
         per_doc = 0.5 * (
             latents.mu ** 2 + np.exp(latents.logvar) - latents.logvar - 1.0
         ).sum(axis=1)

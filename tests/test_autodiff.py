@@ -190,6 +190,8 @@ def _primitive_losses(rng):
         case("add_scalar", (3, 4), lambda: weighted(
             lambda p: ad.add_scalar(p, 2.5), weight_shape=(3, 4))),
         case("sum_all", (5, 2), lambda: (lambda p: ad.scale(ad.sum_all(p), 0.7))),
+        case("gather", (3, 4), lambda: weighted(
+            lambda p: ad.gather(p, [0, 2, 1, 2, 0], [3, 0, 1, 2, 0]), weight_shape=(1, 5))),
     ]
 
 
@@ -201,6 +203,62 @@ def test_every_primitive_matches_finite_differences(seed):
         p = param(store, name, raw)
         err = ad.finite_diff_check(store, name, lambda: build(p), max_coords=6, seed=seed)
         assert err <= 1e-4, f"{name}: rel err {err}"
+
+
+class TestGather:
+    def test_picks_the_entries_as_one_row(self):
+        x = ad.Tensor(np.arange(12.0).reshape(3, 4))
+        out = ad.gather(x, np.array([2, 0, 1]), np.array([3, 1, 1]))
+        np.testing.assert_array_equal(out.data, [[11.0, 1.0, 5.0]])
+
+    def test_backward_scatters_into_zeros(self):
+        store = ad.ParamStore()
+        p = param(store, "p", np.ones((2, 3)))
+        w = ad.Tensor([[1.0, -0.0, 4.0]])
+        ad.backward(ad.sum_all(ad.hadamard(ad.gather(p, [1, 0, 0], [2, 0, 2]), w)))
+        np.testing.assert_array_equal(p.grad, [[-0.0, 0.0, 4.0], [0.0, 0.0, 1.0]])
+        # the gathered gradient lands as is, the sign of a zero included
+        assert np.signbit(p.grad[0, 0]) and not np.signbit(p.grad[0, 1])
+
+    def test_float32_stays_float32(self):
+        store = ad.ParamStore()
+        p = store.add("p", np.ones((2, 2), dtype=np.float32))
+        out = ad.gather(p, [0, 1], [1, 0])
+        ad.backward(ad.sum_all(out))
+        assert out.data.dtype == p.grad.dtype == np.float32
+
+    def test_index_shapes_must_agree(self):
+        with pytest.raises(ad.ShapeMismatch):
+            ad.gather(ad.Tensor(np.ones((2, 2))), [0, 1], [0])
+
+
+class TestZeroGrads:
+    def test_zeroed_gradient_is_a_read_only_view_without_memory(self):
+        store = ad.ParamStore()
+        p = param(store, "p", np.ones((300, 400)))
+        store.zero_grads()
+        assert not p.grad.flags.writeable
+        assert p.grad.strides == (0, 0)
+        np.testing.assert_array_equal(p.grad, np.zeros((300, 400)))
+
+    def test_first_gradient_is_bound_and_never_written(self):
+        store = ad.ParamStore()
+        p = param(store, "p", [[1.0, 2.0]])
+        c = ad.Tensor([[3.0, 5.0]])
+        ad.backward(ad.sum_all(ad.hadamard(p, c)))
+        first = p.grad
+        np.testing.assert_array_equal(first, [[3.0, 5.0]])
+        ad.backward(ad.sum_all(ad.hadamard(p, c)))
+        np.testing.assert_array_equal(p.grad, [[6.0, 10.0]])
+        # the second gradient was added into a new array
+        np.testing.assert_array_equal(first, [[3.0, 5.0]])
+
+    def test_scaled_zero_gradient_reads_zero(self):
+        store = ad.ParamStore()
+        p = param(store, "p", [[1.0, 2.0]])
+        store.scale_grads(0.5)
+        assert store.grad_global_norm() == 0.0
+        np.testing.assert_array_equal(p.grad, [[0.0, 0.0]])
 
 
 class TestFiniteDiffCheck:
@@ -310,6 +368,40 @@ class TestAdam:
             np.testing.assert_allclose(p.data, ref, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(state.m["p"], m, rtol=1e-12)
         np.testing.assert_allclose(state.v["p"], v, rtol=1e-12)
+
+    @pytest.mark.parametrize("cores", [1, 4])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_blocked_step_matches_the_reference_formula_bit_for_bit(self, dtype, cores, monkeypatch):
+        # 4 splits the blocks across more threads than this host may have cores
+        monkeypatch.setattr(ad, "_usable_cores", lambda: cores)
+        rng = np.random.default_rng(8)
+        # more than three blocks with a partial last one, plus small parameters
+        shapes = {"big": (3, ad.ADAM_BLOCK + 7), "w": (5, 3), "b": (1, 3)}
+        store = ad.ParamStore()
+        for name, shape in shapes.items():
+            store.add(name, rng.normal(size=shape).astype(dtype))
+        state = ad.AdamState(lr=0.01)
+        ref = {name: store[name].data.copy() for name in shapes}
+        m = {name: np.zeros(shape, dtype) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape, dtype) for name, shape in shapes.items()}
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+        for t in range(1, 4):
+            grads = {name: rng.normal(size=shape).astype(dtype) for name, shape in shapes.items()}
+            # a transposed (non-contiguous) gradient, as transpose's backward gives
+            grads["w"] = np.ascontiguousarray(grads["w"].T).T
+            for name in shapes:
+                store[name].grad = grads[name]
+            ad.adam_update(store, state)
+            for name in shapes:
+                g = grads[name]
+                m[name] = m[name] * b1 + g * (1.0 - b1)
+                v[name] = v[name] * b2 + (g * g) * (1.0 - b2)
+                step = m[name] / (np.sqrt(v[name] / (1.0 - b2 ** t)) + eps)
+                ref[name] = ref[name] - step * (lr / (1.0 - b1 ** t))
+                assert store[name].data.dtype == dtype
+                assert store[name].data.tobytes() == ref[name].tobytes(), (name, t)
+                assert state.m[name].tobytes() == m[name].tobytes(), (name, t)
+                assert state.v[name].tobytes() == v[name].tobytes(), (name, t)
 
     def test_shared_gradient_is_not_written(self):
         store = ad.ParamStore()

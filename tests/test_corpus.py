@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,7 +112,55 @@ class TestIterBatches:
         assert list(cp.iter_batches(cp.BowCorpus("test", [], "ref"), 4, 2)) == []
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.dictionaries(st.integers(0, 7), st.integers(1, 9), max_size=8), max_size=10),
+    st.data(),
+)
+def test_dense_counts_matches_per_token_loop(maps, data):
+    corpus = cp.BowCorpus("train", [cp.BowDocument(c, sum(c.values())) for c in maps], "ref")
+    indices = data.draw(st.lists(st.integers(0, len(maps) - 1), max_size=12)) if maps else []
+    expected = np.zeros((len(indices), 8))
+    for row, i in enumerate(indices):
+        for idx, n in maps[i].items():
+            for _ in range(n):
+                expected[row, idx] += 1.0
+    got = cp.dense_counts(corpus, indices, 8)
+    assert got.dtype == np.float64
+    assert got.tobytes() == expected.tobytes()
+
+
+class TestBowCorpus:
+    DOCS = [cp.BowDocument({4: 1, 0: 2}, 3), cp.BowDocument({2: 5}, 5)]
+
+    def test_stored_as_sorted_csr(self):
+        corpus = cp.BowCorpus("train", self.DOCS, "ref")
+        np.testing.assert_array_equal(corpus.indptr, [0, 2, 3])
+        np.testing.assert_array_equal(corpus.ids, [0, 4, 2])
+        np.testing.assert_array_equal(corpus.counts, [2, 1, 5])
+        assert len(corpus) == 2
+        assert corpus.total_tokens() == 8
+
+    def test_docs_view_yields_documents(self):
+        corpus = cp.BowCorpus("train", self.DOCS, "ref")
+        assert list(corpus.docs) == self.DOCS
+        assert corpus.docs[-1] == self.DOCS[1]
+        assert corpus.docs[np.int64(0)] == self.DOCS[0]
+        assert corpus.docs[:1] == self.DOCS[:1]
+        with pytest.raises(IndexError):
+            corpus.docs[2]
+
+    def test_arrays_are_read_only(self):
+        ids = np.array([1, 3])
+        corpus = cp.BowCorpus.from_csr("train", np.array([0, 2]), ids, np.array([1, 1]), "ref")
+        with pytest.raises(ValueError):
+            corpus.ids[0] = 2
+        # the caller's array stays writable
+        ids[0] = 0
+
+
 def _docs(n):
+    """n documents told apart by their count (and total) alone."""
     return [cp.BowDocument({0: i + 1}, i + 1) for i in range(n)]
 
 
@@ -136,13 +186,13 @@ class TestSplitCorpus:
         a = cp.split_corpus(docs, (0.6, 0.2, 0.2), 13, "x")
         b = cp.split_corpus(docs, (0.6, 0.2, 0.2), 13, "x")
         for s1, s2 in zip(a, b):
-            assert [id(d) for d in s1.docs] == [id(d) for d in s2.docs]
+            assert [d.total for d in s1.docs] == [d.total for d in s2.docs]
 
     def test_disjoint_and_exhaustive(self):
         docs = _docs(23)
         splits = cp.split_corpus(docs, (0.5, 0.25, 0.25), 4, "x")
-        seen = [id(d) for s in splits for d in s.docs]
-        assert sorted(seen) == sorted(id(d) for d in docs)
+        seen = [d.total for s in splits for d in s.docs]
+        assert sorted(seen) == [d.total for d in docs]
 
 
 @settings(max_examples=40, deadline=None)
@@ -201,6 +251,90 @@ class TestFileFormats:
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(cp.CacheFormatError):
             cp.read_corpus_cache(path, "train", vocab)
+
+
+def _cache_bytes(V, docs):
+    """A cache file built field by field: docs is a list of (id, count) lists."""
+    out = cp.CACHE_MAGIC + struct.pack("<III", cp.CACHE_VERSION, V, len(docs))
+    for pairs in docs:
+        out += struct.pack("<I", len(pairs))
+        for w, n in pairs:
+            out += struct.pack("<II", w, n)
+    return out
+
+
+class TestCacheValidation:
+    VOCAB = cp.build_vocabulary([["a", "b", "c"]], min_df=1)
+
+    def _read(self, tmp_path, docs):
+        path = tmp_path / "train.corpus"
+        path.write_bytes(_cache_bytes(self.VOCAB.V, docs))
+        return cp.read_corpus_cache(path, "train", self.VOCAB)
+
+    def test_well_formed_cache_loads(self, tmp_path):
+        loaded = self._read(tmp_path, [[(0, 1), (2, 3)], [(1, 1)]])
+        assert [d.counts for d in loaded.docs] == [{0: 1, 2: 3}, {1: 1}]
+
+    def test_word_id_at_vocabulary_size(self, tmp_path):
+        with pytest.raises(cp.CacheFormatError, match="word id 3"):
+            self._read(tmp_path, [[(0, 1)], [(1, 1), (3, 1)]])
+
+    def test_zero_count(self, tmp_path):
+        with pytest.raises(cp.CacheFormatError, match="zero count"):
+            self._read(tmp_path, [[(0, 1), (1, 0)]])
+
+    def test_unsorted_ids(self, tmp_path):
+        with pytest.raises(cp.CacheFormatError, match="unsorted or duplicate"):
+            self._read(tmp_path, [[(0, 1)], [(2, 1), (1, 1)]])
+
+    def test_duplicate_ids(self, tmp_path):
+        with pytest.raises(cp.CacheFormatError, match="unsorted or duplicate"):
+            self._read(tmp_path, [[(1, 1), (1, 2)]])
+
+    def test_document_without_pairs(self, tmp_path):
+        with pytest.raises(cp.CacheFormatError, match="no \\(id, count\\) pairs"):
+            self._read(tmp_path, [[(0, 1)], []])
+
+    def test_writer_matches_the_field_by_field_format(self, tmp_path):
+        docs = [cp.BowDocument({2: 1, 0: 4}, 5), cp.BowDocument({1: 7}, 7)]
+        path = tmp_path / "train.corpus"
+        cp.write_corpus_cache(cp.BowCorpus("train", docs, self.VOCAB.ref_id), self.VOCAB.V, path)
+        assert path.read_bytes() == _cache_bytes(self.VOCAB.V, [[(0, 4), (2, 1)], [(1, 7)]])
+
+
+_VALID_CACHE = _cache_bytes(5, [[(0, 2), (3, 1)], [(1, 1)], [(0, 1), (2, 4), (4, 9)]])
+_FUZZ_VOCAB = cp.build_vocabulary([["a", "b", "c", "d", "e"]], min_df=1)
+
+
+def _load_or_reject(tmp_path, data):
+    """Load data as a cache: it either raises CacheFormatError or gives a
+    corpus that meets every check of the reader."""
+    path = tmp_path / "fuzz.corpus"
+    path.write_bytes(data)
+    try:
+        corpus = cp.read_corpus_cache(path, "train", _FUZZ_VOCAB)
+    except cp.CacheFormatError:
+        return
+    lengths = np.diff(corpus.indptr)
+    assert corpus.indptr[0] == 0 and (lengths >= 1).all()
+    assert ((corpus.ids >= 0) & (corpus.ids < _FUZZ_VOCAB.V)).all()
+    assert (corpus.counts > 0).all()
+    for doc in corpus.docs:
+        assert list(doc.counts) == sorted(set(doc.counts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, len(_VALID_CACHE) - 1))
+def test_truncated_cache_is_rejected(tmp_path_factory, cut):
+    _load_or_reject(tmp_path_factory.mktemp("fuzz"), _VALID_CACHE[:cut])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, len(_VALID_CACHE) - 1), st.integers(1, 255))
+def test_byte_flip_is_rejected_or_loads_a_valid_corpus(tmp_path_factory, at, mask):
+    data = bytearray(_VALID_CACHE)
+    data[at] ^= mask
+    _load_or_reject(tmp_path_factory.mktemp("fuzz"), bytes(data))
 
 
 class TestIngest:

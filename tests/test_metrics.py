@@ -85,6 +85,24 @@ def test_npmi_values_bounded(id_sets, words):
     assert -1.0 <= coh <= 1.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 7)), max_size=12))
+def test_postings_match_the_per_document_loop(id_sets):
+    stats = mx.build_cooccurrence(corpus_of(id_sets), 8)
+    assert stats.n_docs == len(id_sets)
+    for w in range(8):
+        expected = [d for d, ids in enumerate(id_sets) if w in ids]
+        assert stats.doc_freq[w] == len(expected)
+        for w2 in range(8):
+            both = sum(1 for ids in id_sets if w in ids and w2 in ids)
+            assert stats.joint(w, w2) == both
+
+
+def test_cooccurrence_rejects_ids_outside_the_vocabulary():
+    with pytest.raises(mx.VocabularyMismatch):
+        mx.build_cooccurrence(corpus_of([{0, 3}]), 3)
+
+
 class TestDiversity:
     def test_disjoint_lists(self):
         topics = [list(range(25)), list(range(25, 50))]
@@ -167,7 +185,7 @@ class TestPerplexity:
         v = tiny_dataset.vocab.V
         store = init_params(tiny_config, v, np.random.default_rng(4))
         split = tiny_dataset.valid
-        doubled = BowCorpus("valid", split.docs + split.docs, split.vocab_ref)
+        doubled = BowCorpus("valid", [*split.docs, *split.docs], split.vocab_ref)
         a = mx.perplexity(store, tiny_config, split)
         b = mx.perplexity(store, tiny_config, doubled)
         assert a == pytest.approx(b, abs=1e-9)

@@ -279,6 +279,51 @@ class TestLosses:
         with pytest.raises(ad.DomainError):
             m.reconstruction_loss(x, ad.Tensor([[0.5, 0.0]]), clamp=None)
 
+    def test_no_domain_error_where_the_count_is_zero(self):
+        x = np.array([[2.0, 0.0, 1.0]])
+        out = m.reconstruction_loss(x, ad.Tensor([[0.5, 0.0, 0.5]]), clamp=None)
+        assert out.item() == pytest.approx(3 * math.log(2.0), rel=1e-15)
+        with pytest.raises(ad.DomainError):
+            m.reconstruction_loss(x, ad.Tensor([[0.5, 0.5, -0.0]]), clamp=None)
+
+    @staticmethod
+    def _sparse_batch(dtype, seed=12):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(1, 6, size=(6, 40)) * (rng.random((6, 40)) < 0.15)
+        x[:, 0] += 1  # no empty document
+        x_prime = rng.dirichlet(np.ones(40), size=6)
+        x_prime[1, 5] = 1e-14  # below the clamp
+        return x.astype(float), x_prime.astype(dtype)
+
+    @pytest.mark.parametrize("dtype, rel", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    def test_matches_the_dense_oracle(self, dtype, rel):
+        x, x_prime = self._sparse_batch(dtype)
+        expected = -(x * np.log(np.maximum(x_prime.astype(np.float64), 1e-12))).sum() / 6
+        out = m.reconstruction_loss(x, ad.Tensor(x_prime))
+        assert out.data.dtype == dtype
+        assert out.item() == pytest.approx(expected, rel=rel)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_gradient_is_the_dense_one_at_counts_and_zero_elsewhere(self, dtype):
+        x, x_prime = self._sparse_batch(dtype)
+        x[1, 5] = 3.0
+        store = ad.ParamStore()
+        p = store.add("x_prime", x_prime)
+        ad.backward(m.reconstruction_loss(x, p))
+        xc = x.astype(dtype)
+        mask = x_prime > 1e-12
+        expected = ((dtype(-1.0 / 6) * xc) / np.maximum(x_prime, dtype(1e-12))) * mask
+        nz = x != 0
+        assert p.grad.dtype == dtype
+        assert p.grad[nz].tobytes() == expected[nz].tobytes()
+        assert not mask[1, 5] and p.grad[1, 5] == 0.0
+        assert (p.grad[~nz] == 0.0).all()
+
+    def test_nonzero_entries_in_row_major_order(self):
+        rows, cols = m.nonzero_entries(np.array([[0.0, 2.0, 1.0], [3.0, 0.0, 0.0]]))
+        np.testing.assert_array_equal(rows, [0, 0, 1])
+        np.testing.assert_array_equal(cols, [1, 2, 0])
+
     def test_kl_zero_for_standard_normal(self):
         out = m.kl_loss(ad.Tensor([[0.0]]), ad.Tensor([[0.0]]))
         assert out.item() == 0.0
