@@ -22,8 +22,6 @@ first accumulation replaces rather than adds to.
 from __future__ import annotations
 
 import contextlib
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -432,22 +430,20 @@ class AdamState:
 ADAM_BLOCK = 1 << 16
 
 
-def _usable_cores() -> int:
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
 def adam_update(params: ParamStore, state: AdamState) -> None:
     """One bias-corrected Adam step over every parameter; zeroes gradients.
 
-    Every parameter is updated in blocks of ADAM_BLOCK elements, and the
-    blocks are split evenly across the usable cores.  Each element sees the
-    same operations in the same order as an unblocked step, so the result
-    is bit for bit the same.  The moments are updated in place; gradient
-    arrays, which may be shared, are only read.
+    Every parameter is updated in blocks of ADAM_BLOCK elements on the
+    calling thread.  Each element sees the same operations in the same
+    order as an unblocked step, so the result is bit for bit the same.  The
+    moments are updated in place; gradient arrays, which may be shared, are
+    only read.
     """
     state.t += 1
-    blocks = []
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1 ** state.t
+    c2 = 1.0 - b2 ** state.t
+    scratch = None
     for name, p in params.items():
         m = state.m.get(name)
         if m is None:
@@ -455,55 +451,35 @@ def adam_update(params: ParamStore, state: AdamState) -> None:
             state.v[name] = np.zeros_like(p.data)
         v = state.v[name]
         if not all(a.flags.c_contiguous for a in (p.data, m, v)):
-            blocks.append((p.data, p.grad, m, v))
-            continue
-        pf, mf, vf = (a.reshape(-1) for a in (p.data, m, v))
-        g = None if p.grad is None else np.ravel(p.grad)
-        for lo in range(0, pf.size, ADAM_BLOCK):
-            hi = lo + ADAM_BLOCK
-            blocks.append((pf[lo:hi], None if g is None else g[lo:hi], mf[lo:hi], vf[lo:hi]))
-    workers = min(_usable_cores(), len(blocks))
-    if workers <= 1:
-        _adam_blocks(blocks, state)
-    else:
-        # contiguous runs of blocks with about equal element counts, one per
-        # core; numpy releases the GIL inside each elementwise pass
-        ends = np.cumsum([b[0].size for b in blocks])
-        cuts = np.searchsorted(ends, ends[-1] * np.arange(1, workers) / workers)
-        runs = [blocks[a:b] for a, b in zip([0, *cuts], [*cuts, len(blocks)])]
-        with ThreadPoolExecutor(workers - 1, thread_name_prefix="adam") as pool:
-            futures = [pool.submit(_adam_blocks, run, state) for run in runs[1:]]
-            _adam_blocks(runs[0], state)
-            for f in futures:
-                f.result()
+            blocks = [(p.data, p.grad, m, v)]
+        else:
+            pf, mf, vf = (a.reshape(-1) for a in (p.data, m, v))
+            g = None if p.grad is None else np.ravel(p.grad)
+            blocks = [
+                (pf[lo:lo + ADAM_BLOCK], None if g is None else g[lo:lo + ADAM_BLOCK],
+                 mf[lo:lo + ADAM_BLOCK], vf[lo:lo + ADAM_BLOCK])
+                for lo in range(0, pf.size, ADAM_BLOCK)
+            ]
+        for pb, gb, mb, vb in blocks:
+            if scratch is None or scratch.size < pb.size or scratch.dtype != pb.dtype:
+                scratch = np.empty(max(pb.size, ADAM_BLOCK), dtype=pb.dtype)
+            buf = scratch[:pb.size].reshape(pb.shape)
+            mb *= b1
+            vb *= b2
+            if gb is not None:
+                np.multiply(gb, 1.0 - b1, out=buf)
+                mb += buf
+                np.multiply(gb, gb, out=buf)
+                buf *= 1.0 - b2
+                vb += buf
+            # lr * (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(vb, c2, out=buf)
+            np.sqrt(buf, out=buf)
+            buf += state.eps
+            np.divide(mb, buf, out=buf)
+            buf *= state.lr / c1
+            pb -= buf
     params.zero_grads()
-
-
-def _adam_blocks(blocks, state: AdamState) -> None:
-    """The Adam step on (param, grad, m, v) slices, in place."""
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** state.t
-    c2 = 1.0 - b2 ** state.t
-    scratch = None
-    for p, g, m, v in blocks:
-        if scratch is None or scratch.size < p.size or scratch.dtype != p.dtype:
-            scratch = np.empty(max(p.size, ADAM_BLOCK), dtype=p.dtype)
-        buf = scratch[:p.size].reshape(p.shape)
-        m *= b1
-        v *= b2
-        if g is not None:
-            np.multiply(g, 1.0 - b1, out=buf)
-            m += buf
-            np.multiply(g, g, out=buf)
-            buf *= 1.0 - b2
-            v += buf
-        # lr * (m / c1) / (sqrt(v / c2) + eps)
-        np.divide(v, c2, out=buf)
-        np.sqrt(buf, out=buf)
-        buf += state.eps
-        np.divide(m, buf, out=buf)
-        buf *= state.lr / c1
-        p -= buf
 
 
 # ---------------------------------------------------------------------------
