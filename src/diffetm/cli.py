@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from .corpus import (
     CacheFormatError,
     Dataset,
     EmptySplit,
+    VocabularyFormatError,
     ingest_presplit,
     ingest_single,
     read_corpus_cache,
@@ -259,7 +260,7 @@ def cmd_ingest(cfg: dict) -> int:
         write_corpus_cache(dataset.split(name), dataset.vocab.V, cache)
         artifacts.append(cache)
     report_path = out_dir / "ingest_report.json"
-    report_path.write_text(json.dumps(report.as_dict(), indent=2))
+    report_path.write_text(json.dumps(asdict(report), indent=2))
     artifacts.append(report_path)
     write_manifest(out_dir, "ingest", cfg, artifacts)
     print(
@@ -490,6 +491,7 @@ def main(argv: list[str] | None = None) -> int:
         AllTokensPruned,
         EmptySplit,
         CacheFormatError,
+        VocabularyFormatError,
         CorruptCheckpoint,
         VocabularyMismatch,
     ) as exc:

@@ -12,9 +12,9 @@ import operator
 import string
 import struct
 from collections import Counter
-from collections.abc import Iterable, Sequence
-from itertools import chain
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,10 @@ class EmptySplit(ValueError):
 
 class CacheFormatError(ValueError):
     """The binary corpus cache is malformed or has the wrong version."""
+
+
+class VocabularyFormatError(ValueError):
+    """The vocabulary TSV is malformed."""
 
 
 CACHE_MAGIC = b"DETMCORP"
@@ -103,16 +107,37 @@ class BowDocument:
     total: int
 
 
-def vectorize(tokens: list[str], vocab: Vocabulary) -> BowDocument | None:
-    """Count in-vocabulary tokens; None means the document is dropped."""
-    counts: dict[int, int] = {}
-    for tok in tokens:
-        idx = vocab.index_of.get(tok)
-        if idx is not None:
-            counts[idx] = counts.get(idx, 0) + 1
-    if not counts:
-        return None
-    return BowDocument(counts=counts, total=sum(counts.values()))
+def vectorize(token_docs: list[list[str]], vocab: Vocabulary, split: str) -> BowCorpus:
+    """Count the in-vocabulary tokens of every document in one pass.
+
+    Documents without an in-vocabulary token are dropped; the kept
+    documents stay in order.
+    """
+    lengths = np.fromiter(map(len, token_docs), np.int64, count=len(token_docs))
+    ids = np.fromiter(
+        map(vocab.index_of.get, chain.from_iterable(token_docs), repeat(-1)),
+        np.int64,
+        count=int(lengths.sum()),
+    )
+    docs = np.repeat(np.arange(len(token_docs)), lengths)
+    kept = ids >= 0
+    # one sorted key per (document, id) pair: documents in order, ids ascending
+    keys, counts = np.unique(docs[kept] * vocab.V + ids[kept], return_counts=True)
+    docs, ids = np.divmod(keys, vocab.V)
+    lengths = np.bincount(docs)
+    indptr = np.append(0, np.cumsum(lengths[lengths > 0]))
+    return BowCorpus(split, indptr, ids, counts, vocab.ref_id)
+
+
+def _entries(indptr: np.ndarray, docs) -> tuple[np.ndarray, np.ndarray]:
+    """The entry count of each given document, and the CSR position of each
+    of their entries, document after document."""
+    docs = np.asarray(docs, dtype=np.int64)
+    starts = indptr[docs]
+    lengths = indptr[docs + 1] - starts
+    # entry k of the rows is entry k - (entries of earlier rows) of its document
+    at = np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return lengths, at
 
 
 class BowCorpus:
@@ -121,41 +146,12 @@ class BowCorpus:
     The documents are stored as one CSR triple: document d holds the word
     ids ``ids[indptr[d]:indptr[d + 1]]``, ascending and distinct, with their
     counts at the same positions of ``counts``.  The three int64 arrays are
-    read-only.  ``docs`` is a read-only view that builds a BowDocument on
-    each access; it is no second copy of the corpus.
+    read-only; the layout is not checked here.  ``docs`` is a read-only view
+    that builds a BowDocument on each access; it is no second copy of the
+    corpus.
     """
 
-    def __init__(self, split: str, docs: Iterable[BowDocument], vocab_ref: str):
-        docs = list(docs)
-        lengths = np.fromiter((len(d.counts) for d in docs), np.int64, count=len(docs))
-        total = int(lengths.sum())
-        ids = np.fromiter(chain.from_iterable(d.counts for d in docs), np.int64, count=total)
-        counts = np.fromiter(
-            chain.from_iterable(d.counts.values() for d in docs), np.int64, count=total
-        )
-        # sort each document's entries by id: one sort by (document, id)
-        width = int(ids.max()) + 1 if total else 1
-        order = np.argsort(np.repeat(np.arange(len(docs)), lengths) * width + ids)
-        indptr = np.zeros(len(docs) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        self._bind(split, indptr, ids[order], counts[order], vocab_ref)
-
-    @classmethod
-    def from_csr(
-        cls,
-        split: str,
-        indptr: np.ndarray,
-        ids: np.ndarray,
-        counts: np.ndarray,
-        vocab_ref: str,
-    ) -> "BowCorpus":
-        """A corpus over CSR arrays laid out as the class describes; the
-        layout is not checked here."""
-        corpus = cls.__new__(cls)
-        corpus._bind(split, indptr, ids, counts, vocab_ref)
-        return corpus
-
-    def _bind(self, split, indptr, ids, counts, vocab_ref) -> None:
+    def __init__(self, split: str, indptr, ids, counts, vocab_ref: str):
         self.split = split
         self.vocab_ref = vocab_ref
         # views, so that marking them read-only leaves the caller's arrays be
@@ -178,6 +174,12 @@ class BowCorpus:
     def entry_docs(self) -> np.ndarray:
         """The document index of every (id, count) entry."""
         return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+    def take(self, docs, split: str | None = None) -> "BowCorpus":
+        """The given documents, in the given order, as a new corpus."""
+        lengths, at = _entries(self.indptr, docs)
+        indptr = np.append(0, np.cumsum(lengths))
+        return BowCorpus(split or self.split, indptr, self.ids[at], self.counts[at], self.vocab_ref)
 
 
 class DocumentView(Sequence):
@@ -206,14 +208,9 @@ class DocumentView(Sequence):
 
 def dense_counts(corpus: BowCorpus, indices, size: int) -> np.ndarray:
     """Materialize raw count rows (float64) for the given document indices."""
-    docs = np.asarray(indices, dtype=np.int64)
-    starts = corpus.indptr[docs]
-    lengths = corpus.indptr[docs + 1] - starts
-    rows = np.repeat(np.arange(len(docs)), lengths)
-    # entry k of the batch is entry k - (entries of earlier rows) of its document
-    at = np.arange(len(rows)) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-    x = np.zeros((len(docs), size))
-    x[rows, corpus.ids[at]] = corpus.counts[at]
+    lengths, at = _entries(corpus.indptr, indices)
+    x = np.zeros((len(lengths), size))
+    x[np.repeat(np.arange(len(lengths)), lengths), corpus.ids[at]] = corpus.counts[at]
     return x
 
 
@@ -225,10 +222,9 @@ def iter_batches(corpus: BowCorpus, size: int, batch_size: int):
 
 
 def split_corpus(
-    docs: list[BowDocument],
+    corpus: BowCorpus,
     fractions: tuple[float, float, float],
     seed: int,
-    vocab_ref: str,
 ) -> tuple[BowCorpus, BowCorpus, BowCorpus]:
     """Seeded shuffle then largest-remainder partition into train/valid/test.
 
@@ -239,7 +235,7 @@ def split_corpus(
         raise ValueError(f"fractions must be three positive numbers: {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1: {fractions}")
-    n = len(docs)
+    n = len(corpus)
     exact = [n * f for f in fractions]
     sizes = [int(e) for e in exact]
     remainder = n - sum(sizes)
@@ -252,11 +248,7 @@ def split_corpus(
     perm = np.random.default_rng(seed).permutation(n)
     bounds = [0, sizes[0], sizes[0] + sizes[1], n]
     names = ("train", "valid", "test")
-    out = []
-    for k, name in enumerate(names):
-        idx = perm[bounds[k]:bounds[k + 1]]
-        out.append(BowCorpus(split=name, docs=[docs[i] for i in idx], vocab_ref=vocab_ref))
-    return tuple(out)
+    return tuple(corpus.take(perm[bounds[k]:bounds[k + 1]], name) for k, name in enumerate(names))
 
 
 @dataclass
@@ -289,16 +281,6 @@ class IngestReport:
     docs_dropped: dict[str, int]
     total_tokens: dict[str, int]
     min_df: int
-
-    def as_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "docs_in": self.docs_in,
-            "docs_kept": self.docs_kept,
-            "docs_dropped": self.docs_dropped,
-            "total_tokens": self.total_tokens,
-            "min_df": self.min_df,
-        }
 
 
 def _read_token_docs(path: str | Path, stopwords: set[str]) -> list[list[str]]:
@@ -342,14 +324,13 @@ def ingest_presplit(
     splits: dict[str, BowCorpus] = {}
     docs_in, kept, dropped, tokens = {}, {}, {}, {}
     for name, token_docs in raw.items():
-        docs = [d for d in (vectorize(t, vocab) for t in token_docs) if d is not None]
-        if not docs:
+        splits[name] = corpus = vectorize(token_docs, vocab, name)
+        if not len(corpus):
             raise EmptySplit(f"split {name!r} has no usable documents")
-        splits[name] = BowCorpus(split=name, docs=docs, vocab_ref=vocab.ref_id)
         docs_in[name] = len(token_docs)
-        kept[name] = len(docs)
-        dropped[name] = len(token_docs) - len(docs)
-        tokens[name] = splits[name].total_tokens()
+        kept[name] = len(corpus)
+        dropped[name] = len(token_docs) - len(corpus)
+        tokens[name] = corpus.total_tokens()
     report = IngestReport(vocab.V, docs_in, kept, dropped, tokens, min_df)
     return Dataset(vocab, splits["train"], splits["valid"], splits["test"]), report
 
@@ -365,14 +346,14 @@ def ingest_single(
     stop = load_stopwords(stopword_path)
     token_docs = _read_token_docs(input_path, stop)
     vocab = build_vocabulary(token_docs, min_df)
-    docs = [d for d in (vectorize(t, vocab) for t in token_docs) if d is not None]
-    train, valid, test = split_corpus(docs, fractions, seed, vocab.ref_id)
+    corpus = vectorize(token_docs, vocab, "all")
+    train, valid, test = split_corpus(corpus, fractions, seed)
     n_in = len(token_docs)
     report = IngestReport(
         vocab_size=vocab.V,
         docs_in={"all": n_in},
         docs_kept={"train": len(train), "valid": len(valid), "test": len(test)},
-        docs_dropped={"all": n_in - len(docs)},
+        docs_dropped={"all": n_in - len(corpus)},
         total_tokens={s.split: s.total_tokens() for s in (train, valid, test)},
         min_df=min_df,
     )
@@ -391,23 +372,39 @@ def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def read_vocabulary(path: str | Path) -> Vocabulary:
-    tokens: list[str] = []
+    """Load a vocabulary written by write_vocabulary.
+
+    Raises VocabularyFormatError for text that is not UTF-8, a bad header,
+    a line without exactly three tab-separated fields, an empty or repeated
+    token, an id other than the line's position written as a plain decimal,
+    and a doc_freq that is not a nonnegative decimal integer.
+    """
+    index_of: dict[str, int] = {}
     freqs: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "token\tid\tdoc_freq":
-            raise ValueError(f"unexpected vocabulary header: {header!r}")
-        for line in fh:
-            tok, idx, df = line.rstrip("\n").split("\t")
-            if int(idx) != len(tokens):
-                raise ValueError(f"non-contiguous vocabulary id {idx}")
-            tokens.append(tok)
-            freqs.append(int(df))
-    return Vocabulary(
-        tokens=tokens,
-        index_of={t: i for i, t in enumerate(tokens)},
-        doc_freq=np.array(freqs, dtype=np.int64),
-    )
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n")
+            if header != "token\tid\tdoc_freq":
+                raise VocabularyFormatError(f"{path}: unexpected vocabulary header: {header!r}")
+            for lineno, line in enumerate(fh, start=2):
+                where = f"{path}:{lineno}"
+                fields = line.rstrip("\n").split("\t")
+                if len(fields) != 3:
+                    raise VocabularyFormatError(f"{where}: {len(fields)} fields, expected 3")
+                tok, idx, df = fields
+                if not tok:
+                    raise VocabularyFormatError(f"{where}: empty token")
+                if tok in index_of:
+                    raise VocabularyFormatError(f"{where}: duplicate token {tok!r}")
+                if idx != str(len(index_of)):
+                    raise VocabularyFormatError(f"{where}: id {idx!r}, expected {len(index_of)}")
+                if not (df.isascii() and df.isdigit()):
+                    raise VocabularyFormatError(f"{where}: doc_freq {df!r} is not an integer >= 0")
+                index_of[tok] = len(index_of)
+                freqs.append(int(df))
+    except UnicodeDecodeError as exc:
+        raise VocabularyFormatError(f"{path}: not UTF-8 text ({exc})") from None
+    return Vocabulary(list(index_of), index_of, np.array(freqs, dtype=np.int64))
 
 
 def write_corpus_cache(corpus: BowCorpus, vocab_size: int, path: str | Path) -> None:
@@ -488,6 +485,4 @@ def read_corpus_cache(path: str | Path, split: str, vocab: Vocabulary) -> BowCor
         raise CacheFormatError(
             f"{path}: document {entry_docs[bad[0]]} has unsorted or duplicate word ids"
         )
-    indptr = np.zeros(n_docs + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    return BowCorpus.from_csr(split, indptr, ids, counts, vocab.ref_id)
+    return BowCorpus(split, np.append(0, np.cumsum(lengths)), ids, counts, vocab.ref_id)

@@ -118,39 +118,41 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(np.float32)
 
 
+def param_shapes(config: ModelConfig, vocab_size: int) -> dict[str, tuple[int, int]]:
+    """Every parameter's shape for this configuration, in checkpoint order."""
+    v, h, k, e = vocab_size, config.hidden_size, config.num_topics, config.embed_size
+    shapes = {}
+    for p in ENCODER_PREFIXES:
+        shapes.update({
+            f"{p}.w1": (v, h), f"{p}.b1": (1, h),
+            f"{p}.w2": (h, h), f"{p}.b2": (1, h),
+            f"{p}.w3": (h, k), f"{p}.b3": (1, k),
+        })
+    shapes["topic_emb"] = (k, e)
+    shapes["word_emb"] = (v, e)
+    return shapes
+
+
 def init_params(config: ModelConfig, vocab_size: int, rng: np.random.Generator) -> ad.ParamStore:
     """Glorot-uniform weights, zero biases, seeded by the caller's rng.
 
     The parameters are float32, the dtype the model computes in; the
-    weights are drawn in float64 and rounded.
+    weights are drawn in float64 and rounded, one after another in
+    checkpoint order.
     """
     config.validate()
-    v, h, k, e = vocab_size, config.hidden_size, config.num_topics, config.embed_size
     store = ad.ParamStore()
-    for prefix in ENCODER_PREFIXES:
-        store.add(f"{prefix}.w1", _glorot(rng, v, h))
-        store.add(f"{prefix}.b1", np.zeros((1, h), dtype=np.float32))
-        store.add(f"{prefix}.w2", _glorot(rng, h, h))
-        store.add(f"{prefix}.b2", np.zeros((1, h), dtype=np.float32))
-        store.add(f"{prefix}.w3", _glorot(rng, h, k))
-        store.add(f"{prefix}.b3", np.zeros((1, k), dtype=np.float32))
-    store.add("topic_emb", _glorot(rng, k, e))
-    store.add("word_emb", _glorot(rng, v, e))
+    for name, shape in param_shapes(config, vocab_size).items():
+        if ".b" in name:  # the biases start at zero and draw nothing
+            store.add(name, np.zeros(shape, dtype=np.float32))
+        else:
+            store.add(name, _glorot(rng, *shape))
     return store
 
 
 def check_param_shapes(store: ad.ParamStore, config: ModelConfig, vocab_size: int) -> None:
     """Verify the store's arrays chain correctly for this configuration."""
-    v, h, k, e = vocab_size, config.hidden_size, config.num_topics, config.embed_size
-    expect = {}
-    for p in ENCODER_PREFIXES:
-        expect.update({
-            f"{p}.w1": (v, h), f"{p}.b1": (1, h),
-            f"{p}.w2": (h, h), f"{p}.b2": (1, h),
-            f"{p}.w3": (h, k), f"{p}.b3": (1, k),
-        })
-    expect["topic_emb"] = (k, e)
-    expect["word_emb"] = (v, e)
+    expect = param_shapes(config, vocab_size)
     for name in store.names():
         if name not in expect:
             raise ValueError(f"unexpected parameter {name!r}")

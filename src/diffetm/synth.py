@@ -1,9 +1,9 @@
 """Synthetic benchmark corpora drawn from a latent topic process.
 
-Used by the experiment scripts and the acceptance suite: real newswire
-corpora are not redistributable, so direction checks run on generated
-text with a comparable document count, vocabulary size, and topical
-structure.  Tokens are synthetic words ("w0017") that survive the
+Used by the experiment scripts, the benchmark and the tests: real
+newswire corpora are not redistributable, so direction checks run on
+generated text with a comparable document count, vocabulary size, and
+topical structure.  Tokens are synthetic words ("w0017") that survive the
 tokenizer unchanged.
 
 Two knobs make the text behave more like real prose than a plain

@@ -95,10 +95,6 @@ class TrainReport:
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "TrainReport":
-        return cls(**json.loads(text))
-
 
 @dataclass
 class KlTrajectory:

@@ -10,8 +10,7 @@ from diffetm.synth import generate_docs
 def dataset_from_lines(lines, min_df=1, fractions=(0.6, 0.2, 0.2), seed=11) -> Dataset:
     token_docs = [tokenize_line(line) for line in lines]
     vocab = build_vocabulary(token_docs, min_df)
-    docs = [d for d in (vectorize(t, vocab) for t in token_docs) if d is not None]
-    train, valid, test = split_corpus(docs, fractions, seed, vocab.ref_id)
+    train, valid, test = split_corpus(vectorize(token_docs, vocab, "all"), fractions, seed)
     return Dataset(vocab, train, valid, test)
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +201,23 @@ class TestEvalCommand:
         ckpt = workspace["run_dir"] / "best.ckpt"
         assert cli.main(["eval", "--config", str(p), "--checkpoint", str(ckpt)]) == 1
 
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_garbled_vocabulary_exits_1(self, workspace, tmp_path, capsys, command):
+        corpus_dir = tmp_path / "corpus"
+        shutil.copytree(workspace["root"] / "corpus", corpus_dir)
+        lines = (corpus_dir / "vocab.tsv").read_text().splitlines(keepends=True)
+        lines[2] = lines[2].replace("\t", " ", 1)
+        (corpus_dir / "vocab.tsv").write_text("".join(lines))
+        p = tmp_path / "garbled.json"
+        p.write_text(json.dumps(dict(
+            workspace["cfg"], corpus_dir=str(corpus_dir), output_dir=str(tmp_path / "runs")
+        )))
+        args = [command, "--config", str(p)]
+        if command == "eval":
+            args += ["--checkpoint", str(workspace["run_dir"] / "best.ckpt")]
+        assert cli.main(args) == 1
+        assert "vocab.tsv:3: 2 fields, expected 3" in capsys.readouterr().err
+
     def test_missing_checkpoint(self, workspace):
         rc = cli.main([
             "eval", "--config", str(workspace["cfg_path"]), "--checkpoint", "/nope.ckpt",
@@ -272,3 +291,89 @@ class TestKlTestCommand:
             "kl-test", "--config", str(workspace["cfg_path"]), "--run-dir", "/nope",
         ])
         assert rc == 2
+
+
+# Literal ingest inputs.  Each set has a line of out-of-vocabulary words
+# only, an empty line, a line of stopwords only, and words that min_df=2
+# prunes, so every drop rule of ingest shapes the artifacts.
+GOLDEN_STOPWORDS = ["the", "A", "on", "and", ""]
+GOLDEN_SPLITS = {
+    "train": [
+        "The cat sat on the mat.",
+        "the dog sat on the log",
+        "A cat and a dog!",
+        "Zebra quagga okapi",
+        "",
+        "cat cat dog mat, mat; log",
+        "the the a on",
+        "sat sat sat dog",
+    ],
+    "valid": ["cat sat", "unknown words only", "", "dog dog log mat", "The and"],
+    "test": ["mat cat dog sat log", "Sat!", "okapi"],
+}
+GOLDEN_INPUT = [
+    "river bank water fish",
+    "bank loan money interest",
+    "",
+    "water river stream fish fish",
+    "money money bank",
+    "the and a on",
+    "aardvark",
+    "interest rate loan bank money",
+    "fish stream river, water!",
+    "Loan? Bank. Money; rate",
+    "river water bank",
+    "stream fish",
+    "rate interest",
+    "unique singular words",
+]
+GOLDEN_ARTIFACTS = ("vocab.tsv", "train.corpus", "valid.corpus", "test.corpus", "ingest_report.json")
+GOLDEN_PRESPLIT = {
+    "vocab.tsv": "2c2316835a757e0382e4cf60397b4b4a244e2a09fb045c9e165b9023f5559238",
+    "train.corpus": "135c13b7522b578766d8eb4f788021e9dd2d3d84f1f888f87c8af5ba3fc90dc4",
+    "valid.corpus": "ffac64f6a2df2e5c4f81c17cd310eb676114dfae6d8e598e346fbc29ecc9e92c",
+    "test.corpus": "9392fb933b753de3d7f7e9c62a98ad75cef0757099596675276659da7f41b250",
+    "ingest_report.json": "388628363cfcd1b3b72edc7f7f9441cfe9ac6aa34e8e434a548d989f9588659f",
+}
+GOLDEN_SINGLE = {
+    "vocab.tsv": "b618875478b6a173d3e6a8d9da7cde972c9376a22087a672043a031b2ce55c27",
+    "train.corpus": "41f2e7af43a1a3cab8c89a231d773acf9020f4aa9070cd731e860357badcaed4",
+    "valid.corpus": "cc2ef3c6c001b30472591e4252fc69cb1f622bb524856b562125e785548f1bed",
+    "test.corpus": "2fd1f89432630671c5a8d41d0353fcd0dc281ca8bde8f23468c5173b0a0a2478",
+    "ingest_report.json": "69127bc1a3c552bcc5b97c26cff6eb8380dd74d5e5b3fb5798e0cd553e031f9a",
+}
+
+
+def _write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def golden_ingest_hashes(root, single: bool) -> dict[str, str]:
+    """sha256 of each ingest artifact of the literal golden inputs."""
+    cfg = {
+        "min_df": 2,
+        "stopword_file": _write_lines(root / "stop.txt", GOLDEN_STOPWORDS),
+        "corpus_dir": str(root / "corpus"),
+    }
+    if single:
+        cfg.update(input_file=_write_lines(root / "all.txt", GOLDEN_INPUT),
+                   split_fractions=[0.6, 0.2, 0.2], split_seed=3)
+    else:
+        for name, lines in GOLDEN_SPLITS.items():
+            cfg[f"{name}_file"] = _write_lines(root / f"{name}.txt", lines)
+    cfg_path = root / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["ingest", "--config", str(cfg_path)]) == 0
+    return {
+        name: hashlib.sha256((root / "corpus" / name).read_bytes()).hexdigest()
+        for name in GOLDEN_ARTIFACTS
+    }
+
+
+class TestIngestGolden:
+    def test_presplit_artifacts_are_pinned(self, tmp_path):
+        assert golden_ingest_hashes(tmp_path, single=False) == GOLDEN_PRESPLIT
+
+    def test_single_file_artifacts_are_pinned(self, tmp_path):
+        assert golden_ingest_hashes(tmp_path, single=True) == GOLDEN_SINGLE

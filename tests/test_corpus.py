@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -6,6 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffetm import corpus as cp
+
+
+def corpus_of(maps, split="train", vocab_ref="ref"):
+    """A corpus through the CSR constructor: document d holds maps[d]."""
+    rows = [sorted(m.items()) for m in maps]
+    pairs = [pair for row in rows for pair in row]
+    return cp.BowCorpus(
+        split,
+        np.cumsum([0, *map(len, rows)]),
+        np.array([w for w, _ in pairs], dtype=np.int64),
+        np.array([n for _, n in pairs], dtype=np.int64),
+        vocab_ref,
+    )
 
 
 class TestTokenize:
@@ -74,15 +88,21 @@ class TestVectorize:
     VOCAB = cp.build_vocabulary([["a", "b"], ["a", "b"]], min_df=1)
 
     def test_counts(self):
-        doc = cp.vectorize(["a", "a", "b"], self.VOCAB)
+        corpus = cp.vectorize([["a", "a", "b"]], self.VOCAB, "train")
+        doc = corpus.docs[0]
         assert doc.counts == {0: 2, 1: 1}
         assert doc.total == 3
 
     def test_fully_oov_dropped(self):
-        assert cp.vectorize(["z"], self.VOCAB) is None
+        assert len(cp.vectorize([["z"]], self.VOCAB, "train")) == 0
 
     def test_empty_dropped(self):
-        assert cp.vectorize([], self.VOCAB) is None
+        assert len(cp.vectorize([[]], self.VOCAB, "train")) == 0
+
+    def test_split_and_vocabulary_bound(self):
+        corpus = cp.vectorize([["b"]], self.VOCAB, "valid")
+        assert corpus.split == "valid"
+        assert corpus.vocab_ref == self.VOCAB.ref_id
 
 
 @settings(max_examples=50, deadline=None)
@@ -90,18 +110,38 @@ class TestVectorize:
 def test_vectorize_roundtrip_counts(tokens):
     vocab = cp.build_vocabulary([["a", "b", "c"]], min_df=1)
     in_vocab = sum(1 for t in tokens if t in vocab.index_of)
-    doc = cp.vectorize(tokens, vocab)
-    if doc is None:
+    corpus = cp.vectorize([tokens], vocab, "train")
+    if len(corpus) == 0:
         assert in_vocab == 0
     else:
+        doc = corpus.docs[0]
         assert doc.total == in_vocab
         assert all(n > 0 for n in doc.counts.values())
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.sampled_from("abcdz"), max_size=8), max_size=10))
+def test_vectorize_matches_a_per_document_count(token_docs):
+    vocab = cp.build_vocabulary([["a", "b", "c", "d"]], min_df=1)
+    expected = []
+    for tokens in token_docs:
+        counts: dict[int, int] = {}
+        for tok in tokens:
+            if tok in vocab.index_of:
+                counts[vocab.index_of[tok]] = counts.get(vocab.index_of[tok], 0) + 1
+        if counts:
+            expected.append(cp.BowDocument(counts, sum(counts.values())))
+    corpus = cp.vectorize(token_docs, vocab, "train")
+    assert list(corpus.docs) == expected
+    # the CSR layout: every document nonempty, its ids ascending
+    assert corpus.indptr[0] == 0 and (np.diff(corpus.indptr) > 0).all()
+    for doc in corpus.docs:
+        assert list(doc.counts) == sorted(doc.counts)
+
+
 class TestIterBatches:
     def test_batches_cover_the_split_in_order(self):
-        docs = [cp.BowDocument({i % 3: i + 1}, i + 1) for i in range(7)]
-        corpus = cp.BowCorpus("valid", docs, "ref")
+        corpus = corpus_of([{i % 3: i + 1} for i in range(7)], "valid")
         batches = list(cp.iter_batches(corpus, 3, 3))
         assert [b.shape for b in batches] == [(3, 3), (3, 3), (1, 3)]
         np.testing.assert_array_equal(
@@ -109,7 +149,7 @@ class TestIterBatches:
         )
 
     def test_empty_split_yields_nothing(self):
-        assert list(cp.iter_batches(cp.BowCorpus("test", [], "ref"), 4, 2)) == []
+        assert list(cp.iter_batches(corpus_of([], "test"), 4, 2)) == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -118,7 +158,7 @@ class TestIterBatches:
     st.data(),
 )
 def test_dense_counts_matches_per_token_loop(maps, data):
-    corpus = cp.BowCorpus("train", [cp.BowDocument(c, sum(c.values())) for c in maps], "ref")
+    corpus = corpus_of(maps)
     indices = data.draw(st.lists(st.integers(0, len(maps) - 1), max_size=12)) if maps else []
     expected = np.zeros((len(indices), 8))
     for row, i in enumerate(indices):
@@ -132,9 +172,11 @@ def test_dense_counts_matches_per_token_loop(maps, data):
 
 class TestBowCorpus:
     DOCS = [cp.BowDocument({4: 1, 0: 2}, 3), cp.BowDocument({2: 5}, 5)]
+    VOCAB = cp.build_vocabulary([["a", "b", "c", "d", "e"]], min_df=1)
+    TOKENS = [["e", "a", "a"], ["c"] * 5]
 
     def test_stored_as_sorted_csr(self):
-        corpus = cp.BowCorpus("train", self.DOCS, "ref")
+        corpus = cp.vectorize(self.TOKENS, self.VOCAB, "train")
         np.testing.assert_array_equal(corpus.indptr, [0, 2, 3])
         np.testing.assert_array_equal(corpus.ids, [0, 4, 2])
         np.testing.assert_array_equal(corpus.counts, [2, 1, 5])
@@ -142,7 +184,7 @@ class TestBowCorpus:
         assert corpus.total_tokens() == 8
 
     def test_docs_view_yields_documents(self):
-        corpus = cp.BowCorpus("train", self.DOCS, "ref")
+        corpus = cp.vectorize(self.TOKENS, self.VOCAB, "train")
         assert list(corpus.docs) == self.DOCS
         assert corpus.docs[-1] == self.DOCS[1]
         assert corpus.docs[np.int64(0)] == self.DOCS[0]
@@ -152,47 +194,83 @@ class TestBowCorpus:
 
     def test_arrays_are_read_only(self):
         ids = np.array([1, 3])
-        corpus = cp.BowCorpus.from_csr("train", np.array([0, 2]), ids, np.array([1, 1]), "ref")
+        corpus = cp.BowCorpus("train", np.array([0, 2]), ids, np.array([1, 1]), "ref")
         with pytest.raises(ValueError):
             corpus.ids[0] = 2
         # the caller's array stays writable
         ids[0] = 0
 
 
+class TestTake:
+    CORPUS = corpus_of([{0: 1}, {1: 2, 3: 1}, {2: 4}], "all", "v1")
+
+    def test_rows_in_the_given_order(self):
+        got = self.CORPUS.take([2, 0, 1])
+        assert [d.counts for d in got.docs] == [{2: 4}, {0: 1}, {1: 2, 3: 1}]
+        np.testing.assert_array_equal(got.indptr, [0, 1, 2, 4])
+        np.testing.assert_array_equal(got.ids, [2, 0, 1, 3])
+        np.testing.assert_array_equal(got.counts, [4, 1, 2, 1])
+
+    def test_repeats_and_empty(self):
+        got = self.CORPUS.take([1, 1])
+        assert [d.counts for d in got.docs] == [{1: 2, 3: 1}] * 2
+        assert len(self.CORPUS.take([])) == 0
+        assert self.CORPUS.take([]).total_tokens() == 0
+
+    def test_split_name_and_vocabulary(self):
+        assert self.CORPUS.take([0]).split == "all"
+        got = self.CORPUS.take([0], "valid")
+        assert (got.split, got.vocab_ref) == ("valid", "v1")
+
+    def test_result_is_read_only(self):
+        with pytest.raises(ValueError):
+            self.CORPUS.take([1]).counts[0] = 9
+
+
 def _docs(n):
     """n documents told apart by their count (and total) alone."""
-    return [cp.BowDocument({0: i + 1}, i + 1) for i in range(n)]
+    return corpus_of([{0: i + 1} for i in range(n)], "all", "x")
 
 
 class TestSplitCorpus:
     def test_exact_fractions(self):
-        train, valid, test = cp.split_corpus(_docs(10), (0.8, 0.1, 0.1), 7, "x")
+        train, valid, test = cp.split_corpus(_docs(10), (0.8, 0.1, 0.1), 7)
         assert (len(train), len(valid), len(test)) == (8, 1, 1)
 
     def test_rounding_within_one(self):
-        train, valid, test = cp.split_corpus(_docs(3), (0.34, 0.33, 0.33), 0, "x")
+        train, valid, test = cp.split_corpus(_docs(3), (0.34, 0.33, 0.33), 0)
         assert (len(train), len(valid), len(test)) == (1, 1, 1)
 
     def test_empty_split(self):
         with pytest.raises(cp.EmptySplit):
-            cp.split_corpus(_docs(2), (0.8, 0.1, 0.1), 0, "x")
+            cp.split_corpus(_docs(2), (0.8, 0.1, 0.1), 0)
 
     def test_bad_fractions(self):
         with pytest.raises(ValueError):
-            cp.split_corpus(_docs(10), (0.5, 0.4, 0.2), 0, "x")
+            cp.split_corpus(_docs(10), (0.5, 0.4, 0.2), 0)
 
     def test_same_seed_reproducible(self):
-        docs = _docs(20)
-        a = cp.split_corpus(docs, (0.6, 0.2, 0.2), 13, "x")
-        b = cp.split_corpus(docs, (0.6, 0.2, 0.2), 13, "x")
+        corpus = _docs(20)
+        a = cp.split_corpus(corpus, (0.6, 0.2, 0.2), 13)
+        b = cp.split_corpus(corpus, (0.6, 0.2, 0.2), 13)
         for s1, s2 in zip(a, b):
             assert [d.total for d in s1.docs] == [d.total for d in s2.docs]
 
     def test_disjoint_and_exhaustive(self):
-        docs = _docs(23)
-        splits = cp.split_corpus(docs, (0.5, 0.25, 0.25), 4, "x")
+        corpus = _docs(23)
+        splits = cp.split_corpus(corpus, (0.5, 0.25, 0.25), 4)
         seen = [d.total for s in splits for d in s.docs]
-        assert sorted(seen) == [d.total for d in docs]
+        assert sorted(seen) == [d.total for d in corpus.docs]
+
+    def test_rows_follow_the_seeded_permutation(self):
+        splits = cp.split_corpus(_docs(10), (0.6, 0.2, 0.2), 5)
+        perm = np.random.default_rng(5).permutation(10)
+        assert [d.total for s in splits for d in s.docs] == list(perm + 1)
+
+    def test_splits_named_and_bound(self):
+        splits = cp.split_corpus(_docs(10), (0.6, 0.2, 0.2), 1)
+        assert [s.split for s in splits] == ["train", "valid", "test"]
+        assert {s.vocab_ref for s in splits} == {"x"}
 
 
 @settings(max_examples=40, deadline=None)
@@ -200,7 +278,7 @@ class TestSplitCorpus:
 def test_split_sizes_within_one_of_exact(n, seed):
     fractions = (0.6, 0.2, 0.2)
     try:
-        splits = cp.split_corpus(_docs(n), fractions, seed, "x")
+        splits = cp.split_corpus(_docs(n), fractions, seed)
     except cp.EmptySplit:
         return
     for s, f in zip(splits, fractions):
@@ -220,17 +298,17 @@ class TestFileFormats:
 
     def test_cache_roundtrip(self, tmp_path):
         vocab = cp.build_vocabulary([["a", "b", "c"]], min_df=1)
-        docs = [cp.BowDocument({0: 2, 2: 1}, 3), cp.BowDocument({1: 7}, 7)]
-        corpus = cp.BowCorpus("train", docs, vocab.ref_id)
+        maps = [{0: 2, 2: 1}, {1: 7}]
+        corpus = corpus_of(maps, vocab_ref=vocab.ref_id)
         path = tmp_path / "train.corpus"
         cp.write_corpus_cache(corpus, vocab.V, path)
         loaded = cp.read_corpus_cache(path, "train", vocab)
-        assert [d.counts for d in loaded.docs] == [d.counts for d in docs]
+        assert [d.counts for d in loaded.docs] == maps
         assert [d.total for d in loaded.docs] == [3, 7]
 
     def test_cache_bitwise_deterministic(self, tmp_path):
         vocab = cp.build_vocabulary([["a", "b"]], min_df=1)
-        corpus = cp.BowCorpus("train", [cp.BowDocument({1: 4, 0: 1}, 5)], vocab.ref_id)
+        corpus = corpus_of([{1: 4, 0: 1}], vocab_ref=vocab.ref_id)
         p1, p2 = tmp_path / "one.corpus", tmp_path / "two.corpus"
         cp.write_corpus_cache(corpus, vocab.V, p1)
         cp.write_corpus_cache(corpus, vocab.V, p2)
@@ -245,7 +323,7 @@ class TestFileFormats:
 
     def test_cache_truncated(self, tmp_path):
         vocab = cp.build_vocabulary([["a", "b"]], min_df=1)
-        corpus = cp.BowCorpus("train", [cp.BowDocument({0: 1, 1: 2}, 3)], vocab.ref_id)
+        corpus = corpus_of([{0: 1, 1: 2}], vocab_ref=vocab.ref_id)
         path = tmp_path / "train.corpus"
         cp.write_corpus_cache(corpus, vocab.V, path)
         path.write_bytes(path.read_bytes()[:-3])
@@ -296,9 +374,9 @@ class TestCacheValidation:
             self._read(tmp_path, [[(0, 1)], []])
 
     def test_writer_matches_the_field_by_field_format(self, tmp_path):
-        docs = [cp.BowDocument({2: 1, 0: 4}, 5), cp.BowDocument({1: 7}, 7)]
+        corpus = corpus_of([{2: 1, 0: 4}, {1: 7}], vocab_ref=self.VOCAB.ref_id)
         path = tmp_path / "train.corpus"
-        cp.write_corpus_cache(cp.BowCorpus("train", docs, self.VOCAB.ref_id), self.VOCAB.V, path)
+        cp.write_corpus_cache(corpus, self.VOCAB.V, path)
         assert path.read_bytes() == _cache_bytes(self.VOCAB.V, [[(0, 4), (2, 1)], [(1, 7)]])
 
 
@@ -377,3 +455,64 @@ class TestIngest:
         assert len(dataset.valid) == 4
         assert len(dataset.test) == 4
         assert dataset.train.vocab_ref == dataset.vocab.ref_id
+
+
+class TestVocabularyValidation:
+    HEADER = "token\tid\tdoc_freq\n"
+
+    def _read(self, tmp_path, body, header=HEADER):
+        path = tmp_path / "vocab.tsv"
+        path.write_bytes((header + body).encode("utf-8"))
+        return cp.read_vocabulary(path)
+
+    def test_well_formed_vocabulary_loads(self, tmp_path):
+        vocab = self._read(tmp_path, "b\t0\t3\na\t1\t0\n")
+        assert vocab.tokens == ["b", "a"]
+        assert vocab.index_of == {"b": 0, "a": 1}
+        assert list(vocab.doc_freq) == [3, 0]
+
+    def test_is_a_value_error(self):
+        assert issubclass(cp.VocabularyFormatError, ValueError)
+
+    @pytest.mark.parametrize("header", ["", "token\tid\n", "id\ttoken\tdoc_freq\n"])
+    def test_bad_header(self, tmp_path, header):
+        with pytest.raises(cp.VocabularyFormatError, match="header"):
+            self._read(tmp_path, "a\t0\t1\n", header=header)
+
+    @pytest.mark.parametrize("line", ["a\t0", "a\t0\t1\t2", "a 0 1", ""])
+    def test_line_without_three_fields(self, tmp_path, line):
+        with pytest.raises(cp.VocabularyFormatError, match=r"vocab.tsv:3: \d fields, expected 3"):
+            self._read(tmp_path, f"z\t0\t1\n{line}\n")
+
+    @pytest.mark.parametrize("idx", ["x", "1.0", "+0", "00", " 0"])
+    def test_non_integer_id(self, tmp_path, idx):
+        with pytest.raises(cp.VocabularyFormatError, match=f"id '{re.escape(idx)}', expected 0"):
+            self._read(tmp_path, f"a\t{idx}\t1\n")
+
+    @pytest.mark.parametrize("idx", ["2", "0", "-1"])
+    def test_non_contiguous_id(self, tmp_path, idx):
+        with pytest.raises(cp.VocabularyFormatError, match=f"vocab.tsv:3: id '{idx}', expected 1"):
+            self._read(tmp_path, f"a\t0\t1\nb\t{idx}\t1\n")
+
+    @pytest.mark.parametrize("df", ["1.5", "x", "", "٣"])
+    def test_non_integer_doc_freq(self, tmp_path, df):
+        with pytest.raises(cp.VocabularyFormatError, match="is not an integer >= 0"):
+            self._read(tmp_path, f"a\t0\t{df}\n")
+
+    def test_negative_doc_freq(self, tmp_path):
+        with pytest.raises(cp.VocabularyFormatError, match="doc_freq '-1' is not an integer >= 0"):
+            self._read(tmp_path, "a\t0\t-1\n")
+
+    def test_empty_token(self, tmp_path):
+        with pytest.raises(cp.VocabularyFormatError, match="vocab.tsv:2: empty token"):
+            self._read(tmp_path, "\t0\t1\n")
+
+    def test_duplicate_token(self, tmp_path):
+        with pytest.raises(cp.VocabularyFormatError, match="vocab.tsv:3: duplicate token 'a'"):
+            self._read(tmp_path, "a\t0\t2\na\t1\t1\n")
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        path.write_bytes(self.HEADER.encode() + b"\xff\t0\t1\n")
+        with pytest.raises(cp.VocabularyFormatError, match="UTF-8"):
+            cp.read_vocabulary(path)

@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffetm import metrics as mx
-from diffetm.corpus import BowCorpus, BowDocument
+from diffetm.corpus import BowCorpus
 from diffetm.model import init_params
 
 
 def corpus_of(id_sets):
-    docs = [BowDocument({i: 1 for i in ids}, len(ids)) for ids in id_sets]
-    return BowCorpus("train", docs, "ref")
+    """A corpus in which document d holds each word of id_sets[d] once."""
+    rows = [sorted(set(ids)) for ids in id_sets]
+    indptr = np.cumsum([0, *map(len, rows)])
+    ids = [i for row in rows for i in row]
+    return BowCorpus("train", indptr, ids, np.ones(len(ids), dtype=np.int64), "ref")
 
 
 class TestTopWords:
@@ -170,14 +173,14 @@ class TestPerplexity:
     def test_matches_double_loop_oracle(self, tiny_dataset, tiny_config, as_float64):
         v = tiny_dataset.vocab.V
         store = as_float64(init_params(tiny_config, v, np.random.default_rng(3)))
-        split = BowCorpus("test", tiny_dataset.test.docs[:3], tiny_dataset.test.vocab_ref)
+        split = tiny_dataset.test.take(range(3))
         expected = double_loop_perplexity(store, tiny_config, split, v)
         assert mx.perplexity(store, tiny_config, split) == pytest.approx(expected, rel=1e-9)
 
     def test_matches_double_loop_oracle_float32(self, tiny_dataset, tiny_config):
         v = tiny_dataset.vocab.V
         store = init_params(tiny_config, v, np.random.default_rng(3))
-        split = BowCorpus("test", tiny_dataset.test.docs[:3], tiny_dataset.test.vocab_ref)
+        split = tiny_dataset.test.take(range(3))
         expected = double_loop_perplexity(store, tiny_config, split, v)
         assert mx.perplexity(store, tiny_config, split) == pytest.approx(expected, rel=1e-6)
 
@@ -185,7 +188,7 @@ class TestPerplexity:
         v = tiny_dataset.vocab.V
         store = init_params(tiny_config, v, np.random.default_rng(4))
         split = tiny_dataset.valid
-        doubled = BowCorpus("valid", [*split.docs, *split.docs], split.vocab_ref)
+        doubled = split.take(np.tile(np.arange(len(split)), 2))
         a = mx.perplexity(store, tiny_config, split)
         b = mx.perplexity(store, tiny_config, doubled)
         assert a == pytest.approx(b, abs=1e-9)
@@ -197,7 +200,7 @@ class TestPerplexity:
     def test_empty_split_rejected(self, tiny_dataset, tiny_config):
         store = init_params(tiny_config, tiny_dataset.vocab.V, np.random.default_rng(5))
         with pytest.raises(ValueError, match="empty"):
-            mx.perplexity(store, tiny_config, BowCorpus("test", [], "ref"))
+            mx.perplexity(store, tiny_config, tiny_dataset.test.take([]))
 
 
 def batch_of_dense(corpus, v):

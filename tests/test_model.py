@@ -538,3 +538,31 @@ class TestCheckParamShapes:
         cfg, store, _ = small_setup()
         with pytest.raises(ValueError, match="shape"):
             m.check_param_shapes(store, cfg, 13)
+
+
+class TestParamShapes:
+    def test_init_params_follows_the_table(self):
+        cfg, store, _ = small_setup()
+        shapes = m.param_shapes(cfg, 12)
+        assert store.names() == list(shapes)
+        assert {name: t.data.shape for name, t in store.items()} == shapes
+
+    @pytest.mark.parametrize("v,h", [(12, 7), (1, 1)])
+    def test_draws_the_weights_in_checkpoint_order(self, v, h):
+        cfg = m.ModelConfig(num_topics=3, embed_size=4, hidden_size=h, seed=0)
+        store = m.init_params(cfg, v, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        expected = {}
+        for p in m.ENCODER_PREFIXES:
+            expected[f"{p}.w1"] = m._glorot(rng, v, h)
+            expected[f"{p}.b1"] = np.zeros((1, h), dtype=np.float32)
+            expected[f"{p}.w2"] = m._glorot(rng, h, h)
+            expected[f"{p}.b2"] = np.zeros((1, h), dtype=np.float32)
+            expected[f"{p}.w3"] = m._glorot(rng, h, 3)
+            expected[f"{p}.b3"] = np.zeros((1, 3), dtype=np.float32)
+        expected["topic_emb"] = m._glorot(rng, 3, 4)
+        expected["word_emb"] = m._glorot(rng, v, 4)
+        assert store.names() == list(expected)
+        for name, want in expected.items():
+            assert store[name].data.dtype == np.float32
+            assert store[name].data.tobytes() == want.tobytes(), name

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffetm import autodiff as ad
 from diffetm import model
@@ -100,7 +102,7 @@ class TestValidate:
     def test_invariant_to_document_order(self, tiny_dataset, tiny_config):
         store = init_params(tiny_config, tiny_dataset.vocab.V, np.random.default_rng(1))
         ppl1, kl1 = tr.validate(store, tiny_config, tiny_dataset.valid)
-        shuffled = replace_docs(tiny_dataset.valid, list(reversed(tiny_dataset.valid.docs)))
+        shuffled = tiny_dataset.valid.take(np.arange(len(tiny_dataset.valid))[::-1])
         ppl2, kl2 = tr.validate(store, tiny_config, shuffled)
         assert ppl1 == pytest.approx(ppl2, rel=1e-12)
         assert kl1 == pytest.approx(kl2, rel=1e-12)
@@ -144,12 +146,6 @@ class TestRealizedZKl:
         var = np.maximum(z.var(axis=0), 1e-12)
         mean = z.mean(axis=0)
         assert got == float(0.5 * (mean ** 2 + var - np.log(var) - 1.0).sum())
-
-
-def replace_docs(corpus, docs):
-    from diffetm.corpus import BowCorpus
-
-    return BowCorpus(split=corpus.split, docs=docs, vocab_ref=corpus.vocab_ref)
 
 
 class TestKlTrajectory:
@@ -300,6 +296,42 @@ class TestCheckpointIO:
         path.write_bytes(b"NOTACKPT" + b"\x00" * 40)
         with pytest.raises(tr.CorruptCheckpoint, match="magic"):
             tr.load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory) -> bytes:
+    """The bytes of a small valid checkpoint: V=3, K=2, E=2, H=2."""
+    config = ModelConfig(num_topics=2, embed_size=2, hidden_size=2, seed=1)
+    path = tmp_path_factory.mktemp("ckpt") / "valid.ckpt"
+    tr.save_checkpoint(init_params(config, 3, np.random.default_rng(0)), config, path)
+    return path.read_bytes()
+
+
+def _load_or_reject(tmp_path_factory, data: bytes) -> None:
+    """Load data as a checkpoint: it either raises CorruptCheckpoint or
+    gives a store whose shapes fit its config."""
+    path = tmp_path_factory.mktemp("fuzz") / "fuzz.ckpt"
+    path.write_bytes(data)
+    try:
+        store, config = tr.load_checkpoint(path)
+    except tr.CorruptCheckpoint:
+        return
+    model.check_param_shapes(store, config, model.store_vocab_size(store))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_truncated_checkpoint_is_rejected(tmp_path_factory, small_checkpoint, data):
+    cut = data.draw(st.integers(0, len(small_checkpoint) - 1))
+    _load_or_reject(tmp_path_factory, small_checkpoint[:cut])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_checkpoint_byte_flip_loads_or_is_rejected(tmp_path_factory, small_checkpoint, data):
+    flipped = bytearray(small_checkpoint)
+    flipped[data.draw(st.integers(0, len(flipped) - 1))] ^= data.draw(st.integers(1, 255))
+    _load_or_reject(tmp_path_factory, bytes(flipped))
 
 
 def test_single_batch_isolation(tiny_dataset, tiny_config):
