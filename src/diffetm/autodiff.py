@@ -40,9 +40,6 @@ class NotScalar(ValueError):
     """backward() was asked to differentiate a non-1x1 output."""
 
 
-# Debug-mode switch: when True, every Tensor construction rejects NaN/Inf.
-check_finite = False
-
 _grad_enabled = True
 
 
@@ -81,8 +78,6 @@ class Tensor:
             arr = arr.reshape(1, -1)
         elif arr.ndim != 2:
             raise ShapeMismatch(f"expected a 2-D array, got ndim={arr.ndim}")
-        if check_finite and not np.all(np.isfinite(arr)):
-            raise DomainError("tensor contains NaN or Inf entries")
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires = requires
@@ -185,12 +180,7 @@ def transpose(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0.0
-
-    def back(g: np.ndarray) -> None:
-        _accum(x, g * mask)
-
-    return _node(np.where(mask, x.data, 0.0), (x,), back)
+    return clamp_min(x, 0.0)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -229,13 +219,14 @@ def exp(x: Tensor) -> Tensor:
 
 
 def clamp_min(x: Tensor, floor: float) -> Tensor:
-    """max(x, floor) elementwise; gradient passes only where x > floor."""
+    """max(x, floor) elementwise, NaN kept; gradient passes only where
+    x > floor."""
     mask = x.data > floor
 
     def back(g: np.ndarray) -> None:
         _accum(x, g * mask)
 
-    return _node(np.where(mask, x.data, floor), (x,), back)
+    return _node(np.maximum(x.data, floor), (x,), back)
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:

@@ -415,7 +415,7 @@ def cmd_kl_test(cfg: dict, run_dir_arg: str) -> int:
     for ckpt in ckpts:
         store, model_config = load_checkpoint(ckpt)
         _require_vocab(store, dataset)
-        ppl, kl = trainer_mod.validate(store, model_config, split)
+        ppl, kl, _ = metrics_mod.perplexity_and_kl(store, model_config, split)
         points.append((int(ckpt.stem.removeprefix("checkpoint_epoch")), kl, ppl))
     traj = trainer_mod.improving_trajectory(points)
     csv_path = run_dir / "kl_test.csv"

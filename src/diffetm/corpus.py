@@ -295,15 +295,12 @@ def _read_token_docs(path: str | Path, stopwords: set[str]) -> list[list[str]]:
 
 
 def load_stopwords(path: str | Path | None) -> set[str]:
+    """One stopword per line, normalized the way tokenize_line normalizes a
+    token; lines that normalize to nothing are skipped."""
     if path is None:
         return set()
-    words = set()
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            w = line.strip().lower()
-            if w:
-                words.add(w)
-    return words
+        return {w for w in (line.strip().lower().strip(_PUNCT) for line in fh) if w}
 
 
 def ingest_presplit(

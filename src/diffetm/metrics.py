@@ -7,14 +7,14 @@ each topic's top 10 words; diversity is the unique fraction of the top 25
 words across topics; quality is their product; perplexity is the
 exponentiated per-token negative log-likelihood on the deterministic
 evaluation path, computed in one pass together with the mean closed-form
-KL that validation also reports.
+KL and the latents that validation also reports.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
@@ -22,6 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .corpus import BowCorpus, iter_batches
 from .model import (
+    LatentBatch,
     ModelConfig,
     nonzero_entries,
     predict_batch,
@@ -135,9 +136,10 @@ def perplexity_and_kl(
     config: ModelConfig,
     corpus_split: BowCorpus,
     batch_size: int = 1024,
-) -> tuple[float, float]:
-    """One deterministic pass over the split: exp(-sum(X log X') / sum(X))
-    and the per-document mean of the closed-form KL against N(0, I).
+) -> tuple[float, float, LatentBatch]:
+    """One deterministic pass over the split: exp(-sum(X log X') / sum(X)),
+    the per-document mean of the closed-form KL against N(0, I), and the
+    split's latents in split order.
 
     The log-likelihood sums over the nonzero counts only, the entries where
     X log X' can differ from 0."""
@@ -146,8 +148,10 @@ def perplexity_and_kl(
     log_lik = 0.0
     tokens = 0.0
     kl_sum = 0.0
+    batches = []
     for x in iter_batches(corpus_split, store_vocab_size(store), batch_size):
         latents, x_prime = predict_batch(x, store, config)
+        batches.append(latents)
         rows, cols = nonzero_entries(x)
         counts = x[rows, cols]
         log_lik += float((counts * np.log(np.maximum(x_prime[rows, cols], 1e-12))).sum())
@@ -156,7 +160,8 @@ def perplexity_and_kl(
             latents.mu ** 2 + np.exp(latents.logvar) - latents.logvar - 1.0
         ).sum(axis=1)
         kl_sum += float(per_doc.sum())
-    return float(np.exp(-log_lik / tokens)), kl_sum / len(corpus_split)
+    ppl = float(np.exp(-log_lik / tokens))
+    return ppl, kl_sum / len(corpus_split), LatentBatch.concatenate(batches)
 
 
 def perplexity(
@@ -180,18 +185,7 @@ class MetricsReport:
     checkpoint_id: str
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "coherence": self.coherence,
-                "diversity": self.diversity,
-                "quality": self.quality,
-                "perplexity": self.perplexity,
-                "config": self.config,
-                "corpus_id": self.corpus_id,
-                "checkpoint_id": self.checkpoint_id,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 def evaluate_model(

@@ -18,7 +18,7 @@ Modes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -320,6 +320,15 @@ class LatentBatch:
     logvar: np.ndarray
     z: np.ndarray
     theta: np.ndarray
+
+    @classmethod
+    def concatenate(cls, batches: list[LatentBatch]) -> LatentBatch:
+        """The batches' rows stacked in order."""
+        return cls(**{
+            f.name: None if getattr(batches[0], f.name) is None
+            else np.concatenate([getattr(b, f.name) for b in batches])
+            for f in fields(cls)
+        })
 
 
 @dataclass

@@ -21,14 +21,16 @@ import numpy as np
 
 from . import autodiff as ad
 from . import metrics as metrics_mod
-from .corpus import BowCorpus, Dataset, dense_counts, iter_batches
+from .corpus import BowCorpus, Dataset, dense_counts
 from .model import (
     MODES,
+    LatentBatch,
     ModelConfig,
-    _forward_core,
     check_param_shapes,
     forward_batch,
     init_params,
+    reparameterize,
+    sample_eps,
     store_vocab_size,
 )
 
@@ -213,34 +215,37 @@ def load_checkpoint(path: str | Path) -> tuple[ad.ParamStore, ModelConfig]:
 def validate(
     store: ad.ParamStore,
     config: ModelConfig,
-    valid_corpus: BowCorpus,
+    split: BowCorpus,
+    rng: np.random.Generator,
     batch_size: int = 1024,
-) -> tuple[float, float]:
-    """Held-out perplexity and the mean closed-form KL, deterministic path."""
-    return metrics_mod.perplexity_and_kl(store, config, valid_corpus, batch_size)
+) -> tuple[float, float, float]:
+    """Held-out perplexity, the mean closed-form KL and the realized z-KL,
+    all from one deterministic encoder pass over the split."""
+    ppl, kl, latents = metrics_mod.perplexity_and_kl(store, config, split, batch_size)
+    return ppl, kl, realized_z_kl(latents, config, rng)
 
 
 def realized_z_kl(
-    store: ad.ParamStore,
+    latents: LatentBatch,
     config: ModelConfig,
-    corpus_split: BowCorpus,
     rng: np.random.Generator,
-    batch_size: int = 1024,
 ) -> float:
     """Moment-matched Gaussian KL of sampled latents z against N(0, I).
 
     Diagnostic only: with diffusion the marginal of z is not the Gaussian
     the closed form assumes, so this and the closed-form term are logged
-    side by side without being compared.  Only the latents are computed,
-    no loss.
+    side by side without being compared.  z is drawn from the X0, mu and
+    logvar of a deterministic pass; the normal stream does not depend on
+    how the draws are chunked, so z equals that of a sampled forward pass
+    over the same documents in the same order.
     """
-    v = store_vocab_size(store)
     with ad.no_grad():
-        zs = [
-            _forward_core(x, store, config, rng)[0].z
-            for x in iter_batches(corpus_split, v, batch_size)
-        ]
-    z = np.concatenate(zs, axis=0)
+        x0 = None if latents.x0 is None else ad.Tensor(latents.x0)
+        mu, logvar = ad.Tensor(latents.mu), ad.Tensor(latents.logvar)
+        eps = sample_eps(
+            x0, config.schedule(), rng, config.mode, mu.data.shape, mu.data.dtype
+        )
+        z = reparameterize(eps, mu, logvar).data
     mean = z.mean(axis=0)
     var = z.var(axis=0)
     var = np.maximum(var, 1e-12)
@@ -319,8 +324,7 @@ def train(
         report.train_total.append(sum_total)
 
         if epoch % train_config.eval_every == 0:
-            ppl, kl_term = validate(store, model_config, data.valid)
-            z_kl = realized_z_kl(
+            ppl, kl_term, z_kl = validate(
                 store, model_config, data.valid, np.random.default_rng([seed, 3, epoch])
             )
             report.val_perplexity.append(ppl)

@@ -36,15 +36,14 @@ class TestPrimitives:
         with pytest.raises(ad.ShapeMismatch):
             ad.hadamard(ad.Tensor([[1.0, 2.0]]), ad.Tensor([[1.0]]))
 
-    def test_debug_finite_check(self):
-        ad.check_finite = True
-        try:
-            with pytest.raises(ad.DomainError):
-                ad.Tensor([[np.nan]])
-            with pytest.raises(ad.DomainError):
-                ad.Tensor([[np.inf, 1.0]])
-        finally:
-            ad.check_finite = False
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_clamp_min_keeps_nan_and_gives_positive_zero(self, dtype):
+        x = ad.Tensor(np.array([[np.nan, -0.0, -1.0, 2.0, -np.inf]], dtype=dtype))
+        for out, floor in ((ad.relu(x), 0.0), (ad.clamp_min(x, 0.0), 0.0), (ad.clamp_min(x, 1e-12), 1e-12)):
+            assert out.data.dtype == dtype
+            assert np.isnan(out.data[0, 0])
+            np.testing.assert_array_equal(out.data[0, 1:], np.array([floor, floor, 2.0, floor], dtype=dtype))
+            assert not np.signbit(out.data).any()
 
 
 @settings(max_examples=60, deadline=None)

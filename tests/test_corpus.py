@@ -447,6 +447,15 @@ class TestIngest:
         dataset, _ = cp.ingest_presplit(train, valid, test, min_df=1, stopword_path=stops)
         assert "the" not in dataset.vocab.index_of
 
+    def test_stopwords_are_normalized_like_tokens(self, tmp_path):
+        train = self._write(tmp_path, "train.txt", ["The cat, and a dog.", "the (dog) AND cat"])
+        valid = self._write(tmp_path, "valid.txt", ["the cat"])
+        test = self._write(tmp_path, "test.txt", ["the dog"])
+        stops = self._write(tmp_path, "stops.txt", ["The.", "  (AND)  ", "...", "", "a"])
+        assert cp.load_stopwords(stops) == {"the", "and", "a"}
+        dataset, _ = cp.ingest_presplit(train, valid, test, min_df=1, stopword_path=stops)
+        assert set(dataset.vocab.tokens) == {"cat", "dog"}
+
     def test_single_file_splits(self, tmp_path):
         lines = [f"tok{i % 4} tok{(i + 1) % 4}" for i in range(20)]
         path = self._write(tmp_path, "all.txt", lines)

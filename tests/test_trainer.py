@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffetm import autodiff as ad
-from diffetm import model
+from diffetm import metrics, model
 from diffetm import trainer as tr
 from diffetm.corpus import dense_counts, iter_batches
 from diffetm.model import ModelConfig, forward_batch, init_params
@@ -61,7 +61,7 @@ class TestTrain:
         observed = [p for p in report.val_perplexity if p is not None]
         assert report.best_val_perplexity == min(observed)
         store, cfg = tr.load_checkpoint(tmp_path / "best.ckpt")
-        ppl, _ = tr.validate(store, cfg, tiny_dataset.valid)
+        ppl, _, _ = tr.validate(store, cfg, tiny_dataset.valid, np.random.default_rng(0))
         # the model trains in float32, which the checkpoint stores exactly
         assert ppl == report.best_val_perplexity
 
@@ -78,6 +78,57 @@ class TestTrain:
         assert len(kept) <= 2
         assert (tmp_path / "best.ckpt").exists()
 
+    def test_one_encoder_pass_per_validation(self, tiny_dataset, tiny_config, monkeypatch):
+        rows = []
+        encode = model.encode_mu_logvar
+
+        def counted(x_norm, store):
+            rows.append(x_norm.rows)
+            return encode(x_norm, store)
+
+        monkeypatch.setattr(model, "encode_mu_logvar", counted)
+        tr.train(tiny_config, tiny_train_config(epochs=1, eval_every=1), tiny_dataset)
+        assert sum(rows) == len(tiny_dataset.train) + len(tiny_dataset.valid)
+
+    def test_clip_norm_caps_the_global_gradient_norm(self, tiny_dataset, tiny_config, monkeypatch):
+        norms = []
+        adam_update = ad.adam_update
+
+        def recorded(store, state):
+            norms.append(store.grad_global_norm())
+            adam_update(store, state)
+
+        monkeypatch.setattr(ad, "adam_update", recorded)
+        tr.train(tiny_config, tiny_train_config(epochs=2, clip_norm=1e-3), tiny_dataset)
+        assert len(norms) == 2 * -(-len(tiny_dataset.train) // 8)
+        assert norms == pytest.approx([1e-3] * len(norms), rel=1e-5)
+
+    def test_clip_norm_above_every_norm_changes_nothing(self, tiny_dataset, tiny_config):
+        unclipped = tr.train(tiny_config, tiny_train_config(clip_norm=0.0), tiny_dataset)
+        loose = tr.train(tiny_config, tiny_train_config(clip_norm=1e9), tiny_dataset)
+        assert loose.to_json() == unclipped.to_json()
+
+
+@pytest.mark.parametrize("mode", model.MODES)
+@pytest.mark.parametrize("name", ["word_emb", "mu.w1", "mu.w3"])
+class TestNanParameter:
+    def _poison(self, store, name):
+        store[name].data[0, 0] = np.nan
+        return store
+
+    def test_forward_total_is_not_finite(self, tiny_dataset, tiny_config, mode, name):
+        cfg = replace(tiny_config, mode=mode)
+        store = self._poison(init_params(cfg, tiny_dataset.vocab.V, np.random.default_rng(1)), name)
+        x = dense_counts(tiny_dataset.train, range(8), tiny_dataset.vocab.V)
+        total = forward_batch(x, store, cfg, np.random.default_rng(2)).total.item()
+        assert not np.isfinite(total)
+
+    def test_train_raises_diverged(self, tiny_dataset, tiny_config, mode, name, monkeypatch):
+        init = tr.init_params
+        monkeypatch.setattr(tr, "init_params", lambda *args: self._poison(init(*args), name))
+        with pytest.raises(tr.Diverged, match="epoch 1"):
+            tr.train(replace(tiny_config, mode=mode), tiny_train_config(), tiny_dataset)
+
 
 def uniform_store(config, v):
     store = init_params(config, v, np.random.default_rng(0))
@@ -89,27 +140,27 @@ def uniform_store(config, v):
 class TestValidate:
     def test_uniform_model_perplexity_equals_v(self, tiny_dataset, tiny_config, as_float64):
         store = as_float64(uniform_store(tiny_config, tiny_dataset.vocab.V))
-        ppl, kl = tr.validate(store, tiny_config, tiny_dataset.valid)
+        ppl, kl, _ = tr.validate(store, tiny_config, tiny_dataset.valid, np.random.default_rng(2))
         assert ppl == pytest.approx(tiny_dataset.vocab.V, rel=1e-9)
         assert kl == 0.0
 
     def test_uniform_model_perplexity_equals_v_float32(self, tiny_dataset, tiny_config):
         store = uniform_store(tiny_config, tiny_dataset.vocab.V)
-        ppl, kl = tr.validate(store, tiny_config, tiny_dataset.valid)
+        ppl, kl, _ = tr.validate(store, tiny_config, tiny_dataset.valid, np.random.default_rng(2))
         assert ppl == pytest.approx(tiny_dataset.vocab.V, rel=1e-6)
         assert kl == 0.0
 
     def test_invariant_to_document_order(self, tiny_dataset, tiny_config):
         store = init_params(tiny_config, tiny_dataset.vocab.V, np.random.default_rng(1))
-        ppl1, kl1 = tr.validate(store, tiny_config, tiny_dataset.valid)
+        ppl1, kl1, _ = tr.validate(store, tiny_config, tiny_dataset.valid, np.random.default_rng(2))
         shuffled = tiny_dataset.valid.take(np.arange(len(tiny_dataset.valid))[::-1])
-        ppl2, kl2 = tr.validate(store, tiny_config, shuffled)
+        ppl2, kl2, _ = tr.validate(store, tiny_config, shuffled, np.random.default_rng(2))
         assert ppl1 == pytest.approx(ppl2, rel=1e-12)
         assert kl1 == pytest.approx(kl2, rel=1e-12)
 
     def test_one_deterministic_pass_per_document(self, tiny_dataset, tiny_config, monkeypatch):
         store = init_params(tiny_config, tiny_dataset.vocab.V, np.random.default_rng(1))
-        expected = tr.validate(store, tiny_config, tiny_dataset.valid, batch_size=3)
+        expected = tr.validate(store, tiny_config, tiny_dataset.valid, np.random.default_rng(2), batch_size=3)
         rows = []
         encode = model.encode_mu_logvar
 
@@ -118,7 +169,8 @@ class TestValidate:
             return encode(x_norm, store)
 
         monkeypatch.setattr(model, "encode_mu_logvar", counted)
-        assert tr.validate(store, tiny_config, tiny_dataset.valid, batch_size=3) == expected
+        got = tr.validate(store, tiny_config, tiny_dataset.valid, np.random.default_rng(2), batch_size=3)
+        assert got == expected
         assert sum(rows) == len(tiny_dataset.valid)
 
 
@@ -131,21 +183,25 @@ class TestRealizedZKl:
 
         for name in ("reconstruction_loss", "kl_loss", "total_loss"):
             monkeypatch.setattr(model, name, no_loss)
-        assert np.isfinite(tr.realized_z_kl(store, tiny_config, tiny_dataset.valid, np.random.default_rng(2)))
+        _, _, latents = metrics.perplexity_and_kl(store, tiny_config, tiny_dataset.valid)
+        assert np.isfinite(tr.realized_z_kl(latents, tiny_config, np.random.default_rng(2)))
 
     def test_same_draws_as_the_training_forward_pass(self, tiny_dataset, tiny_config):
-        store = init_params(tiny_config, tiny_dataset.vocab.V, np.random.default_rng(1))
-        got = tr.realized_z_kl(
-            store, tiny_config, tiny_dataset.valid, np.random.default_rng(2), batch_size=3
-        )
-        rng = np.random.default_rng(2)
-        z = np.concatenate([
-            forward_batch(x, store, tiny_config, rng).latents.z
-            for x in iter_batches(tiny_dataset.valid, tiny_dataset.vocab.V, 3)
-        ])
-        var = np.maximum(z.var(axis=0), 1e-12)
-        mean = z.mean(axis=0)
-        assert got == float(0.5 * (mean ** 2 + var - np.log(var) - 1.0).sum())
+        for mode in model.MODES:
+            cfg = replace(tiny_config, mode=mode)
+            store = init_params(cfg, tiny_dataset.vocab.V, np.random.default_rng(1))
+            _, _, latents = metrics.perplexity_and_kl(store, cfg, tiny_dataset.valid, batch_size=3)
+            got = tr.realized_z_kl(latents, cfg, np.random.default_rng(2))
+            rng = np.random.default_rng(2)
+            z = np.concatenate([
+                forward_batch(x, store, cfg, rng).latents.z
+                for x in iter_batches(tiny_dataset.valid, tiny_dataset.vocab.V, 3)
+            ])
+            var = np.maximum(z.var(axis=0), 1e-12)
+            mean = z.mean(axis=0)
+            assert got == float(0.5 * (mean ** 2 + var - np.log(var) - 1.0).sum()), mode
+            validated = tr.validate(store, cfg, tiny_dataset.valid, np.random.default_rng(2), batch_size=3)
+            assert validated[2] == got, mode
 
 
 class TestKlTrajectory:
