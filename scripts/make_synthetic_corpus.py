@@ -24,15 +24,13 @@ def main() -> None:
     ap.add_argument("--max-len", type=int, default=120)
     ap.add_argument("--background", type=float, default=0.0,
                     help="shared unigram mass mixed into every document")
-    ap.add_argument("--burstiness", type=float, default=0.0,
-                    help="per-document count overdispersion (0 = multinomial)")
     args = ap.parse_args()
 
     paths = write_split_files(
         args.out, args.train, args.valid, args.test,
         vocab_size=args.vocab, n_topics=args.topics, seed=args.seed,
         doc_len_range=(args.min_len, args.max_len),
-        background_weight=args.background, burstiness=args.burstiness,
+        background_weight=args.background,
     )
     for name, path in paths.items():
         print(f"{name}: {path}")

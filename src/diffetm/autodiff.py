@@ -16,7 +16,8 @@ released graph is reclaimed by reference counting alone (no cycles).
 Gradient buffers are never mutated in place (``adam_update`` only reads
 them); accumulation rebinds ``t.grad``, so freshly computed arrays may be
 shared safely.  A zeroed gradient is a read-only all-zero view, which the
-first accumulation replaces rather than adds to.
+first accumulation replaces rather than adds to; a parameter's gradient is
+always an array (``backward`` frees only the interior nodes' gradients).
 """
 
 from __future__ import annotations
@@ -393,14 +394,12 @@ class ParamStore:
     def grad_global_norm(self) -> float:
         sq = 0.0
         for t in self._params.values():
-            if t.grad is not None:
-                sq += float((t.grad * t.grad).sum())
+            sq += float((t.grad * t.grad).sum())
         return float(np.sqrt(sq))
 
     def scale_grads(self, factor: float) -> None:
         for t in self._params.values():
-            if t.grad is not None:
-                t.grad = t.grad * factor
+            t.grad = t.grad * factor
 
 
 @dataclass
@@ -444,12 +443,10 @@ def adam_update(params: ParamStore, state: AdamState) -> None:
         if not all(a.flags.c_contiguous for a in (p.data, m, v)):
             blocks = [(p.data, p.grad, m, v)]
         else:
-            pf, mf, vf = (a.reshape(-1) for a in (p.data, m, v))
-            g = None if p.grad is None else np.ravel(p.grad)
+            flat = [np.ravel(a) for a in (p.data, p.grad, m, v)]
             blocks = [
-                (pf[lo:lo + ADAM_BLOCK], None if g is None else g[lo:lo + ADAM_BLOCK],
-                 mf[lo:lo + ADAM_BLOCK], vf[lo:lo + ADAM_BLOCK])
-                for lo in range(0, pf.size, ADAM_BLOCK)
+                tuple(a[lo:lo + ADAM_BLOCK] for a in flat)
+                for lo in range(0, p.data.size, ADAM_BLOCK)
             ]
         for pb, gb, mb, vb in blocks:
             if scratch is None or scratch.size < pb.size or scratch.dtype != pb.dtype:
@@ -457,12 +454,11 @@ def adam_update(params: ParamStore, state: AdamState) -> None:
             buf = scratch[:pb.size].reshape(pb.shape)
             mb *= b1
             vb *= b2
-            if gb is not None:
-                np.multiply(gb, 1.0 - b1, out=buf)
-                mb += buf
-                np.multiply(gb, gb, out=buf)
-                buf *= 1.0 - b2
-                vb += buf
+            np.multiply(gb, 1.0 - b1, out=buf)
+            mb += buf
+            np.multiply(gb, gb, out=buf)
+            buf *= 1.0 - b2
+            vb += buf
             # lr * (m / c1) / (sqrt(v / c2) + eps)
             np.divide(vb, c2, out=buf)
             np.sqrt(buf, out=buf)

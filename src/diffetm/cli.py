@@ -15,12 +15,11 @@ import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from . import trainer as trainer_mod
 from .corpus import (
+    SPLITS,
     AllTokensPruned,
     CacheFormatError,
     Dataset,
@@ -39,7 +38,7 @@ from .trainer import CorruptCheckpoint, Diverged, TrainConfig, load_checkpoint
 
 
 class ConfigError(ValueError):
-    """A config key is unknown, mistyped, or references a missing path."""
+    """A config key is unknown, mistyped, out of range, or names a missing path."""
 
 
 # key -> (type, default, description); None defaults mean "unset".  Model
@@ -148,12 +147,20 @@ def load_config(
         if value is not None:
             cfg[key] = _check_type(key, value, CONFIG_SCHEMA[key][0])
 
-    fr = cfg["split_fractions"]
-    if len(fr) != 3 or not all(isinstance(f, (int, float)) for f in fr):
-        raise ConfigError("config key 'split_fractions': expected three numbers")
     tv = cfg["sweep_t_values"]
     if not tv or not all(isinstance(t, int) and not isinstance(t, bool) and t >= 0 for t in tv):
         raise ConfigError("config key 'sweep_t_values': expected nonnegative integers")
+    if cfg["eval_split"] not in SPLITS:
+        raise ConfigError(f"config key 'eval_split': expected one of {', '.join(SPLITS)}")
+    if cfg["top_words_export"] < 1:
+        raise ConfigError("config key 'top_words_export': expected an integer >= 1")
+    try:
+        corpus_mod.check_min_df(cfg["min_df"])
+        corpus_mod.check_fractions(cfg["split_fractions"])
+        model_config_of(cfg).validate()
+        train_config_of(cfg, Path()).validate()
+    except ValueError as exc:
+        raise ConfigError(f"invalid config: {exc}") from None
     return cfg
 
 
@@ -179,11 +186,17 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+# kl-test writes into a run directory; a name of its own keeps the run's manifest
+KL_TEST_MANIFEST = "kl_test_manifest.json"
+
+
 def _run_artifacts(run_dir: Path) -> list[Path]:
-    return [p for p in sorted(run_dir.glob("*")) if p.name != "manifest.json"]
+    return [p for p in sorted(run_dir.glob("*")) if p.name not in ("manifest.json", KL_TEST_MANIFEST)]
 
 
-def write_manifest(out_dir: Path, command: str, cfg: dict, artifacts: list[Path]) -> Path:
+def write_manifest(
+    out_dir: Path, command: str, cfg: dict, artifacts: list[Path], name: str = "manifest.json"
+) -> Path:
     manifest = {
         "command": command,
         "run_id": run_id_of(cfg),
@@ -191,7 +204,7 @@ def write_manifest(out_dir: Path, command: str, cfg: dict, artifacts: list[Path]
         "config": cfg,
         "artifacts": {p.name: _sha256(p) for p in sorted(artifacts)},
     }
-    path = out_dir / "manifest.json"
+    path = out_dir / name
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return path
 
@@ -220,7 +233,7 @@ def load_dataset(corpus_dir: Path) -> Dataset:
         raise ConfigError(f"no vocab.tsv under {corpus_dir}; run ingest first")
     vocab = read_vocabulary(vocab_path)
     splits = {}
-    for name in ("train", "valid", "test"):
+    for name in SPLITS:
         cache = corpus_dir / f"{name}.corpus"
         if not cache.exists():
             raise ConfigError(f"missing corpus cache {cache}; run ingest first")
@@ -255,7 +268,7 @@ def cmd_ingest(cfg: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = [out_dir / "vocab.tsv"]
     write_vocabulary(dataset.vocab, artifacts[0])
-    for name in ("train", "valid", "test"):
+    for name in SPLITS:
         cache = out_dir / f"{name}.corpus"
         write_corpus_cache(dataset.split(name), dataset.vocab.V, cache)
         artifacts.append(cache)
@@ -265,7 +278,7 @@ def cmd_ingest(cfg: dict) -> int:
     write_manifest(out_dir, "ingest", cfg, artifacts)
     print(
         f"[ingest] V={report.vocab_size} docs kept "
-        + "/".join(str(report.docs_kept[s]) for s in ("train", "valid", "test"))
+        + "/".join(str(report.docs_kept[s]) for s in SPLITS)
         + f" -> {out_dir}"
     )
     return 0
@@ -280,8 +293,6 @@ def cmd_train(cfg: dict) -> int:
     try:
         report = trainer_mod.train(model_config, train_config, dataset)
     except Diverged as exc:
-        if exc.report is not None:
-            (run_dir / "train_report.json").write_text(exc.report.to_json())
         write_manifest(run_dir, "train", cfg, _run_artifacts(run_dir))
         print(f"[train] diverged: {exc}", file=sys.stderr)
         return 1
@@ -308,30 +319,23 @@ def _load_eval_inputs(cfg: dict, checkpoint: str) -> tuple:
         raise ConfigError(f"checkpoint does not exist: {ckpt_path}")
     store, model_config = load_checkpoint(ckpt_path)
     dataset = load_dataset(_require_dir_key(cfg, "corpus_dir"))
-    _require_vocab(store, dataset)
+    metrics_mod.check_vocab_size(store, dataset.vocab.V)
     return store, model_config, dataset, ckpt_path
 
 
-def _require_vocab(store, dataset: Dataset) -> None:
-    if store["word_emb"].rows != dataset.vocab.V:
-        raise VocabularyMismatch(
-            f"checkpoint vocabulary {store['word_emb'].rows} != corpus vocabulary {dataset.vocab.V}"
-        )
+def _evaluate(cfg: dict, store, model_config: ModelConfig, dataset: Dataset, checkpoint_id: str = ""):
+    """All four metrics on the configured split, coherence referenced to train."""
+    return metrics_mod.evaluate_model(
+        store, model_config, dataset.split(cfg["eval_split"]), dataset.train, dataset.vocab.V,
+        corpus_id=dataset.vocab.ref_id, checkpoint_id=checkpoint_id,
+    )
 
 
 def cmd_eval(cfg: dict, checkpoint: str) -> int:
     store, model_config, dataset, ckpt_path = _load_eval_inputs(cfg, checkpoint)
     out_dir = Path(cfg["output_dir"]) / f"eval_{run_id_of(cfg)}"
     out_dir.mkdir(parents=True, exist_ok=True)
-    report, beta = metrics_mod.evaluate_model(
-        store,
-        model_config,
-        dataset.split(cfg["eval_split"]),
-        dataset.train,
-        dataset.vocab.V,
-        corpus_id=dataset.vocab.ref_id,
-        checkpoint_id=_sha256(ckpt_path)[:12],
-    )
+    report, beta = _evaluate(cfg, store, model_config, dataset, _sha256(ckpt_path)[:12])
     report_path = out_dir / "metrics_report.json"
     report_path.write_text(report.to_json())
     words_path = out_dir / "top_words.tsv"
@@ -373,14 +377,7 @@ def cmd_sweep_t(cfg: dict) -> int:
         try:
             trainer_mod.train(model_config, train_config, dataset)
             store, ckpt_config = load_checkpoint(run_dir / "best.ckpt")
-            report, _ = metrics_mod.evaluate_model(
-                store,
-                ckpt_config,
-                dataset.split(cfg["eval_split"]),
-                dataset.train,
-                dataset.vocab.V,
-                corpus_id=dataset.vocab.ref_id,
-            )
+            report, _ = _evaluate(cfg, store, ckpt_config, dataset)
             rows.append(
                 (t, report.coherence, report.diversity, report.quality, report.perplexity)
             )
@@ -414,15 +411,28 @@ def cmd_kl_test(cfg: dict, run_dir_arg: str) -> int:
     points = []
     for ckpt in ckpts:
         store, model_config = load_checkpoint(ckpt)
-        _require_vocab(store, dataset)
+        metrics_mod.check_vocab_size(store, dataset.vocab.V)
         ppl, kl, _ = metrics_mod.perplexity_and_kl(store, model_config, split)
         points.append((int(ckpt.stem.removeprefix("checkpoint_epoch")), kl, ppl))
     traj = trainer_mod.improving_trajectory(points)
     csv_path = run_dir / "kl_test.csv"
     csv_path.write_text(traj.to_csv())
-    write_manifest(run_dir, "kl-test", cfg, [csv_path])
+    write_manifest(run_dir, "kl-test", cfg, [csv_path], KL_TEST_MANIFEST)
     print(f"[kl-test] {len(traj.points)} improving checkpoints -> {csv_path}")
     return 0
+
+
+# name -> (handler, help, and the (flag, help) of the path the handler takes, if any)
+CHECKPOINT_FLAG = ("--checkpoint", "checkpoint file to load")
+COMMANDS: dict[str, tuple] = {
+    "ingest": (cmd_ingest, "tokenize, prune, vectorize, and cache a corpus", None),
+    "train": (cmd_train, "train a model against an ingested corpus", None),
+    "eval": (cmd_eval, "compute coherence/diversity/quality/perplexity for a checkpoint", CHECKPOINT_FLAG),
+    "topics": (cmd_topics, "export per-topic top words for a checkpoint", CHECKPOINT_FLAG),
+    "sweep-t": (cmd_sweep_t, "train once per diffusion step count and tabulate metrics", None),
+    "kl-test": (cmd_kl_test, "post-hoc test-set KL trajectory over a run's checkpoints",
+                ("--run-dir", "training run directory")),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -446,20 +456,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, doc in [
-        ("ingest", "tokenize, prune, vectorize, and cache a corpus"),
-        ("train", "train a model against an ingested corpus"),
-        ("eval", "compute coherence/diversity/quality/perplexity for a checkpoint"),
-        ("topics", "export per-topic top words for a checkpoint"),
-        ("sweep-t", "train once per diffusion step count and tabulate metrics"),
-        ("kl-test", "post-hoc test-set KL trajectory over a run's checkpoints"),
-    ]:
+    for name, (_, doc, path_flag) in COMMANDS.items():
         p = sub.add_parser(name, help=doc)
         _add_common(p)
-        if name in ("eval", "topics"):
-            p.add_argument("--checkpoint", required=True, help="checkpoint file to load")
-        if name == "kl-test":
-            p.add_argument("--run-dir", required=True, help="training run directory")
+        if path_flag is not None:
+            flag, flag_help = path_flag
+            metavar = flag.removeprefix("--").replace("-", "_").upper()
+            p.add_argument(flag, dest="path", metavar=metavar, required=True, help=flag_help)
     return parser
 
 
@@ -471,19 +474,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, args.preset, overrides)
         _print_effective(cfg, args.command)
-        if args.command == "ingest":
-            return cmd_ingest(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.checkpoint)
-        if args.command == "topics":
-            return cmd_topics(cfg, args.checkpoint)
-        if args.command == "sweep-t":
-            return cmd_sweep_t(cfg)
-        if args.command == "kl-test":
-            return cmd_kl_test(cfg, args.run_dir)
-        raise AssertionError(args.command)
+        handler = COMMANDS[args.command][0]
+        return handler(cfg, args.path) if "path" in args else handler(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

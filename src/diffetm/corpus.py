@@ -38,6 +38,7 @@ class VocabularyFormatError(ValueError):
 
 CACHE_MAGIC = b"DETMCORP"
 CACHE_VERSION = 1
+SPLITS = ("train", "valid", "test")
 
 _PUNCT = string.punctuation
 
@@ -75,13 +76,17 @@ class Vocabulary:
         return len(self.tokens)
 
 
+def check_min_df(min_df: int) -> None:
+    if min_df < 1:
+        raise ValueError(f"min_df must be >= 1, got {min_df}")
+
+
 def build_vocabulary(token_docs: list[list[str]], min_df: int) -> Vocabulary:
     """Retain tokens appearing in at least min_df documents.
 
     Raises AllTokensPruned when nothing survives.
     """
-    if min_df < 1:
-        raise ValueError(f"min_df must be >= 1, got {min_df}")
+    check_min_df(min_df)
     df: Counter[str] = Counter()
     for doc in token_docs:
         df.update(set(doc))
@@ -221,6 +226,13 @@ def iter_batches(corpus: BowCorpus, size: int, batch_size: int):
         yield dense_counts(corpus, range(start, min(start + batch_size, n)), size)
 
 
+def check_fractions(fractions) -> None:
+    if len(fractions) != 3 or not all(isinstance(f, (int, float)) and f > 0 for f in fractions):
+        raise ValueError(f"fractions must be three positive numbers: {fractions}")
+    if abs(sum(fractions) - 1.0) > 1e-9:
+        raise ValueError(f"fractions must sum to 1: {fractions}")
+
+
 def split_corpus(
     corpus: BowCorpus,
     fractions: tuple[float, float, float],
@@ -231,10 +243,7 @@ def split_corpus(
     Split sizes differ from N*f by at most 1.  Raises EmptySplit when a
     split would get zero documents.
     """
-    if len(fractions) != 3 or any(f <= 0 for f in fractions):
-        raise ValueError(f"fractions must be three positive numbers: {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1: {fractions}")
+    check_fractions(fractions)
     n = len(corpus)
     exact = [n * f for f in fractions]
     sizes = [int(e) for e in exact]
@@ -247,8 +256,7 @@ def split_corpus(
 
     perm = np.random.default_rng(seed).permutation(n)
     bounds = [0, sizes[0], sizes[0] + sizes[1], n]
-    names = ("train", "valid", "test")
-    return tuple(corpus.take(perm[bounds[k]:bounds[k + 1]], name) for k, name in enumerate(names))
+    return tuple(corpus.take(perm[bounds[k]:bounds[k + 1]], name) for k, name in enumerate(SPLITS))
 
 
 @dataclass
@@ -261,10 +269,9 @@ class Dataset:
     test: BowCorpus
 
     def split(self, name: str) -> BowCorpus:
-        try:
-            return {"train": self.train, "valid": self.valid, "test": self.test}[name]
-        except KeyError:
-            raise ValueError(f"unknown split {name!r}") from None
+        if name not in SPLITS:
+            raise ValueError(f"unknown split {name!r}")
+        return getattr(self, name)
 
 
 # ---------------------------------------------------------------------------

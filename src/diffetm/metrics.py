@@ -188,6 +188,13 @@ class MetricsReport:
         return json.dumps(asdict(self), indent=2)
 
 
+def check_vocab_size(store: ad.ParamStore, vocab_size: int) -> None:
+    if store_vocab_size(store) != vocab_size:
+        raise VocabularyMismatch(
+            f"model vocabulary {store_vocab_size(store)} != corpus vocabulary {vocab_size}"
+        )
+
+
 def evaluate_model(
     store: ad.ParamStore,
     config: ModelConfig,
@@ -201,15 +208,14 @@ def evaluate_model(
 
     Returns the report and the beta matrix (for top-word export).
     """
-    if store_vocab_size(store) != vocab_size:
-        raise VocabularyMismatch(
-            f"model vocabulary {store_vocab_size(store)} != corpus vocabulary {vocab_size}"
-        )
+    check_vocab_size(store, vocab_size)
     with ad.no_grad():
         beta = topic_word_dist(store["topic_emb"], store["word_emb"]).data
     stats = build_cooccurrence(reference_split, vocab_size)
-    coh = npmi_coherence(top_words(beta, N_COHERENCE), stats)
-    div = topic_diversity(top_words(beta, N_DIVERSITY))
+    # a stable ranking's top N_DIVERSITY words start with its top N_COHERENCE
+    ranked = top_words(beta, N_DIVERSITY)
+    coh = npmi_coherence([words[:N_COHERENCE] for words in ranked], stats)
+    div = topic_diversity(ranked)
     ppl = perplexity(store, config, eval_split)
     report = MetricsReport(
         coherence=coh,

@@ -33,12 +33,11 @@ class InvalidSchedule(ValueError):
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-step noise variances beta_t, their complements, and the running
-    product alpha_bar that governs the one-shot closed-form marginal."""
+    """Per-step noise variances beta_t and the running product alpha_bar of
+    their complements, which governs the one-shot closed-form marginal."""
 
     steps: int
     beta: np.ndarray
-    alpha: np.ndarray
     alpha_bar: np.ndarray
 
     @property
@@ -54,7 +53,7 @@ def linear_schedule(steps: int, beta_start: float, beta_end: float) -> NoiseSche
     """
     if steps < 0:
         raise InvalidSchedule(f"steps must be >= 0, got {steps}")
-    if beta_start < 0.0 or beta_end >= 1.0 or beta_start > beta_end:
+    if not (0.0 <= beta_start <= beta_end < 1.0):  # also rejects NaN
         raise InvalidSchedule(
             f"need 0 <= beta_start <= beta_end < 1, got ({beta_start}, {beta_end})"
         )
@@ -64,8 +63,15 @@ def linear_schedule(steps: int, beta_start: float, beta_end: float) -> NoiseSche
         beta = np.array([beta_start])
     else:
         beta = np.linspace(beta_start, beta_end, steps)
-    alpha = 1.0 - beta
-    return NoiseSchedule(steps=steps, beta=beta, alpha=alpha, alpha_bar=np.cumprod(alpha))
+    return NoiseSchedule(steps=steps, beta=beta, alpha_bar=np.cumprod(1.0 - beta))
+
+
+def check_minimums(config, minimums: dict[str, float]) -> None:
+    """Raise ValueError naming the first field of config below its minimum."""
+    for name, low in minimums.items():
+        value = getattr(config, name)
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass
@@ -87,23 +93,10 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.num_topics < 2:
-            raise ValueError(f"num_topics must be >= 2, got {self.num_topics}")
-        if self.embed_size < 1:
-            raise ValueError(f"embed_size must be >= 1, got {self.embed_size}")
-        if self.hidden_size < 1:
-            raise ValueError(f"hidden_size must be >= 1, got {self.hidden_size}")
-        if self.kl_weight < 0:
-            raise ValueError(f"kl_weight must be >= 0, got {self.kl_weight}")
-        if self.diff_steps < 0:
-            raise ValueError(f"diff_steps must be >= 0, got {self.diff_steps}")
-        if not (0.0 <= self.beta_start <= self.beta_end < 1.0):
-            raise ValueError(
-                f"need 0 <= beta_start <= beta_end < 1, got "
-                f"({self.beta_start}, {self.beta_end})"
-            )
+        check_minimums(self, {"num_topics": 2, "embed_size": 1, "hidden_size": 1, "kl_weight": 0})
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        self.schedule()  # the step and beta-range rules; InvalidSchedule is a ValueError
 
     def schedule(self) -> NoiseSchedule:
         return linear_schedule(self.diff_steps, self.beta_start, self.beta_end)
@@ -301,8 +294,6 @@ def kl_loss(mu: ad.Tensor, logvar: ad.Tensor) -> ad.Tensor:
 
 def total_loss(recon: ad.Tensor, kl: ad.Tensor, weight: float) -> ad.Tensor:
     """recon + weight * kl."""
-    if weight < 0:
-        raise ValueError(f"kl weight must be >= 0, got {weight}")
     return ad.add(recon, ad.scale(kl, weight))
 
 
@@ -351,9 +342,9 @@ def _forward_core(
     """Encoders, latent driver and decoder, shared by training and
     evaluation; returns the latents, mu, logvar and the reconstruction X'.
 
-    Everything is computed in the dtype of the store's parameters.
+    Everything is computed in the dtype of the store's parameters.  The
+    config is taken as validated (train and load_checkpoint validate it).
     """
-    config.validate()
     dtype = store["word_emb"].data.dtype
     totals = x_counts.sum(axis=1, keepdims=True)
     if np.any(totals <= 0):

@@ -6,11 +6,9 @@ generated text with a comparable document count, vocabulary size, and
 topical structure.  Tokens are synthetic words ("w0017") that survive the
 tokenizer unchanged.
 
-Two knobs make the text behave more like real prose than a plain
-mixed-membership draw: ``background_weight`` mixes a shared Zipf-shaped
-unigram distribution into every document (function-word mass), and
-``burstiness`` overdisperses per-document word counts via a Polya urn
-(words that appear once tend to reappear).
+``background_weight`` makes the text behave more like real prose than a
+plain mixed-membership draw: it mixes a shared Zipf-shaped unigram
+distribution into every document (function-word mass).
 """
 
 from __future__ import annotations
@@ -29,14 +27,12 @@ def generate_docs(
     topic_concentration: float = 0.02,
     doc_concentration: float = 0.1,
     background_weight: float = 0.0,
-    burstiness: float = 0.0,
 ) -> list[str]:
     """Sample documents from a fixed mixed-membership generative model.
 
     Each topic is a sparse Dirichlet draw over the vocabulary; each
     document mixes a few topics and draws its tokens from the blend,
-    optionally diluted with background mass and overdispersed counts
-    (burstiness > 0; larger is burstier, 0 is plain multinomial).
+    optionally diluted with background mass.
     """
     rng = np.random.default_rng(seed)
     width = len(str(vocab_size - 1))
@@ -55,11 +51,7 @@ def generate_docs(
     lengths = rng.integers(lo, hi + 1, size=n_docs)
     docs = []
     for i in range(n_docs):
-        p = word_probs[i]
-        if burstiness > 0.0:
-            # Polya-urn overdispersion: smaller pseudocount mass = burstier
-            p = rng.dirichlet(np.maximum(p / burstiness, 1e-8))
-        counts = rng.multinomial(lengths[i], p)
+        counts = rng.multinomial(lengths[i], word_probs[i])
         (ids,) = counts.nonzero()
         docs.append(" ".join(w for j in ids for w in [words[j]] * counts[j]))
     return docs

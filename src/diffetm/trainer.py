@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import struct
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import count
 from pathlib import Path
 from typing import Iterable
@@ -26,6 +26,7 @@ from .model import (
     MODES,
     LatentBatch,
     ModelConfig,
+    check_minimums,
     check_param_shapes,
     forward_batch,
     init_params,
@@ -36,6 +37,8 @@ from .model import (
 
 CKPT_MAGIC = b"DETMCKPT"
 CKPT_VERSION = 1
+# ModelConfig's fields in declaration order, mode stored as its index in MODES
+CONFIG_BLOCK = struct.Struct("<IIIIdddBq")
 
 
 class Diverged(RuntimeError):
@@ -62,15 +65,11 @@ class TrainConfig:
     clip_norm: float = 0.0  # 0 disables clipping
 
     def validate(self) -> None:
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate < 0:
-            # 0 is allowed: it freezes the parameters (Adam fixed point)
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.eval_every < 1:
-            raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
+        # a learning rate of 0 is allowed: it freezes the parameters (Adam fixed point)
+        check_minimums(self, {
+            "epochs": 1, "batch_size": 1, "learning_rate": 0, "eval_every": 1,
+            "max_checkpoints": 0, "clip_norm": 0,
+        })
 
 
 @dataclass
@@ -119,20 +118,7 @@ def save_checkpoint(store: ad.ParamStore, config: ModelConfig, path: str | Path)
     with open(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<I", CKPT_VERSION))
-        fh.write(
-            struct.pack(
-                "<IIIIdddBq",
-                config.num_topics,
-                config.embed_size,
-                config.hidden_size,
-                config.diff_steps,
-                config.beta_start,
-                config.beta_end,
-                config.kl_weight,
-                MODES.index(config.mode),
-                config.seed,
-            )
-        )
+        fh.write(CONFIG_BLOCK.pack(*{**asdict(config), "mode": MODES.index(config.mode)}.values()))
         names = store.names()
         fh.write(struct.pack("<I", len(names)))
         for name in names:
@@ -160,21 +146,11 @@ def load_checkpoint(path: str | Path) -> tuple[ad.ParamStore, ModelConfig]:
             raise CorruptCheckpoint(
                 f"{path}: checkpoint version {version}, expected {CKPT_VERSION}"
             )
-        k, e, h, t, b0, bt, lam, mode_idx, seed = struct.unpack_from("<IIIIdddBq", data, 12)
-        if mode_idx >= len(MODES):
-            raise CorruptCheckpoint(f"{path}: unknown mode code {mode_idx}")
-        config = ModelConfig(
-            num_topics=k,
-            embed_size=e,
-            hidden_size=h,
-            diff_steps=t,
-            beta_start=b0,
-            beta_end=bt,
-            kl_weight=lam,
-            mode=MODES[mode_idx],
-            seed=seed,
-        )
-        offset = 12 + struct.calcsize("<IIIIdddBq")
+        values = dict(zip((f.name for f in fields(ModelConfig)), CONFIG_BLOCK.unpack_from(data, 12)))
+        if values["mode"] >= len(MODES):
+            raise CorruptCheckpoint(f"{path}: unknown mode code {values['mode']}")
+        config = ModelConfig(**{**values, "mode": MODES[values["mode"]]})
+        offset = 12 + CONFIG_BLOCK.size
         (n_params,) = struct.unpack_from("<I", data, offset)
         offset += 4
         store = ad.ParamStore()
@@ -272,7 +248,8 @@ def train(
     Checkpoints land in train_config.output_dir (when set) as
     checkpoint_epoch{NNNN}.ckpt at each improving epoch plus best.ckpt;
     at most max_checkpoints epoch files are retained (0 = unlimited).
-    Raises Diverged, carrying the partial report, on a non-finite loss.
+    Raises Diverged, carrying the partial report, on a non-finite loss;
+    train_report.json is written either way.
     """
     model_config.validate()
     train_config.validate()
@@ -304,7 +281,7 @@ def train(
             result = forward_batch(x, store, model_config, noise_rng)
             recon, kl, total = result.values()
             if not np.isfinite(total):
-                report.wall_seconds = _elapsed(started, train_config)
+                _close_report(report, started, train_config.deterministic, out_dir)
                 raise Diverged(
                     f"non-finite loss at epoch {epoch} (lr={train_config.learning_rate})",
                     report=report,
@@ -346,15 +323,17 @@ def train(
             report.val_kl.append(None)
             report.val_z_kl.append(None)
 
-    report.wall_seconds = _elapsed(started, train_config)
+    _close_report(report, started, train_config.deterministic, out_dir)
     if out_dir is not None:
-        (out_dir / "train_report.json").write_text(report.to_json())
         log_kl_trajectory(report, out_dir / "kl_trajectory.csv")
     return report
 
 
-def _elapsed(started: float, train_config: TrainConfig) -> float:
-    return 0.0 if train_config.deterministic else time.monotonic() - started
+def _close_report(report: TrainReport, started: float, deterministic: bool, out_dir: Path | None) -> None:
+    """Stamp the wall-clock time and write train_report.json when out_dir is set."""
+    report.wall_seconds = 0.0 if deterministic else time.monotonic() - started
+    if out_dir is not None:
+        (out_dir / "train_report.json").write_text(report.to_json())
 
 
 def improving_trajectory(points: Iterable[tuple[int, float | None, float | None]]) -> KlTrajectory:

@@ -97,6 +97,30 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match="not found"):
             cli.load_config("/nonexistent/config.json")
 
+    @pytest.mark.parametrize("key,value,named", [
+        ("beta_end", 1.5, "beta_end"),
+        ("diff_steps", -1, "steps"),
+        ("epochs", 0, "epochs"),
+        ("mode", "bogus", "mode"),
+        ("num_topics", 1, "num_topics"),
+        ("split_fractions", [0.5, 0.5, 0.5], "fractions"),
+        ("split_fractions", [0.8, 0.2], "fractions"),
+        ("split_fractions", [0.8, "a", 0.1], "fractions"),
+        ("min_df", 0, "min_df"),
+        ("eval_split", "dev", "eval_split"),
+        ("top_words_export", -3, "top_words_export"),
+        ("max_checkpoints", -1, "max_checkpoints"),
+        ("clip_norm", -0.5, "clip_norm"),
+    ])
+    def test_bad_value_exits_2_before_any_directory(self, workspace, tmp_path, capsys, key, value, named):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**workspace["cfg"], "output_dir": str(tmp_path / "runs"), key: value}))
+        with pytest.raises(cli.ConfigError, match=named):
+            cli.load_config(str(path))
+        assert cli.main(["train", "--config", str(path)]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
 
 class TestIngestCommand:
     def test_artifacts_written(self, workspace):
@@ -285,6 +309,20 @@ class TestKlTestCommand:
         assert lines[0] == "epoch,kl,perplexity"
         ppls = [float(line.split(",")[2]) for line in lines[1:]]
         assert all(a > b for a, b in zip(ppls, ppls[1:]))
+
+    def test_leaves_the_training_manifest_as_train_wrote_it(self, workspace, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**workspace["cfg"], "output_dir": str(tmp_path / "runs")}))
+        assert cli.main(["train", "--config", str(path)]) == 0
+        run_dir = tmp_path / "runs" / cli.run_id_of(cli.load_config(str(path)))
+        trained = (run_dir / "manifest.json").read_bytes()
+        assert cli.main(["kl-test", "--config", str(path), "--run-dir", str(run_dir)]) == 0
+        assert (run_dir / "manifest.json").read_bytes() == trained
+        kl_manifest = json.loads((run_dir / cli.KL_TEST_MANIFEST).read_text())
+        assert (kl_manifest["command"], list(kl_manifest["artifacts"])) == ("kl-test", ["kl_test.csv"])
+        # a rerun of train hashes the run's files but not kl-test's manifest
+        assert cli.main(["train", "--config", str(path)]) == 0
+        assert cli.KL_TEST_MANIFEST not in json.loads((run_dir / "manifest.json").read_text())["artifacts"]
 
     def test_missing_run_dir(self, workspace):
         rc = cli.main([

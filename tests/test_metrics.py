@@ -229,6 +229,14 @@ class TestEvaluateModel:
         )
         assert r1.to_json() == r2.to_json()
 
+    def test_ranks_the_topic_words_once(self, tiny_dataset, tiny_config, monkeypatch):
+        store = init_params(tiny_config, tiny_dataset.vocab.V, np.random.default_rng(6))
+        calls = []
+        top_words = mx.top_words
+        monkeypatch.setattr(mx, "top_words", lambda beta, n: calls.append(n) or top_words(beta, n))
+        mx.evaluate_model(store, tiny_config, tiny_dataset.test, tiny_dataset.train, tiny_dataset.vocab.V)
+        assert calls == [mx.N_DIVERSITY]
+
     def test_vocab_mismatch(self, tiny_dataset, tiny_config):
         store = init_params(tiny_config, tiny_dataset.vocab.V + 1, np.random.default_rng(6))
         with pytest.raises(mx.VocabularyMismatch):

@@ -41,6 +41,11 @@ class TestLinearSchedule:
         with pytest.raises(m.InvalidSchedule):
             m.linear_schedule(10, 0.6, 0.5)
 
+    @pytest.mark.parametrize("field,value", [("beta_end", 1.0), ("beta_end", math.nan), ("diff_steps", -1)])
+    def test_model_config_checks_the_schedule_rules(self, field, value):
+        with pytest.raises(m.InvalidSchedule):
+            replace(m.ModelConfig(), **{field: value}).validate()
+
     @pytest.mark.parametrize("steps,b0,bt", [(1, 0.0, 0.02), (7, 0.001, 0.3), (100, 0.0, 0.02)])
     def test_alpha_bar_non_increasing_and_positive(self, steps, b0, bt):
         sched = m.linear_schedule(steps, b0, bt)

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 from dataclasses import replace
 
@@ -48,6 +49,11 @@ class TestTrain:
         with pytest.raises(tr.Diverged) as excinfo:
             tr.train(tiny_config, cfg, tiny_dataset)
         assert excinfo.value.report is not None
+
+    def test_divergence_writes_the_partial_report(self, tiny_dataset, tiny_config, tmp_path):
+        with pytest.raises(tr.Diverged) as excinfo:
+            tr.train(tiny_config, tiny_train_config(tmp_path, epochs=60, learning_rate=1e9), tiny_dataset)
+        assert (tmp_path / "train_report.json").read_text() == excinfo.value.report.to_json()
 
     def test_writes_artifacts(self, tiny_dataset, tiny_config, tmp_path):
         tr.train(tiny_config, tiny_train_config(tmp_path, epochs=2), tiny_dataset)
@@ -346,6 +352,25 @@ class TestCheckpointIO:
         path, _ = self._saved(tmp_path, replace(tiny_config, beta_end=2.0), store)
         with pytest.raises(tr.CorruptCheckpoint, match="beta_end"):
             tr.load_checkpoint(path)
+
+    # every header field differs from its default; the hash pins the v1 bytes
+    GOLDEN_CONFIG = ModelConfig(
+        num_topics=2, embed_size=2, hidden_size=2, diff_steps=7, beta_start=0.01,
+        beta_end=0.03, kl_weight=0.5, mode="standard_etm", seed=-5,
+    )
+    GOLDEN_SHA256 = "f02f90c50abc6dd273d2e0d67438fecc49fd20da3daab42571dd28c1f38bc36c"
+
+    def test_golden_checkpoint(self, tmp_path):
+        store = ad.ParamStore()
+        for i, (name, shape) in enumerate(model.param_shapes(self.GOLDEN_CONFIG, 3).items()):
+            store.add(name, (np.arange(shape[0] * shape[1], dtype=np.float32).reshape(shape) - i) / 8)
+        path = tmp_path / "golden.ckpt"
+        tr.save_checkpoint(store, self.GOLDEN_CONFIG, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN_SHA256
+        loaded, config = tr.load_checkpoint(path)
+        assert config == self.GOLDEN_CONFIG
+        for name, t in store.items():
+            assert loaded[name].data.tobytes() == t.data.tobytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.ckpt"
