@@ -57,10 +57,10 @@ def no_grad() -> Iterator[None]:
 
 
 def _as_float(data, copy: bool = False) -> np.ndarray:
-    """data as a float32 array if it is float32, else as a float64 array."""
+    """data as a float32 array if it is float32, else float64; copy gives a C-ordered copy."""
     arr = np.asarray(data)
     dtype = np.float32 if arr.dtype.type is np.float32 else np.float64
-    return np.array(arr, dtype=dtype) if copy else np.asarray(arr, dtype=dtype)
+    return np.array(arr, dtype=dtype, order="C") if copy else np.asarray(arr, dtype=dtype)
 
 
 class Tensor:
@@ -435,23 +435,17 @@ def adam_update(params: ParamStore, state: AdamState) -> None:
     c2 = 1.0 - b2 ** state.t
     scratch = None
     for name, p in params.items():
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p.data)
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
-        if not all(a.flags.c_contiguous for a in (p.data, m, v)):
-            blocks = [(p.data, p.grad, m, v)]
-        else:
-            flat = [np.ravel(a) for a in (p.data, p.grad, m, v)]
-            blocks = [
-                tuple(a[lo:lo + ADAM_BLOCK] for a in flat)
-                for lo in range(0, p.data.size, ADAM_BLOCK)
-            ]
-        for pb, gb, mb, vb in blocks:
-            if scratch is None or scratch.size < pb.size or scratch.dtype != pb.dtype:
-                scratch = np.empty(max(pb.size, ADAM_BLOCK), dtype=pb.dtype)
-            buf = scratch[:pb.size].reshape(pb.shape)
+        if scratch is None or scratch.dtype != p.data.dtype:
+            scratch = np.empty(ADAM_BLOCK, dtype=p.data.dtype)
+        # ParamStore.add stores C-ordered copies, so the flat views of the
+        # parameter and its moments write through; the gradient is only read
+        flat = [np.ravel(a) for a in (p.data, p.grad, state.m[name], state.v[name])]
+        for lo in range(0, p.data.size, ADAM_BLOCK):
+            pb, gb, mb, vb = (a[lo:lo + ADAM_BLOCK] for a in flat)
+            buf = scratch[:pb.size]
             mb *= b1
             vb *= b2
             np.multiply(gb, 1.0 - b1, out=buf)

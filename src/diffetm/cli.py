@@ -33,7 +33,7 @@ from .corpus import (
     write_vocabulary,
 )
 from .metrics import VocabularyMismatch
-from .model import ModelConfig
+from .model import MAX_DIFF_STEPS, ModelConfig
 from .trainer import CorruptCheckpoint, Diverged, TrainConfig, load_checkpoint
 
 
@@ -148,8 +148,10 @@ def load_config(
             cfg[key] = _check_type(key, value, CONFIG_SCHEMA[key][0])
 
     tv = cfg["sweep_t_values"]
-    if not tv or not all(isinstance(t, int) and not isinstance(t, bool) and t >= 0 for t in tv):
-        raise ConfigError("config key 'sweep_t_values': expected nonnegative integers")
+    if not tv or not all(type(t) is int and 0 <= t <= MAX_DIFF_STEPS for t in tv):
+        raise ConfigError(f"config key 'sweep_t_values': expected integers in [0, {MAX_DIFF_STEPS}]")
+    if cfg["output_dir"] is None:
+        raise ConfigError("config key 'output_dir': expected a directory, got null")
     if cfg["eval_split"] not in SPLITS:
         raise ConfigError(f"config key 'eval_split': expected one of {', '.join(SPLITS)}")
     if cfg["top_words_export"] < 1:

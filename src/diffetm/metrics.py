@@ -22,6 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .corpus import BowCorpus, iter_batches
 from .model import (
+    LOG_FLOOR,
     LatentBatch,
     ModelConfig,
     nonzero_entries,
@@ -154,7 +155,7 @@ def perplexity_and_kl(
         batches.append(latents)
         rows, cols = nonzero_entries(x)
         counts = x[rows, cols]
-        log_lik += float((counts * np.log(np.maximum(x_prime[rows, cols], 1e-12))).sum())
+        log_lik += float((counts * np.log(np.maximum(x_prime[rows, cols], LOG_FLOOR))).sum())
         tokens += float(counts.sum())
         per_doc = 0.5 * (
             latents.mu ** 2 + np.exp(latents.logvar) - latents.logvar - 1.0

@@ -31,46 +31,34 @@ class InvalidSchedule(ValueError):
     """Noise schedule parameters outside the valid range."""
 
 
-@dataclass(frozen=True)
-class NoiseSchedule:
-    """Per-step noise variances beta_t and the running product alpha_bar of
-    their complements, which governs the one-shot closed-form marginal."""
-
-    steps: int
-    beta: np.ndarray
-    alpha_bar: np.ndarray
-
-    @property
-    def final_alpha_bar(self) -> float:
-        return float(self.alpha_bar[-1]) if self.steps > 0 else 1.0
+# the most diffusion steps a config may ask for: the count sizes an array, and
+# a checkpoint header is untrusted input
+MAX_DIFF_STEPS = 10_000
+# the floor under X' before its log, against softmax underflow
+LOG_FLOOR = 1e-12
 
 
-def linear_schedule(steps: int, beta_start: float, beta_end: float) -> NoiseSchedule:
-    """Evenly spaced beta_1..beta_T from beta_start to beta_end.
+def final_alpha_bar(steps: int, beta_start: float, beta_end: float) -> float:
+    """alpha_bar_T, the product of (1 - beta_t) over beta_1..beta_T evenly
+    spaced from beta_start to beta_end: the signal share left after the
+    noising chain has run to its end.
 
-    A single step uses beta_start alone; zero steps yield the empty
-    schedule (alpha_bar treated as 1, i.e. no noising).
+    A single step uses beta_start alone; zero steps give 1 (no noising).
     """
-    if steps < 0:
-        raise InvalidSchedule(f"steps must be >= 0, got {steps}")
+    if not 0 <= steps <= MAX_DIFF_STEPS:
+        raise InvalidSchedule(f"steps must be in [0, {MAX_DIFF_STEPS}], got {steps}")
     if not (0.0 <= beta_start <= beta_end < 1.0):  # also rejects NaN
         raise InvalidSchedule(
             f"need 0 <= beta_start <= beta_end < 1, got ({beta_start}, {beta_end})"
         )
-    if steps == 0:
-        beta = np.zeros(0)
-    elif steps == 1:
-        beta = np.array([beta_start])
-    else:
-        beta = np.linspace(beta_start, beta_end, steps)
-    return NoiseSchedule(steps=steps, beta=beta, alpha_bar=np.cumprod(1.0 - beta))
+    return float(np.prod(1.0 - np.linspace(beta_start, beta_end, steps)))
 
 
 def check_minimums(config, minimums: dict[str, float]) -> None:
-    """Raise ValueError naming the first field of config below its minimum."""
+    """Raise ValueError naming the first field of config below its minimum, or NaN."""
     for name, low in minimums.items():
         value = getattr(config, name)
-        if value < low:
+        if not value >= low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
@@ -96,10 +84,10 @@ class ModelConfig:
         check_minimums(self, {"num_topics": 2, "embed_size": 1, "hidden_size": 1, "kl_weight": 0})
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        self.schedule()  # the step and beta-range rules; InvalidSchedule is a ValueError
+        self.alpha_bar()  # the step and beta-range rules; InvalidSchedule is a ValueError
 
-    def schedule(self) -> NoiseSchedule:
-        return linear_schedule(self.diff_steps, self.beta_start, self.beta_end)
+    def alpha_bar(self) -> float:
+        return final_alpha_bar(self.diff_steps, self.beta_start, self.beta_end)
 
 
 # encoder parameter-name prefixes, in checkpoint order
@@ -188,37 +176,32 @@ def encode_mu_logvar(x_norm: ad.Tensor, store: ad.ParamStore) -> tuple[ad.Tensor
 
 def sample_eps(
     x0: ad.Tensor | None,
-    schedule: NoiseSchedule,
+    abar: float,
     rng: np.random.Generator | None,
     mode: str,
-    shape: tuple[int, int] | None = None,
-    dtype: np.dtype | None = None,
+    shape: tuple[int, int],
+    dtype: np.dtype,
 ) -> ad.Tensor:
     """The latent driver eps for one batch.
 
     Given an rng, eps is drawn (the sampled path); without one it is its
     conditional mean given X0 and no randomness is consumed (the
     deterministic path).  diffusion uses the one-shot closed form of running
-    the noising chain to its end; with an empty schedule (or beta
-    identically 0) X0 passes through unchanged.  standard_etm has no X0 in
-    the model, so shape gives the size of eps there.
+    the noising chain to its end, which needs only abar = alpha_bar_T; at
+    abar = 1 (no steps, or beta identically 0) X0 passes through unchanged.
+    standard_etm has no X0, so shape gives the size of eps there.
 
     Noise is always drawn in float64, so the rng stream does not depend on
-    the dtype, and then cast to dtype: by default X0's, or float64 when
-    there is no X0.
+    the dtype, and then cast to dtype.
     """
-    if dtype is None:
-        dtype = np.float64 if x0 is None else x0.data.dtype
     if mode == "no_diffusion":
         return x0
     if mode == "standard_etm":
-        shape = x0.data.shape if shape is None else shape
         if rng is None:
             return ad.Tensor(np.zeros(shape, dtype=dtype))
         return ad.Tensor(rng.standard_normal(shape).astype(dtype, copy=False))
     if mode != "diffusion":
         raise ValueError(f"unknown mode {mode!r}")
-    abar = schedule.final_alpha_bar
     if abar == 1.0:
         return x0
     if rng is None:
@@ -260,7 +243,7 @@ def nonzero_entries(x_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def reconstruction_loss(
     x_counts: np.ndarray,
     x_prime: ad.Tensor,
-    clamp: float | None = 1e-12,
+    clamp: float | None = LOG_FLOOR,
 ) -> ad.Tensor:
     """Negative log-likelihood -sum(X * log X') averaged over documents.
 
@@ -353,7 +336,7 @@ def _forward_core(
 
     x0 = None if config.mode == "standard_etm" else encode_x0(x_norm, store)
     eps = sample_eps(
-        x0, config.schedule(), rng, config.mode, (x_norm.rows, config.num_topics), dtype
+        x0, config.alpha_bar(), rng, config.mode, (x_norm.rows, config.num_topics), dtype
     )
     mu, logvar = encode_mu_logvar(x_norm, store)
     z = reparameterize(eps, mu, logvar)

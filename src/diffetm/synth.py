@@ -25,7 +25,6 @@ def generate_docs(
     seed: int = 0,
     doc_len_range: tuple[int, int] = (40, 120),
     topic_concentration: float = 0.02,
-    doc_concentration: float = 0.1,
     background_weight: float = 0.0,
 ) -> list[str]:
     """Sample documents from a fixed mixed-membership generative model.
@@ -39,7 +38,7 @@ def generate_docs(
     words = [f"w{i:0{width}d}" for i in range(vocab_size)]
 
     topic_word = rng.dirichlet([topic_concentration] * vocab_size, size=n_topics)
-    doc_topic = rng.dirichlet([doc_concentration] * n_topics, size=n_docs)
+    doc_topic = rng.dirichlet([0.1] * n_topics, size=n_docs)  # a few topics per document
     word_probs = doc_topic @ topic_word
 
     if background_weight > 0.0:

@@ -218,9 +218,7 @@ def realized_z_kl(
     with ad.no_grad():
         x0 = None if latents.x0 is None else ad.Tensor(latents.x0)
         mu, logvar = ad.Tensor(latents.mu), ad.Tensor(latents.logvar)
-        eps = sample_eps(
-            x0, config.schedule(), rng, config.mode, mu.data.shape, mu.data.dtype
-        )
+        eps = sample_eps(x0, config.alpha_bar(), rng, config.mode, mu.data.shape, mu.data.dtype)
         z = reparameterize(eps, mu, logvar).data
     mean = z.mean(axis=0)
     var = z.var(axis=0)

@@ -372,10 +372,14 @@ class TestAdam:
     def test_blocked_step_matches_the_reference_formula_bit_for_bit(self, dtype):
         rng = np.random.default_rng(8)
         # more than three blocks with a partial last one, plus small parameters
-        shapes = {"big": (3, ad.ADAM_BLOCK + 7), "w": (5, 3), "b": (1, 3)}
+        shapes = {"big": (3, ad.ADAM_BLOCK + 7), "w": (5, 3), "b": (1, 3), "f": (4, 6)}
+        # a Fortran-ordered array is stored as a C-ordered copy, which the
+        # flat blocks write through
         store = ad.ParamStore()
         for name, shape in shapes.items():
-            store.add(name, rng.normal(size=shape).astype(dtype))
+            array = rng.normal(size=shape).astype(dtype)
+            store.add(name, np.asfortranarray(array) if name == "f" else array)
+        assert all(t.data.flags.c_contiguous for _, t in store.items())
         state = ad.AdamState(lr=0.01)
         ref = {name: store[name].data.copy() for name in shapes}
         m = {name: np.zeros(shape, dtype) for name, shape in shapes.items()}

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +115,10 @@ class TestConfig:
         ("top_words_export", -3, "top_words_export"),
         ("max_checkpoints", -1, "max_checkpoints"),
         ("clip_norm", -0.5, "clip_norm"),
+        ("learning_rate", math.nan, "learning_rate"),
+        ("kl_weight", math.nan, "kl_weight"),
+        ("diff_steps", 3_000_000_000, "steps"),
+        ("sweep_t_values", [0, 10_001], "sweep_t_values"),
     ])
     def test_bad_value_exits_2_before_any_directory(self, workspace, tmp_path, capsys, key, value, named):
         path = tmp_path / "bad.json"
@@ -120,6 +128,21 @@ class TestConfig:
         assert cli.main(["train", "--config", str(path)]) == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    def test_null_output_dir_exits_2_without_a_traceback(self, workspace, tmp_path):
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps({**workspace["cfg"], "output_dir": None}))
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "diffetm.cli", "train", "--config", str(path)],
+            cwd=cwd, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "output_dir" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list(cwd.iterdir()) == []
 
 
 class TestIngestCommand:

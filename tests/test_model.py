@@ -13,46 +13,82 @@ from diffetm import model as m
 
 class TestLinearSchedule:
     def test_reference_schedule_against_product_oracle(self):
-        sched = m.linear_schedule(100, 0.0, 0.02)
-        assert abs(sched.beta.sum() - 1.0) <= 1e-12
+        abar = m.final_alpha_bar(100, 0.0, 0.02)
+        beta = np.linspace(0.0, 0.02, 100)
+        assert abs(beta.sum() - 1.0) <= 1e-12
         # independent oracle: plain running product of (1 - beta_t)
         prod = 1.0
-        for b in sched.beta:
+        for b in beta:
             prod *= 1.0 - b
-        assert abs(sched.final_alpha_bar - prod) <= 1e-12
-        assert sched.final_alpha_bar <= math.exp(-1.0)
-        assert 0.36 < sched.final_alpha_bar < 0.37
+        assert abs(abar - prod) <= 1e-12
+        assert abar <= math.exp(-1.0)
+        assert 0.36 < abar < 0.37
 
     def test_single_step(self):
-        sched = m.linear_schedule(1, 0.0, 0.02)
-        np.testing.assert_array_equal(sched.beta, [0.0])
-        assert sched.final_alpha_bar == 1.0
+        # one step uses beta_start alone
+        assert m.final_alpha_bar(1, 0.0, 0.02) == 1.0
+        assert m.final_alpha_bar(1, 0.3, 0.5) == 1.0 - 0.3
 
     def test_zero_steps(self):
-        sched = m.linear_schedule(0, 0.0, 0.02)
-        assert sched.beta.size == 0
-        assert sched.final_alpha_bar == 1.0
+        assert m.final_alpha_bar(0, 0.0, 0.02) == 1.0
+        assert m.final_alpha_bar(0, 0.5, 0.9) == 1.0
 
     def test_invalid(self):
         with pytest.raises(m.InvalidSchedule):
-            m.linear_schedule(10, 0.0, 1.0)
+            m.final_alpha_bar(10, 0.0, 1.0)
         with pytest.raises(m.InvalidSchedule):
-            m.linear_schedule(10, -0.1, 0.5)
+            m.final_alpha_bar(10, -0.1, 0.5)
         with pytest.raises(m.InvalidSchedule):
-            m.linear_schedule(10, 0.6, 0.5)
+            m.final_alpha_bar(10, 0.6, 0.5)
+        with pytest.raises(m.InvalidSchedule):
+            m.final_alpha_bar(-1, 0.0, 0.02)
+        with pytest.raises(m.InvalidSchedule, match=str(m.MAX_DIFF_STEPS)):
+            m.final_alpha_bar(m.MAX_DIFF_STEPS + 1, 0.0, 0.02)
+        assert 0.0 < m.final_alpha_bar(m.MAX_DIFF_STEPS, 0.0, 1e-5) < 1.0
 
-    @pytest.mark.parametrize("field,value", [("beta_end", 1.0), ("beta_end", math.nan), ("diff_steps", -1)])
+    @pytest.mark.parametrize("field,value", [
+        ("beta_end", 1.0), ("beta_end", math.nan), ("diff_steps", -1),
+        ("diff_steps", m.MAX_DIFF_STEPS + 1), ("diff_steps", 2952790116),
+    ])
     def test_model_config_checks_the_schedule_rules(self, field, value):
         with pytest.raises(m.InvalidSchedule):
             replace(m.ModelConfig(), **{field: value}).validate()
 
     @pytest.mark.parametrize("steps,b0,bt", [(1, 0.0, 0.02), (7, 0.001, 0.3), (100, 0.0, 0.02)])
     def test_alpha_bar_non_increasing_and_positive(self, steps, b0, bt):
-        sched = m.linear_schedule(steps, b0, bt)
-        assert (np.diff(sched.alpha_bar) <= 0).all()
-        assert (sched.alpha_bar > 0).all()
-        # running product identity at every prefix
-        np.testing.assert_allclose(sched.alpha_bar, np.cumprod(1.0 - sched.beta), atol=1e-12)
+        abar = [m.final_alpha_bar(t, b0, bt) for t in range(steps + 1)]
+        assert abar[0] == 1.0
+        assert (np.diff(abar) <= 0).all()
+        assert (np.array(abar) > 0).all()
+        # the running product over the schedule of each length
+        for t, value in enumerate(abar):
+            assert abs(value - math.prod(1.0 - b for b in np.linspace(b0, bt, t))) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        steps=st.integers(0, m.MAX_DIFF_STEPS),
+        ends=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=2, max_size=2),
+    )
+    def test_matches_the_per_step_schedule_bit_for_bit(self, steps, ends):
+        b0, bt = sorted(ends)
+        # the per-step construction final_alpha_bar replaced: the beta and
+        # running-product arrays, read at their last entry
+        if steps == 0:
+            beta = np.zeros(0)
+        elif steps == 1:
+            beta = np.array([b0])
+        else:
+            beta = np.linspace(b0, bt, steps)
+        alpha_bar = np.cumprod(1.0 - beta)
+        expected = float(alpha_bar[-1]) if steps > 0 else 1.0
+        assert m.final_alpha_bar(steps, b0, bt).hex() == expected.hex()
+
+
+def test_nan_is_below_every_minimum():
+    with pytest.raises(ValueError, match="kl_weight"):
+        m.ModelConfig(kl_weight=math.nan).validate()
+    with pytest.raises(ValueError, match="num_topics"):
+        replace(m.ModelConfig(), num_topics=math.nan).validate()
 
 
 def small_setup(seed=0, v=12, k=4, e=5, h=7, n=3, mode="diffusion"):
@@ -114,56 +150,58 @@ class TestEncoders:
 class TestSampleEps:
     def test_empty_schedule_passes_x0_through_bitwise(self):
         x0 = ad.Tensor(np.random.default_rng(0).normal(size=(4, 3)))
-        sched = m.linear_schedule(0, 0.0, 0.02)
-        out = m.sample_eps(x0, sched, np.random.default_rng(1), "diffusion")
+        abar = m.final_alpha_bar(0, 0.0, 0.02)
+        out = m.sample_eps(x0, abar, np.random.default_rng(1), "diffusion", (4, 3), np.float64)
         assert out is x0
 
     def test_zero_beta_schedule_passes_x0_through_bitwise(self):
         x0 = ad.Tensor(np.random.default_rng(0).normal(size=(4, 3)))
-        sched = m.linear_schedule(5, 0.0, 0.0)
-        out = m.sample_eps(x0, sched, np.random.default_rng(1), "diffusion")
+        abar = m.final_alpha_bar(5, 0.0, 0.0)
+        out = m.sample_eps(x0, abar, np.random.default_rng(1), "diffusion", (4, 3), np.float64)
         assert out is x0
 
     def test_no_rng_gives_the_conditional_mean(self):
         x0 = ad.Tensor(np.random.default_rng(0).normal(size=(4, 3)))
-        sched = m.linear_schedule(100, 0.0, 0.02)
-        out = m.sample_eps(x0, sched, None, "diffusion")
-        np.testing.assert_array_equal(out.data, math.sqrt(sched.final_alpha_bar) * x0.data)
-        assert m.sample_eps(x0, sched, None, "no_diffusion") is x0
-        zeros = m.sample_eps(None, sched, None, "standard_etm", (4, 3))
+        abar = m.final_alpha_bar(100, 0.0, 0.02)
+        out = m.sample_eps(x0, abar, None, "diffusion", (4, 3), np.float64)
+        np.testing.assert_array_equal(out.data, math.sqrt(abar) * x0.data)
+        assert m.sample_eps(x0, abar, None, "no_diffusion", (4, 3), np.float64) is x0
+        zeros = m.sample_eps(None, abar, None, "standard_etm", (4, 3), np.float64)
         np.testing.assert_array_equal(zeros.data, np.zeros((4, 3)))
 
     def test_standard_mode_draws_the_given_shape(self):
-        out = m.sample_eps(None, m.linear_schedule(10, 0.0, 0.1), np.random.default_rng(7), "standard_etm", (5, 2))
+        abar = m.final_alpha_bar(10, 0.0, 0.1)
+        out = m.sample_eps(None, abar, np.random.default_rng(7), "standard_etm", (5, 2), np.float64)
         np.testing.assert_array_equal(out.data, np.random.default_rng(7).standard_normal((5, 2)))
 
     def test_standard_mode_moments(self):
         x0 = ad.Tensor(np.ones((100_000, 4)))
-        out = m.sample_eps(x0, m.linear_schedule(10, 0.0, 0.1), np.random.default_rng(7), "standard_etm")
+        abar = m.final_alpha_bar(10, 0.0, 0.1)
+        out = m.sample_eps(x0, abar, np.random.default_rng(7), "standard_etm", (100_000, 4), np.float64)
         assert np.abs(out.data.mean(axis=0)).max() < 4e-2
         assert np.abs(out.data.var(axis=0) - 1.0).max() < 0.02
 
     def test_diffusion_mode_moments_match_closed_form(self):
-        sched = m.linear_schedule(100, 0.0, 0.02)
-        abar = sched.final_alpha_bar
+        abar = m.final_alpha_bar(100, 0.0, 0.02)
         x0_row = np.array([[-1.0, 0.0, 0.5, 2.0]])
         x0 = ad.Tensor(np.tile(x0_row, (100_000, 1)))
-        out = m.sample_eps(x0, sched, np.random.default_rng(9), "diffusion")
+        out = m.sample_eps(x0, abar, np.random.default_rng(9), "diffusion", (100_000, 4), np.float64)
         se = math.sqrt(1.0 - abar) / math.sqrt(100_000)
         assert np.abs(out.data.mean(axis=0) - math.sqrt(abar) * x0_row[0]).max() < 5 * se
         assert np.abs(out.data.var(axis=0) - (1.0 - abar)).max() < 0.02 * (1.0 - abar)
 
     def test_one_shot_matches_iterated_chain_distribution(self):
         # oracle: run the t = 1..T chain explicitly and compare moments
-        sched = m.linear_schedule(5, 0.0, 0.3)
+        beta = np.linspace(0.0, 0.3, 5)
         rng = np.random.default_rng(12)
         x0 = np.array([1.5, -0.7])
         n = 100_000
         x = np.tile(x0, (n, 1))
-        for t in range(sched.steps):
-            x = math.sqrt(1.0 - sched.beta[t]) * x + math.sqrt(sched.beta[t]) * rng.standard_normal((n, 2))
+        for b in beta:
+            x = math.sqrt(1.0 - b) * x + math.sqrt(b) * rng.standard_normal((n, 2))
         one_shot = m.sample_eps(
-            ad.Tensor(np.tile(x0, (n, 1))), sched, np.random.default_rng(13), "diffusion"
+            ad.Tensor(np.tile(x0, (n, 1))), m.final_alpha_bar(5, 0.0, 0.3),
+            np.random.default_rng(13), "diffusion", (n, 2), np.float64,
         ).data
         np.testing.assert_allclose(x.mean(axis=0), one_shot.mean(axis=0), atol=0.02)
         np.testing.assert_allclose(x.var(axis=0), one_shot.var(axis=0), rtol=0.02)
@@ -431,7 +469,7 @@ class TestForwardBatch:
         cfg, store, x = small_setup()
         result = m.forward_batch(x, store, cfg)
         latents, _ = m.predict_batch(x, store, cfg)
-        abar = cfg.schedule().final_alpha_bar
+        abar = cfg.alpha_bar()
         np.testing.assert_array_equal(result.latents.eps, latents.eps)
         np.testing.assert_array_equal(result.latents.theta, latents.theta)
         np.testing.assert_allclose(result.latents.eps, math.sqrt(abar) * result.latents.x0)
@@ -481,15 +519,14 @@ class TestDtype:
             assert state.m[name].dtype == state.v[name].dtype == np.float32, name
 
     def test_noise_is_drawn_in_float64_then_cast(self):
-        sched = m.linear_schedule(10, 0.0, 0.1)
+        abar = m.final_alpha_bar(10, 0.0, 0.1)
         x0 = ad.Tensor(np.ones((3, 2), dtype=np.float32))
-        out = m.sample_eps(x0, sched, np.random.default_rng(4), "diffusion")
-        abar = sched.final_alpha_bar
+        out = m.sample_eps(x0, abar, np.random.default_rng(4), "diffusion", (3, 2), np.float32)
         noise = math.sqrt(1.0 - abar) * np.random.default_rng(4).standard_normal((3, 2))
         expected = np.float32(math.sqrt(abar)) * x0.data + noise.astype(np.float32)
         assert out.data.dtype == np.float32
         np.testing.assert_array_equal(out.data, expected)
-        etm = m.sample_eps(None, sched, np.random.default_rng(4), "standard_etm", (3, 2), np.float32)
+        etm = m.sample_eps(None, abar, np.random.default_rng(4), "standard_etm", (3, 2), np.float32)
         np.testing.assert_array_equal(
             etm.data, np.random.default_rng(4).standard_normal((3, 2)).astype(np.float32)
         )
@@ -524,7 +561,7 @@ class TestPredictBatch:
     def test_diffusion_deterministic_path_shrinks_x0(self):
         cfg, store, x = small_setup()
         latents, _ = m.predict_batch(x, store, cfg)
-        abar = cfg.schedule().final_alpha_bar
+        abar = cfg.alpha_bar()
         np.testing.assert_allclose(latents.eps, math.sqrt(abar) * latents.x0)
 
 

@@ -415,6 +415,18 @@ def test_checkpoint_byte_flip_loads_or_is_rejected(tmp_path_factory, small_check
     _load_or_reject(tmp_path_factory, bytes(flipped))
 
 
+def test_checkpoint_step_count_above_the_bound_is_rejected(tmp_path, small_checkpoint):
+    """The header that once sized a 22 GiB noise schedule: byte 27 is the
+    high byte of diff_steps."""
+    flipped = bytearray(small_checkpoint)
+    flipped[27] ^= 0xB0
+    assert struct.unpack_from("<I", flipped, 24) == (2952790116,)
+    path = tmp_path / "steps.ckpt"
+    path.write_bytes(bytes(flipped))
+    with pytest.raises(tr.CorruptCheckpoint, match="steps"):
+        tr.load_checkpoint(path)
+
+
 def test_single_batch_isolation(tiny_dataset, tiny_config):
     """A parameter whose loss path a batch never touches must not move."""
     # standard_etm never routes gradients through the diffusion encoder
