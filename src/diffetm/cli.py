@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -95,7 +96,14 @@ def _check_type(key: str, value, want: type):
     if want is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config key {key!r}: expected a number, got {value!r}")
-        return float(value)
+        # json.loads reads Infinity, NaN and integers too large for a float
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"config key {key!r}: expected a finite number, got {value!r}")
+        return number
     if want is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"config key {key!r}: expected an integer, got {value!r}")

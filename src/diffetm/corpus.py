@@ -211,19 +211,50 @@ class DocumentView(Sequence):
         return BowDocument(counts=dict(zip(c.ids[a:b].tolist(), counts)), total=sum(counts))
 
 
-def dense_counts(corpus: BowCorpus, indices, size: int) -> np.ndarray:
-    """Materialize raw count rows (float64) for the given document indices."""
+@dataclass(frozen=True)
+class Batch:
+    """Some documents of a corpus as the model reads them, built once.
+
+    ``x_norm`` is the (B, V) array of each row's counts over the row total,
+    in the model's dtype.  ``rows``, ``cols`` and ``counts`` are the nonzero
+    entries in row-major order, taken from the CSR arrays: the only entries
+    where a count weighs a log-probability in the loss and the perplexity.
+    """
+
+    x_norm: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    counts: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.x_norm.shape
+
+
+def dense_counts(corpus: BowCorpus, indices, size: int, dtype) -> Batch:
+    """The batch of the given documents over a vocabulary of size words.
+
+    Each entry of x_norm is count / total divided in float64, where integer
+    totals are exact, then rounded once to dtype.  Raises ValueError for a
+    document without tokens.  (The name is older than the record; the
+    benchmark tracer patches the function by it.)
+    """
     lengths, at = _entries(corpus.indptr, indices)
-    x = np.zeros((len(lengths), size))
-    x[np.repeat(np.arange(len(lengths)), lengths), corpus.ids[at]] = corpus.counts[at]
-    return x
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    cols, counts = corpus.ids[at], corpus.counts[at]
+    totals = np.bincount(rows, weights=counts, minlength=len(lengths))
+    if np.any(totals <= 0):
+        raise ValueError("forward_batch: a document row has zero tokens")
+    x_norm = np.zeros((len(lengths), size), dtype=dtype)
+    x_norm[rows, cols] = counts / totals[rows]
+    return Batch(x_norm, rows, cols, counts)
 
 
-def iter_batches(corpus: BowCorpus, size: int, batch_size: int):
-    """Dense count rows of every document in corpus order, batch_size at a time."""
+def iter_batches(corpus: BowCorpus, size: int, batch_size: int, dtype):
+    """The batches of every document in corpus order, batch_size at a time."""
     n = len(corpus)
     for start in range(0, n, batch_size):
-        yield dense_counts(corpus, range(start, min(start + batch_size, n)), size)
+        yield dense_counts(corpus, range(start, min(start + batch_size, n)), size, dtype)
 
 
 def check_fractions(fractions) -> None:

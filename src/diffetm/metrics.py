@@ -25,8 +25,8 @@ from .model import (
     LOG_FLOOR,
     LatentBatch,
     ModelConfig,
-    nonzero_entries,
     predict_batch,
+    store_dtype,
     store_vocab_size,
     topic_word_dist,
 )
@@ -40,12 +40,24 @@ class VocabularyMismatch(ValueError):
 
 
 def top_words(beta: np.ndarray, n: int) -> list[list[int]]:
-    """Per-topic word ids by descending probability, ties by ascending id."""
+    """Per-topic word ids by descending probability, ties by ascending id,
+    NaN last: the first n of a stable sort of -beta, n >= 0.
+
+    Only the words at or above each row's n-th value are sorted: a
+    partition finds that value, and every word past it sorts after it.
+    """
+    if n < 0:
+        raise ValueError(f"top_words: n must be >= 0, got {n}")
     n_eff = min(n, beta.shape[1])
+    if n_eff == 0:
+        return [[] for _ in beta]
+    keys = -beta
+    nth = np.partition(keys, n_eff - 1, axis=1)[:, n_eff - 1]
     out = []
-    for row in beta:
-        order = np.argsort(-row, kind="stable")
-        out.append([int(i) for i in order[:n_eff]])
+    for row, bound in zip(keys, nth):
+        # NaN compares false both ways, so a NaN word or bound keeps the word
+        cand = np.flatnonzero(~(row > bound))
+        out.append(cand[np.argsort(row[cand], kind="stable")[:n_eff]].tolist())
     return out
 
 
@@ -150,13 +162,14 @@ def perplexity_and_kl(
     tokens = 0.0
     kl_sum = 0.0
     batches = []
-    for x in iter_batches(corpus_split, store_vocab_size(store), batch_size):
-        latents, x_prime = predict_batch(x, store, config)
+    for batch in iter_batches(
+        corpus_split, store_vocab_size(store), batch_size, store_dtype(store)
+    ):
+        latents, x_prime = predict_batch(batch, store, config)
         batches.append(latents)
-        rows, cols = nonzero_entries(x)
-        counts = x[rows, cols]
-        log_lik += float((counts * np.log(np.maximum(x_prime[rows, cols], LOG_FLOOR))).sum())
-        tokens += float(counts.sum())
+        picked = x_prime[batch.rows, batch.cols]
+        log_lik += float((batch.counts * np.log(np.maximum(picked, LOG_FLOOR))).sum())
+        tokens += float(batch.counts.sum())
         per_doc = 0.5 * (
             latents.mu ** 2 + np.exp(latents.logvar) - latents.logvar - 1.0
         ).sum(axis=1)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
+from .corpus import Batch
 
 MODES = ("diffusion", "no_diffusion", "standard_etm")
 
@@ -149,6 +150,11 @@ def store_vocab_size(store: ad.ParamStore) -> int:
     return store["word_emb"].rows
 
 
+def store_dtype(store: ad.ParamStore) -> np.dtype:
+    """The dtype the model computes in: that of its parameters."""
+    return store["word_emb"].data.dtype
+
+
 # ---------------------------------------------------------------------------
 # forward operations
 
@@ -234,32 +240,24 @@ def reconstruct(theta: ad.Tensor, beta: ad.Tensor) -> ad.Tensor:
     return ad.matmul(theta, beta)
 
 
-def nonzero_entries(x_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the nonzero counts, in row-major order."""
-    # flatnonzero of a boolean mask is several times faster than of floats
-    return np.divmod(np.flatnonzero(x_counts != 0), x_counts.shape[1])
-
-
 def reconstruction_loss(
-    x_counts: np.ndarray,
+    batch: Batch,
     x_prime: ad.Tensor,
     clamp: float | None = LOG_FLOOR,
 ) -> ad.Tensor:
     """Negative log-likelihood -sum(X * log X') averaged over documents.
 
     Only the entries with a nonzero count can contribute, so X' is gathered
-    there and the clamp, log, product and sum run over those entries alone;
-    every other entry of X' gets a zero gradient.  clamp guards the log
-    against softmax underflow; pass None to disable, in which case a
-    nonpositive X' where the count is nonzero raises DomainError.  The
-    counts are taken in X''s dtype.
+    at the batch's entries and the clamp, log, product and sum run over
+    those alone; every other entry of X' gets a zero gradient.  clamp
+    guards the log against softmax underflow; pass None to disable, in
+    which case a nonpositive X' where the count is nonzero raises
+    DomainError.  The counts are taken in X''s dtype.
     """
-    n_docs = x_counts.shape[0]
-    rows, cols = nonzero_entries(x_counts)
-    picked = ad.gather(x_prime, rows, cols)
+    picked = ad.gather(x_prime, batch.rows, batch.cols)
     logged = ad.log_rows(picked if clamp is None else ad.clamp_min(picked, clamp))
-    counts = ad.Tensor(x_counts[rows, cols].astype(x_prime.data.dtype))
-    return ad.scale(ad.sum_all(ad.hadamard(counts, logged)), -1.0 / n_docs)
+    counts = ad.Tensor(batch.counts.astype(x_prime.data.dtype))
+    return ad.scale(ad.sum_all(ad.hadamard(counts, logged)), -1.0 / batch.shape[0])
 
 
 def kl_loss(mu: ad.Tensor, logvar: ad.Tensor) -> ad.Tensor:
@@ -317,7 +315,7 @@ class ForwardResult:
 
 
 def _forward_core(
-    x_counts: np.ndarray,
+    batch: Batch,
     store: ad.ParamStore,
     config: ModelConfig,
     rng: np.random.Generator | None,
@@ -325,14 +323,14 @@ def _forward_core(
     """Encoders, latent driver and decoder, shared by training and
     evaluation; returns the latents, mu, logvar and the reconstruction X'.
 
-    Everything is computed in the dtype of the store's parameters.  The
-    config is taken as validated (train and load_checkpoint validate it).
+    Everything is computed in the dtype of the store's parameters, which
+    the batch must have been built in.  The config is taken as validated
+    (train and load_checkpoint validate it).
     """
-    dtype = store["word_emb"].data.dtype
-    totals = x_counts.sum(axis=1, keepdims=True)
-    if np.any(totals <= 0):
-        raise ValueError("forward_batch: a document row has zero tokens")
-    x_norm = ad.Tensor((x_counts / totals).astype(dtype, copy=False))
+    dtype = store_dtype(store)
+    if batch.x_norm.dtype != dtype:
+        raise ValueError(f"forward_batch: a {batch.x_norm.dtype} batch for {dtype} parameters")
+    x_norm = ad.Tensor(batch.x_norm)
 
     x0 = None if config.mode == "standard_etm" else encode_x0(x_norm, store)
     eps = sample_eps(
@@ -356,12 +354,13 @@ def _forward_core(
 
 
 def forward_batch(
-    x_counts: np.ndarray,
+    x_counts: Batch,
     store: ad.ParamStore,
     config: ModelConfig,
     rng: np.random.Generator | None = None,
 ) -> ForwardResult:
-    """Full forward pass with losses over a batch of raw count rows.
+    """Full forward pass with losses over a batch from corpus.dense_counts
+    (x_counts keeps its name: the benchmark tracer binds it by name).
 
     Given an rng, eps is sampled (training); without one it is replaced by
     its conditional mean and no randomness is consumed (evaluation).  One
@@ -375,7 +374,7 @@ def forward_batch(
 
 
 def predict_batch(
-    x_counts: np.ndarray,
+    x_counts: Batch,
     store: ad.ParamStore,
     config: ModelConfig,
 ) -> tuple[LatentBatch, np.ndarray]:

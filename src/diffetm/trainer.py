@@ -32,6 +32,7 @@ from .model import (
     init_params,
     reparameterize,
     sample_eps,
+    store_dtype,
     store_vocab_size,
 )
 
@@ -275,8 +276,8 @@ def train(
     for epoch in range(1, train_config.epochs + 1):
         sum_recon = sum_kl = sum_total = 0.0
         for idx in _epoch_batches(n, train_config.batch_size, shuffle_rng):
-            x = dense_counts(data.train, idx, v)
-            result = forward_batch(x, store, model_config, noise_rng)
+            batch = dense_counts(data.train, idx, v, store_dtype(store))
+            result = forward_batch(batch, store, model_config, noise_rng)
             recon, kl, total = result.values()
             if not np.isfinite(total):
                 _close_report(report, started, train_config.deterministic, out_dir)

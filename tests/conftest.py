@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from diffetm import autodiff as ad
-from diffetm.corpus import Dataset, build_vocabulary, split_corpus, tokenize_line, vectorize
+from diffetm.corpus import (
+    Batch,
+    BowCorpus,
+    Dataset,
+    build_vocabulary,
+    dense_counts,
+    split_corpus,
+    tokenize_line,
+    vectorize,
+)
 from diffetm.model import ModelConfig
 from diffetm.synth import generate_docs
 
@@ -29,12 +38,17 @@ def tiny_config() -> ModelConfig:
     return ModelConfig(num_topics=5, embed_size=8, hidden_size=16, seed=3)
 
 
-def batch_of(dataset: Dataset, split="train", n=6, seed=0) -> np.ndarray:
-    from diffetm.corpus import dense_counts
+def batch_of(x, dtype=np.float64) -> Batch:
+    """A dense array of counts as the model reads it.
 
-    corpus = dataset.split(split)
-    idx = list(range(min(n, len(corpus))))
-    return dense_counts(corpus, idx, dataset.vocab.V)
+    The array becomes a one-off CSR corpus, one document a row, and the
+    batch comes from dense_counts, the builder training and evaluation use.
+    """
+    x = np.asarray(x)
+    rows, cols = np.nonzero(x)
+    indptr = np.searchsorted(rows, np.arange(x.shape[0] + 1))
+    corpus = BowCorpus("test", indptr, cols, x[rows, cols], "dense")
+    return dense_counts(corpus, range(x.shape[0]), x.shape[1], dtype)
 
 
 def _float64_copy(store: ad.ParamStore) -> ad.ParamStore:

@@ -119,6 +119,10 @@ class TestConfig:
         ("kl_weight", math.nan, "kl_weight"),
         ("diff_steps", 3_000_000_000, "steps"),
         ("sweep_t_values", [0, 10_001], "sweep_t_values"),
+        ("learning_rate", math.inf, "learning_rate"),
+        ("kl_weight", math.inf, "kl_weight"),
+        ("clip_norm", math.inf, "clip_norm"),
+        ("beta_start", -math.inf, "beta_start"),
     ])
     def test_bad_value_exits_2_before_any_directory(self, workspace, tmp_path, capsys, key, value, named):
         path = tmp_path / "bad.json"
@@ -128,6 +132,12 @@ class TestConfig:
         assert cli.main(["train", "--config", str(path)]) == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    def test_integer_too_large_for_a_float_is_a_config_error(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"learning_rate": 1' + "0" * 400 + "}")
+        with pytest.raises(cli.ConfigError, match="learning_rate"):
+            cli.load_config(str(path))
 
     def test_null_output_dir_exits_2_without_a_traceback(self, workspace, tmp_path):
         path = tmp_path / "null.json"

@@ -142,17 +142,17 @@ def test_vectorize_matches_a_per_document_count(token_docs):
 class TestIterBatches:
     def test_batches_cover_the_split_in_order(self):
         corpus = corpus_of([{i % 3: i + 1} for i in range(7)], "valid")
-        batches = list(cp.iter_batches(corpus, 3, 3))
+        batches = list(cp.iter_batches(corpus, 3, 3, np.float64))
         assert [b.shape for b in batches] == [(3, 3), (3, 3), (1, 3)]
-        np.testing.assert_array_equal(
-            np.concatenate(batches), cp.dense_counts(corpus, range(7), 3)
-        )
+        whole = cp.dense_counts(corpus, range(7), 3, np.float64)
+        np.testing.assert_array_equal(np.concatenate([b.x_norm for b in batches]), whole.x_norm)
+        np.testing.assert_array_equal(np.concatenate([b.counts for b in batches]), whole.counts)
 
     def test_empty_split_yields_nothing(self):
-        assert list(cp.iter_batches(corpus_of([], "test"), 4, 2)) == []
+        assert list(cp.iter_batches(corpus_of([], "test"), 4, 2, np.float64)) == []
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.dictionaries(st.integers(0, 7), st.integers(1, 9), max_size=8), max_size=10),
     st.data(),
@@ -160,14 +160,25 @@ class TestIterBatches:
 def test_dense_counts_matches_per_token_loop(maps, data):
     corpus = corpus_of(maps)
     indices = data.draw(st.lists(st.integers(0, len(maps) - 1), max_size=12)) if maps else []
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
     expected = np.zeros((len(indices), 8))
     for row, i in enumerate(indices):
         for idx, n in maps[i].items():
             for _ in range(n):
                 expected[row, idx] += 1.0
-    got = cp.dense_counts(corpus, indices, 8)
-    assert got.dtype == np.float64
-    assert got.tobytes() == expected.tobytes()
+    totals = expected.sum(axis=1, keepdims=True)
+    if (totals == 0).any():
+        with pytest.raises(ValueError, match="^forward_batch: a document row has zero tokens$"):
+            cp.dense_counts(corpus, indices, 8, dtype)
+        return
+    got = cp.dense_counts(corpus, indices, 8, dtype)
+    assert got.shape == expected.shape
+    assert got.x_norm.dtype == dtype
+    assert got.x_norm.tobytes() == (expected / totals).astype(dtype).tobytes()
+    rows, cols = np.nonzero(expected)
+    np.testing.assert_array_equal(got.rows, rows)
+    np.testing.assert_array_equal(got.cols, cols)
+    np.testing.assert_array_equal(got.counts, expected[rows, cols])
 
 
 class TestBowCorpus:

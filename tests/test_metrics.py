@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from conftest import batch_of
 from diffetm import metrics as mx
 from diffetm.corpus import BowCorpus
 from diffetm.model import init_params
@@ -30,6 +32,32 @@ class TestTopWords:
     def test_n_larger_than_vocab_clamps(self):
         beta = np.array([[0.5, 0.3, 0.2]])
         assert mx.top_words(beta, 10) == [[0, 1, 2]]
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            mx.top_words(np.array([[0.5, 0.5]]), -1)
+
+
+def full_sort_top_words(beta, n):
+    """The reference ranking: a full stable sort of each row of -beta."""
+    return [[int(i) for i in np.argsort(-row, kind="stable")[:min(n, beta.shape[1])]] for row in beta]
+
+
+# few distinct values, so that rows hold ties, signed zeros, infinities and NaN
+TIED = st.sampled_from([0.0, -0.0, 0.125, 0.25, 0.5, 1.0, math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arrays(
+        st.sampled_from([np.float32, np.float64]),
+        st.tuples(st.integers(1, 4), st.integers(1, 30)),
+        elements=st.one_of(TIED, st.floats(width=32)),
+    ),
+    st.integers(0, 35),
+)
+def test_top_words_match_a_full_stable_sort(beta, n):
+    assert mx.top_words(beta, n) == full_sort_top_words(beta, n)
 
 
 class TestNpmi:
@@ -145,10 +173,10 @@ def zero_store(config, v):
 
 def double_loop_perplexity(store, config, split, v):
     """exp(-sum(X log X') / sum(X)) one entry at a time, in float64."""
-    from diffetm.model import predict_batch
+    from diffetm.model import predict_batch, store_dtype
 
-    x = batch_of_dense(split, v)
-    _, x_prime = predict_batch(x, store, config)
+    x = dense_of(split, v)
+    _, x_prime = predict_batch(batch_of(x, store_dtype(store)), store, config)
     num = 0.0
     den = 0.0
     for d in range(x.shape[0]):
@@ -203,10 +231,11 @@ class TestPerplexity:
             mx.perplexity(store, tiny_config, tiny_dataset.test.take([]))
 
 
-def batch_of_dense(corpus, v):
-    from diffetm.corpus import dense_counts
-
-    return dense_counts(corpus, range(len(corpus)), v)
+def dense_of(corpus, v):
+    """The corpus's counts as a dense float64 array."""
+    x = np.zeros((len(corpus), v))
+    x[corpus.entry_docs(), corpus.ids] = corpus.counts
+    return x
 
 
 class TestEvaluateModel:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import batch_of
 from diffetm import autodiff as ad
 from diffetm import model as m
+from diffetm.corpus import BowCorpus, dense_counts
 
 
 class TestLinearSchedule:
@@ -295,14 +298,14 @@ class TestLosses:
         x = np.zeros((1, 3))
         x[0, 1] = 1.0
         x_prime = ad.Tensor([[0.0, 1.0, 0.0]])
-        out = m.reconstruction_loss(x, x_prime)
+        out = m.reconstruction_loss(batch_of(x), x_prime)
         assert out.item() == 0.0
 
     def test_uniform_model_costs_tokens_times_log_v(self):
         v, n_tokens = 8, 13.0
         x = np.zeros((1, v))
         x[0, 3] = n_tokens
-        out = m.reconstruction_loss(x, ad.Tensor(np.full((1, v), 1 / v)))
+        out = m.reconstruction_loss(batch_of(x), ad.Tensor(np.full((1, v), 1 / v)))
         assert abs(out.item() - n_tokens * math.log(v)) < 1e-9
 
     def test_matches_double_loop_oracle(self):
@@ -314,20 +317,20 @@ class TestLosses:
             for j in range(7):
                 expected -= x[d, j] * math.log(x_prime[d, j])
         expected /= 4
-        out = m.reconstruction_loss(x, ad.Tensor(x_prime))
+        out = m.reconstruction_loss(batch_of(x), ad.Tensor(x_prime))
         assert abs(out.item() - expected) < 1e-9
 
     def test_domain_error_without_clamp(self):
         x = np.ones((1, 2))
         with pytest.raises(ad.DomainError):
-            m.reconstruction_loss(x, ad.Tensor([[0.5, 0.0]]), clamp=None)
+            m.reconstruction_loss(batch_of(x), ad.Tensor([[0.5, 0.0]]), clamp=None)
 
     def test_no_domain_error_where_the_count_is_zero(self):
         x = np.array([[2.0, 0.0, 1.0]])
-        out = m.reconstruction_loss(x, ad.Tensor([[0.5, 0.0, 0.5]]), clamp=None)
+        out = m.reconstruction_loss(batch_of(x), ad.Tensor([[0.5, 0.0, 0.5]]), clamp=None)
         assert out.item() == pytest.approx(3 * math.log(2.0), rel=1e-15)
         with pytest.raises(ad.DomainError):
-            m.reconstruction_loss(x, ad.Tensor([[0.5, 0.5, -0.0]]), clamp=None)
+            m.reconstruction_loss(batch_of(x), ad.Tensor([[0.5, 0.5, -0.0]]), clamp=None)
 
     @staticmethod
     def _sparse_batch(dtype, seed=12):
@@ -342,7 +345,7 @@ class TestLosses:
     def test_matches_the_dense_oracle(self, dtype, rel):
         x, x_prime = self._sparse_batch(dtype)
         expected = -(x * np.log(np.maximum(x_prime.astype(np.float64), 1e-12))).sum() / 6
-        out = m.reconstruction_loss(x, ad.Tensor(x_prime))
+        out = m.reconstruction_loss(batch_of(x), ad.Tensor(x_prime))
         assert out.data.dtype == dtype
         assert out.item() == pytest.approx(expected, rel=rel)
 
@@ -352,7 +355,7 @@ class TestLosses:
         x[1, 5] = 3.0
         store = ad.ParamStore()
         p = store.add("x_prime", x_prime)
-        ad.backward(m.reconstruction_loss(x, p))
+        ad.backward(m.reconstruction_loss(batch_of(x), p))
         xc = x.astype(dtype)
         mask = x_prime > 1e-12
         expected = ((dtype(-1.0 / 6) * xc) / np.maximum(x_prime, dtype(1e-12))) * mask
@@ -363,9 +366,10 @@ class TestLosses:
         assert (p.grad[~nz] == 0.0).all()
 
     def test_nonzero_entries_in_row_major_order(self):
-        rows, cols = m.nonzero_entries(np.array([[0.0, 2.0, 1.0], [3.0, 0.0, 0.0]]))
-        np.testing.assert_array_equal(rows, [0, 0, 1])
-        np.testing.assert_array_equal(cols, [1, 2, 0])
+        batch = batch_of(np.array([[0.0, 2.0, 1.0], [3.0, 0.0, 0.0]]))
+        np.testing.assert_array_equal(batch.rows, [0, 0, 1])
+        np.testing.assert_array_equal(batch.cols, [1, 2, 0])
+        np.testing.assert_array_equal(batch.counts, [2, 1, 3])
 
     def test_kl_zero_for_standard_normal(self):
         out = m.kl_loss(ad.Tensor([[0.0]]), ad.Tensor([[0.0]]))
@@ -401,14 +405,14 @@ def test_kl_loss_nonnegative(mu, logvar):
 class TestForwardBatch:
     def test_standard_etm_deterministic_path_gives_z_equals_mu(self):
         cfg, store, x = small_setup(mode="standard_etm")
-        result = m.forward_batch(x, store, cfg)
+        result = m.forward_batch(batch_of(x, np.float32), store, cfg)
         np.testing.assert_array_equal(result.latents.z, result.latents.mu)
         assert result.latents.x0 is None
 
     def test_bitwise_deterministic_given_seed(self):
         cfg, store, x = small_setup()
-        r1 = m.forward_batch(x, store, cfg, np.random.default_rng(42))
-        r2 = m.forward_batch(x, store, cfg, np.random.default_rng(42))
+        r1 = m.forward_batch(batch_of(x, np.float32), store, cfg, np.random.default_rng(42))
+        r2 = m.forward_batch(batch_of(x, np.float32), store, cfg, np.random.default_rng(42))
         assert r1.total.item() == r2.total.item()
         assert r1.recon.item() == r2.recon.item()
         np.testing.assert_array_equal(r1.latents.theta, r2.latents.theta)
@@ -417,8 +421,8 @@ class TestForwardBatch:
         cfg, store, x = small_setup()
         cfg_t0 = replace(cfg, diff_steps=0)
         cfg_nd = replace(cfg, mode="no_diffusion")
-        r1 = m.forward_batch(x, store, cfg_t0, np.random.default_rng(3))
-        r2 = m.forward_batch(x, store, cfg_nd, np.random.default_rng(3))
+        r1 = m.forward_batch(batch_of(x, np.float32), store, cfg_t0, np.random.default_rng(3))
+        r2 = m.forward_batch(batch_of(x, np.float32), store, cfg_nd, np.random.default_rng(3))
         assert r1.total.item() == r2.total.item()
         assert r1.kl.item() == r2.kl.item()
         np.testing.assert_array_equal(r1.latents.z, r2.latents.z)
@@ -427,9 +431,11 @@ class TestForwardBatch:
     def _gradient_parts(cfg, store, x):
         """Gradients of the reconstruction, KL and total losses, per parameter."""
 
+        batch = batch_of(x, m.store_dtype(store))
+
         def part(which):
             store.zero_grads()
-            res = m.forward_batch(x, store, cfg, np.random.default_rng(21))
+            res = m.forward_batch(batch, store, cfg, np.random.default_rng(21))
             ad.backward({"recon": res.recon, "kl": res.kl, "total": res.total}[which])
             return {name: store[name].grad.copy() for name in store.names()}
 
@@ -457,9 +463,10 @@ class TestForwardBatch:
 
     def test_gradients_match_finite_differences_all_params(self):
         cfg, store, x = small_setup(seed=7)
+        batch = batch_of(x)  # the check runs the loss in float64
 
         def loss():
-            return m.forward_batch(x, store, cfg, np.random.default_rng(99)).total
+            return m.forward_batch(batch, store, cfg, np.random.default_rng(99)).total
 
         for name in store.names():
             err = ad.finite_diff_check(store, name, loss, max_coords=4, seed=1)
@@ -467,8 +474,8 @@ class TestForwardBatch:
 
     def test_no_rng_takes_the_conditional_mean_path(self):
         cfg, store, x = small_setup()
-        result = m.forward_batch(x, store, cfg)
-        latents, _ = m.predict_batch(x, store, cfg)
+        result = m.forward_batch(batch_of(x, np.float32), store, cfg)
+        latents, _ = m.predict_batch(batch_of(x, np.float32), store, cfg)
         abar = cfg.alpha_bar()
         np.testing.assert_array_equal(result.latents.eps, latents.eps)
         np.testing.assert_array_equal(result.latents.theta, latents.theta)
@@ -478,12 +485,17 @@ class TestForwardBatch:
         cfg, store, x = small_setup()
         x[1] = 0.0
         with pytest.raises(ValueError, match="zero tokens"):
-            m.forward_batch(x, store, cfg, np.random.default_rng(0))
+            m.forward_batch(batch_of(x, np.float32), store, cfg, np.random.default_rng(0))
+
+    def test_batch_in_another_dtype_rejected(self):
+        cfg, store, x = small_setup()
+        with pytest.raises(ValueError, match="float64 batch for float32"):
+            m.forward_batch(batch_of(x, np.float64), store, cfg)
 
     @pytest.mark.parametrize("mode", m.MODES)
     def test_stochastic_rows_sum_to_one(self, mode):
         cfg, store, x = small_setup(mode=mode, seed=11)
-        result = m.forward_batch(x, store, cfg, np.random.default_rng(2))
+        result = m.forward_batch(batch_of(x, np.float32), store, cfg, np.random.default_rng(2))
         np.testing.assert_allclose(result.latents.theta.sum(axis=1), 1.0, atol=1e-6)
         assert (result.latents.theta > 0).all()
         with ad.no_grad():
@@ -497,7 +509,7 @@ class TestDtype:
     @pytest.mark.parametrize("mode", m.MODES)
     def test_training_step_stays_float32(self, mode):
         cfg, store, x = small_setup(mode=mode)
-        result = m.forward_batch(x, store, cfg, np.random.default_rng(1))
+        result = m.forward_batch(batch_of(x, np.float32), store, cfg, np.random.default_rng(1))
         seen, stack = set(), [result.total]
         while stack:
             t = stack.pop()
@@ -535,8 +547,8 @@ class TestDtype:
 class TestPredictBatch:
     def test_no_graph_and_deterministic(self):
         cfg, store, x = small_setup()
-        latents, x_prime = m.predict_batch(x, store, cfg)
-        latents2, x_prime2 = m.predict_batch(x, store, cfg)
+        latents, x_prime = m.predict_batch(batch_of(x, np.float32), store, cfg)
+        latents2, x_prime2 = m.predict_batch(batch_of(x, np.float32), store, cfg)
         np.testing.assert_array_equal(x_prime, x_prime2)
         np.testing.assert_array_equal(latents.theta, latents2.theta)
 
@@ -555,12 +567,41 @@ class TestPredictBatch:
 
         for name in ("topic_word_dist", "reconstruction_loss", "kl_loss"):
             monkeypatch.setattr(m, name, counted(name))
-        m.predict_batch(x, store, cfg)
+        m.predict_batch(batch_of(x, np.float32), store, cfg)
         assert calls == ["topic_word_dist"]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batch_and_prediction_hold_one_dense_array(self, dtype, as_float64):
+        """Building a (B, V) batch, and predicting on it, each allocate one
+        (B, V) array of the model's dtype and little more: no float64 count
+        matrix on the way."""
+        b, v = 256, 4096
+        rng = np.random.default_rng(8)
+        lengths = rng.integers(20, 60, size=b)
+        ids = np.concatenate([np.sort(rng.choice(v, size=n, replace=False)) for n in lengths])
+        corpus = BowCorpus("train", np.append(0, np.cumsum(lengths)), ids, rng.integers(1, 5, ids.size), "r")
+        cfg = m.ModelConfig(num_topics=4, embed_size=8, hidden_size=16)
+        store = m.init_params(cfg, v, np.random.default_rng(1))
+        if dtype == np.float64:
+            store = as_float64(store)
+        dense = b * v * np.dtype(dtype).itemsize
+        tracemalloc.start()
+        try:
+            batch = dense_counts(corpus, range(b), v, dtype)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            m.predict_batch(batch, store, cfg)
+            predict_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        entries = batch.rows.nbytes + batch.cols.nbytes + batch.counts.nbytes
+        assert build_peak < 1.25 * dense + entries
+        assert predict_peak < 1.25 * dense + entries
 
     def test_diffusion_deterministic_path_shrinks_x0(self):
         cfg, store, x = small_setup()
-        latents, _ = m.predict_batch(x, store, cfg)
+        latents, _ = m.predict_batch(batch_of(x, np.float32), store, cfg)
         abar = cfg.alpha_bar()
         np.testing.assert_allclose(latents.eps, math.sqrt(abar) * latents.x0)
 

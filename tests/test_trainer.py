@@ -125,7 +125,7 @@ class TestNanParameter:
     def test_forward_total_is_not_finite(self, tiny_dataset, tiny_config, mode, name):
         cfg = replace(tiny_config, mode=mode)
         store = self._poison(init_params(cfg, tiny_dataset.vocab.V, np.random.default_rng(1)), name)
-        x = dense_counts(tiny_dataset.train, range(8), tiny_dataset.vocab.V)
+        x = dense_counts(tiny_dataset.train, range(8), tiny_dataset.vocab.V, np.float32)
         total = forward_batch(x, store, cfg, np.random.default_rng(2)).total.item()
         assert not np.isfinite(total)
 
@@ -201,7 +201,7 @@ class TestRealizedZKl:
             rng = np.random.default_rng(2)
             z = np.concatenate([
                 forward_batch(x, store, cfg, rng).latents.z
-                for x in iter_batches(tiny_dataset.valid, tiny_dataset.vocab.V, 3)
+                for x in iter_batches(tiny_dataset.valid, tiny_dataset.vocab.V, 3, np.float32)
             ])
             var = np.maximum(z.var(axis=0), 1e-12)
             mean = z.mean(axis=0)
@@ -254,7 +254,7 @@ class TestCheckpointIO:
         path = tmp_path / "model.ckpt"
         tr.save_checkpoint(store, tiny_config, path)
         loaded, loaded_cfg = tr.load_checkpoint(path)
-        x = dense_counts(tiny_dataset.valid, range(4), v)
+        x = dense_counts(tiny_dataset.valid, range(4), v, np.float32)
         before = forward_batch(x, store, tiny_config).total.item()
         after = forward_batch(x, loaded, replace(loaded_cfg, mode=tiny_config.mode)).total.item()
         assert abs(after - before) / abs(before) <= 1e-5
@@ -438,7 +438,7 @@ def test_single_batch_isolation(tiny_dataset, tiny_config):
     frozen = {n: store[n].data.copy() for n in store.names() if n.startswith("diff.")}
     import diffetm.autodiff as ad
 
-    x = dense_counts(tiny_dataset.train, range(6), v)
+    x = dense_counts(tiny_dataset.train, range(6), v, np.float32)
     adam = ad.AdamState(lr=0.05)
     for _ in range(3):
         result = forward_batch(x, store, cfg, np.random.default_rng(0))
