@@ -3,9 +3,13 @@
 
 Writes a seeded synthetic corpus, ingests it, and then, in each model mode,
 runs ``train`` (deterministic, so no wall-clock time reaches a report),
-``eval``, ``topics``, ``kl-test`` and ``sweep-t``.  Prints
-``{relative path: sha256}`` for every file the run left, as JSON.  A change that must keep every artifact byte-identical is
-checked with one diff, running this script against each tree's package:
+``eval``, ``topics``, ``kl-test`` and ``sweep-t``.  It then ingests the same
+documents again as one input file with a stop-word list, and on that corpus
+runs one diffusion ``train`` that validates every other epoch, keeps one
+epoch checkpoint and clips its gradients, followed by ``kl-test``.  Prints
+``{relative path: sha256}`` for every file the run left, as JSON.  A change
+that must keep every artifact byte-identical is checked with one diff,
+running this script against each tree's package:
 
     PYTHONPATH=src python scripts/artifact_hashes.py > after.json
     PYTHONPATH=/path/to/parent/src python scripts/artifact_hashes.py > before.json
@@ -48,6 +52,21 @@ CONFIG = {
     "top_words_export": 10,
     "sweep_t_values": [0, 3, 50],
 }
+# input_file takes precedence over the per-split files
+SINGLE = {
+    **CONFIG,
+    "input_file": "raw/all.txt",
+    "stopword_file": "raw/stop.txt",
+    "split_fractions": [0.7, 0.15, 0.15],
+    "corpus_dir": "corpus_single",
+    "mode": "diffusion",
+    "epochs": 6,
+    "eval_every": 2,
+    "max_checkpoints": 1,
+    "clip_norm": 0.5,
+}
+# upper case, edge punctuation and a blank line: load_stopwords normalizes or skips each
+STOPWORDS = ["W000", "w001.", "", "w002"]
 
 
 def _diffetm(*argv) -> None:
@@ -65,9 +84,11 @@ def run(work: Path, seed: int = 17) -> dict[str, str]:
     cwd = os.getcwd()
     os.chdir(work)
     try:
-        write_split_files(
+        splits = write_split_files(
             "raw", 300, 60, 60, vocab_size=200, n_topics=5, seed=seed, doc_len_range=(20, 60)
         )
+        Path(SINGLE["input_file"]).write_text("".join(p.read_text() for p in splits.values()))
+        Path(SINGLE["stopword_file"]).write_text("\n".join(STOPWORDS) + "\n")
         Path("corpus.json").write_text(json.dumps(CONFIG))
         _diffetm("ingest", "--config", "corpus.json")
         for mode in MODES:
@@ -79,6 +100,11 @@ def run(work: Path, seed: int = 17) -> dict[str, str]:
                 _diffetm(command, "--config", config, "--checkpoint", run_dir / "best.ckpt")
             _diffetm("kl-test", "--config", config, "--run-dir", run_dir)
             _diffetm("sweep-t", "--config", config)
+        Path("single.json").write_text(json.dumps(SINGLE))
+        _diffetm("ingest", "--config", "single.json")
+        _diffetm("train", "--config", "single.json")
+        run_dir = Path(SINGLE["output_dir"]) / cli.run_id_of(cli.load_config("single.json"))
+        _diffetm("kl-test", "--config", "single.json", "--run-dir", run_dir)
     finally:
         os.chdir(cwd)
     return {

@@ -2,12 +2,14 @@
 """Desk-scale mode comparison on a synthetic newsgroup-sized corpus.
 
 Trains the full model, the noising-removed variant, and the classic
-embedded topic model under identical seeds and configs, then reports
-best-validation perplexity per mode and seed.  Expected picture: the
-diffusion run ends lowest, the classic model plateaus early, and the
-un-noised variant stalls above the diffusion run.
+embedded topic model under identical seeds and configs.  It prints the
+corpus size, then for each (seed, mode) the best validation perplexity,
+its epoch and the run's seconds; then, per seed, the three best
+perplexities side by side, and in how many seeds diffusion is below
+standard_etm and below no_diffusion.
 
-Runs for roughly 10 minutes per seed on one CPU core.
+At the defaults (10000 training documents, V=2071, hidden width 128, 60
+epochs) one (seed, mode) run takes 38-44 s on a 2-core x86_64 host.
 """
 
 import argparse
@@ -57,7 +59,7 @@ def main() -> None:
                 f"({time.time() - t0:.0f}s)"
             )
 
-    print("\nmode ordering per seed (want diffusion lowest):")
+    print("\nbest validation perplexity per seed:")
     wins_vs_etm = wins_vs_plain = 0
     for seed in args.seeds:
         d = results[(seed, "diffusion")]

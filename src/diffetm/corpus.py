@@ -37,7 +37,7 @@ class VocabularyFormatError(ValueError):
 
 
 CACHE_MAGIC = b"DETMCORP"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 SPLITS = ("train", "valid", "test")
 
 _PUNCT = string.punctuation
@@ -443,34 +443,23 @@ def read_vocabulary(path: str | Path) -> Vocabulary:
 
 
 def write_corpus_cache(corpus: BowCorpus, vocab_size: int, path: str | Path) -> None:
-    """Binary cache: magic, version u32, V u32, N u32, then per document a
-    pair count u32 followed by (id u32, count u32) pairs, ids ascending,
-    little-endian."""
-    lengths = np.diff(corpus.indptr)
-    body = np.empty(len(corpus) + 2 * len(corpus.ids), dtype="<u4")
-    body[np.arange(len(corpus)) + 2 * corpus.indptr[:-1]] = lengths
-    at = _id_positions(corpus.entry_docs())
-    body[at] = corpus.ids
-    body[at + 1] = corpus.counts
+    """Binary cache, little-endian: magic, version u32, V u32, N u32, then
+    three u32 arrays in document order: the N pair counts, every word id
+    (ascending within a document) and every count."""
     with open(path, "wb") as fh:
         fh.write(CACHE_MAGIC)
         fh.write(struct.pack("<III", CACHE_VERSION, vocab_size, len(corpus)))
-        fh.write(body.tobytes())
-
-
-def _id_positions(entry_docs: np.ndarray) -> np.ndarray:
-    """Word-index position in the cache body of each entry's id: entry k of
-    document d comes after d + 1 pair counts and k earlier pairs."""
-    return entry_docs + 1 + 2 * np.arange(len(entry_docs))
+        for a in (np.diff(corpus.indptr), corpus.ids, corpus.counts):
+            fh.write(a.astype("<u4").tobytes())
 
 
 def read_corpus_cache(path: str | Path, split: str, vocab: Vocabulary) -> BowCorpus:
     """Load a cache written by write_corpus_cache.
 
     Raises CacheFormatError unless the file is a complete cache of this
-    version and vocabulary size in which every document has at least one
-    pair, its ids are ascending, distinct and below V, and every count is
-    positive.
+    version and vocabulary size that holds at least one document, in which
+    every document has at least one pair, its ids are ascending, distinct
+    and below V, and every count is positive.
     """
     data = Path(path).read_bytes()
     if data[:8] != CACHE_MAGIC:
@@ -479,33 +468,32 @@ def read_corpus_cache(path: str | Path, split: str, vocab: Vocabulary) -> BowCor
         raise CacheFormatError(f"{path}: truncated cache (no header)")
     version, size, n_docs = struct.unpack_from("<III", data, 8)
     if version != CACHE_VERSION:
-        raise CacheFormatError(f"{path}: cache version {version}, expected {CACHE_VERSION}")
+        raise CacheFormatError(
+            f"{path}: cache version {version}, expected {CACHE_VERSION}; "
+            "re-run diffetm ingest to rebuild it"
+        )
     if size != vocab.V:
         raise CacheFormatError(f"{path}: cache vocabulary size {size} != {vocab.V}")
+    if n_docs == 0:
+        raise CacheFormatError(f"{path}: cache holds no documents")
     words = (len(data) - 20) // 4
-    body = np.frombuffer(data, dtype="<u4", count=words, offset=20)
-    # every document takes at least one word, its pair count
     if n_docs > words:
         raise CacheFormatError(f"{path}: truncated cache ({n_docs} documents in {words} words)")
-    lengths = np.empty(n_docs, dtype=np.int64)
-    pos = 0
-    for d in range(n_docs):
-        if pos >= words:
-            raise CacheFormatError(f"{path}: truncated cache at document {d}")
-        n = int(body[pos])
-        if n == 0:
-            raise CacheFormatError(f"{path}: document {d} has no (id, count) pairs")
-        lengths[d] = n
-        pos += 1 + 2 * n
-    if pos > words:
-        raise CacheFormatError(f"{path}: truncated cache at document {n_docs - 1}")
-    if 20 + 4 * pos != len(data):
-        raise CacheFormatError(f"{path}: {len(data) - 20 - 4 * pos} trailing bytes")
+    lengths = np.frombuffer(data, dtype="<u4", count=n_docs, offset=20).astype(np.int64)
+    bad = np.flatnonzero(lengths == 0)
+    if bad.size:
+        raise CacheFormatError(f"{path}: document {bad[0]} has no (id, count) pairs")
+    n_pairs = int(lengths.sum())
+    expected = 20 + 4 * (n_docs + 2 * n_pairs)
+    if len(data) < expected:
+        raise CacheFormatError(f"{path}: truncated cache ({len(data)} bytes of {expected})")
+    if len(data) > expected:
+        raise CacheFormatError(f"{path}: {len(data) - expected} trailing bytes")
 
+    ids, counts = np.frombuffer(
+        data, dtype="<u4", count=2 * n_pairs, offset=20 + 4 * n_docs
+    ).astype(np.int64).reshape(2, n_pairs)
     entry_docs = np.repeat(np.arange(n_docs), lengths)
-    at = _id_positions(entry_docs)
-    ids = body[at].astype(np.int64)
-    counts = body[at + 1].astype(np.int64)
     bad = np.flatnonzero(ids >= size)
     if bad.size:
         raise CacheFormatError(

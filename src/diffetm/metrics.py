@@ -33,6 +33,8 @@ from .model import (
 
 N_COHERENCE = 10
 N_DIVERSITY = 25
+# documents per prediction pass of the evaluation path
+EVAL_BATCH_SIZE = 1024
 
 
 class VocabularyMismatch(ValueError):
@@ -148,7 +150,7 @@ def perplexity_and_kl(
     store: ad.ParamStore,
     config: ModelConfig,
     corpus_split: BowCorpus,
-    batch_size: int = 1024,
+    batch_size: int = EVAL_BATCH_SIZE,
 ) -> tuple[float, float, LatentBatch]:
     """One deterministic pass over the split: exp(-sum(X log X') / sum(X)),
     the per-document mean of the closed-form KL against N(0, I), and the
@@ -182,7 +184,7 @@ def perplexity(
     store: ad.ParamStore,
     config: ModelConfig,
     corpus_split: BowCorpus,
-    batch_size: int = 1024,
+    batch_size: int = EVAL_BATCH_SIZE,
 ) -> float:
     """exp(-sum(X log X') / sum(X)) over the split, deterministic path."""
     return perplexity_and_kl(store, config, corpus_split, batch_size)[0]

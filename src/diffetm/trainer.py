@@ -71,6 +71,11 @@ class TrainConfig:
             "epochs": 1, "batch_size": 1, "learning_rate": 0, "eval_every": 1,
             "max_checkpoints": 0, "clip_norm": 0,
         })
+        # a run that never validates selects and writes no checkpoint
+        if self.eval_every > self.epochs:
+            raise ValueError(
+                f"eval_every must be <= epochs ({self.epochs}), got {self.eval_every}"
+            )
 
 
 @dataclass
@@ -194,7 +199,7 @@ def validate(
     config: ModelConfig,
     split: BowCorpus,
     rng: np.random.Generator,
-    batch_size: int = 1024,
+    batch_size: int = metrics_mod.EVAL_BATCH_SIZE,
 ) -> tuple[float, float, float]:
     """Held-out perplexity, the mean closed-form KL and the realized z-KL,
     all from one deterministic encoder pass over the split."""

@@ -1,3 +1,5 @@
+from typing import Callable
+
 import numpy as np
 import pytest
 
@@ -66,3 +68,52 @@ def as_float64():
     identity at a float64 tolerance build their store through this.
     """
     return _float64_copy
+
+
+def finite_diff_check(
+    params: ad.ParamStore,
+    name: str,
+    loss_fn: Callable[[], ad.Tensor],
+    step: float = 1e-5,
+    max_coords: int = 8,
+    seed: int = 0,
+) -> float:
+    """Compare analytic gradients of loss_fn against central differences.
+
+    loss_fn must be deterministic (freeze any noise source by reconstructing
+    it inside the closure).  Returns the max over sampled coordinates of
+    |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+
+    The check runs in float64: every parameter of the store is converted for
+    its duration, then its original array (dtype and values) is put back.
+    """
+    originals = [(t, t.data) for _, t in params.items()]
+    for t, data in originals:
+        t.data = data.astype(np.float64)
+    try:
+        params.zero_grads()
+        ad.backward(loss_fn())
+        analytic = params[name].grad.copy()
+
+        flat = params[name].data.reshape(-1)
+        n = flat.size
+        rng = np.random.default_rng(seed)
+        coords = rng.choice(n, size=min(max_coords, n), replace=False)
+
+        worst = 0.0
+        for idx in coords:
+            orig = flat[idx]
+            flat[idx] = orig + step
+            f_plus = loss_fn().item()
+            flat[idx] = orig - step
+            f_minus = loss_fn().item()
+            flat[idx] = orig
+            numeric = (f_plus - f_minus) / (2.0 * step)
+            a = analytic.reshape(-1)[idx]
+            rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
+            worst = max(worst, rel)
+    finally:
+        for t, data in originals:
+            t.data = data
+        params.zero_grads()
+    return worst

@@ -22,10 +22,11 @@ def test_two_runs_print_the_same_hashes(tmp_path):
     def count(name):
         return sum(Path(p).name == name for p in first)
 
-    # per mode: one run, its eval and topics exports, one sweep over three T
-    assert count("best.ckpt") == 3 + 3 * 3
-    assert count("kl_test.csv") == 3
+    # per mode: one run, its eval and topics exports, one sweep over three T;
+    # then one more run, with its kl-test, on the corpus ingested from one file
+    assert count("best.ckpt") == 3 + 3 * 3 + 1
+    assert count("kl_test.csv") == 3 + 1
     assert count("metrics_report.json") == 3
     assert count("top_words.tsv") == 3 * 2
     assert count("sweep.csv") == 3
-    assert count("train.corpus") == 1
+    assert count("train.corpus") == 2

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import finite_diff_check
 from diffetm import autodiff as ad
 
 
@@ -101,7 +102,7 @@ class TestBackward:
             return ad.scale(ad.sum_all(ad.hadamard(ad.Tensor(target), ad.log_rows(probs))), -1.0)
 
         for name in store.names():
-            assert ad.finite_diff_check(store, name, loss, max_coords=6) <= 1e-4
+            assert finite_diff_check(store, name, loss, max_coords=6) <= 1e-4
 
     def test_backward_is_linear(self):
         rng = np.random.default_rng(3)
@@ -200,7 +201,7 @@ def test_every_primitive_matches_finite_differences(seed):
     for name, raw, build in _primitive_losses(rng):
         store = ad.ParamStore()
         p = param(store, name, raw)
-        err = ad.finite_diff_check(store, name, lambda: build(p), max_coords=6, seed=seed)
+        err = finite_diff_check(store, name, lambda: build(p), max_coords=6, seed=seed)
         assert err <= 1e-4, f"{name}: rel err {err}"
 
 
@@ -264,7 +265,7 @@ class TestFiniteDiffCheck:
     def test_quadratic(self):
         store = ad.ParamStore()
         p = param(store, "p", np.arange(1.0, 7.0).reshape(2, 3))
-        err = ad.finite_diff_check(store, "p", lambda: ad.sum_all(ad.hadamard(p, p)))
+        err = finite_diff_check(store, "p", lambda: ad.sum_all(ad.hadamard(p, p)))
         assert err <= 1e-7
 
     def test_runs_in_float64_and_restores_a_float32_store(self):
@@ -279,7 +280,7 @@ class TestFiniteDiffCheck:
             return ad.sum_all(ad.hadamard(ad.exp(p), ad.exp(p)))
 
         # at step 1e-5 a float32 loss would be far off the analytic gradient
-        assert ad.finite_diff_check(store, "p", loss) <= 1e-7
+        assert finite_diff_check(store, "p", loss) <= 1e-7
         assert set(seen) == {(np.dtype(np.float64),) * 2}
         assert p.data is p_array
         for t, before in ((p, p_before), (q, q_before)):
@@ -290,7 +291,7 @@ class TestFiniteDiffCheck:
     def test_constant_loss(self):
         store = ad.ParamStore()
         param(store, "p", [[1.0, 2.0]])
-        err = ad.finite_diff_check(store, "p", lambda: ad.Tensor([[4.0]]))
+        err = finite_diff_check(store, "p", lambda: ad.Tensor([[4.0]]))
         assert err == 0.0
 
 

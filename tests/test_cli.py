@@ -3,6 +3,7 @@ import json
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -123,6 +124,7 @@ class TestConfig:
         ("kl_weight", math.inf, "kl_weight"),
         ("clip_norm", math.inf, "clip_norm"),
         ("beta_start", -math.inf, "beta_start"),
+        ("eval_every", 5, "eval_every"),
     ])
     def test_bad_value_exits_2_before_any_directory(self, workspace, tmp_path, capsys, key, value, named):
         path = tmp_path / "bad.json"
@@ -275,6 +277,28 @@ class TestEvalCommand:
         assert cli.main(args) == 1
         assert "vocab.tsv:3: 2 fields, expected 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "kl-test"])
+    @pytest.mark.parametrize("version,named", [
+        (1, "cache version 1, expected 2; re-run diffetm ingest"),
+        (2, "cache holds no documents"),
+    ], ids=["version_1", "no_documents"])
+    def test_unreadable_test_cache_exits_1(self, workspace, tmp_path, capsys, command, version, named):
+        corpus_dir = tmp_path / "corpus"
+        shutil.copytree(workspace["root"] / "corpus", corpus_dir)
+        vocab_size = len((corpus_dir / "vocab.tsv").read_text().splitlines()) - 1
+        # a header with no documents: version 1 is refused before N is read
+        (corpus_dir / "test.corpus").write_bytes(b"DETMCORP" + struct.pack("<III", version, vocab_size, 0))
+        p = tmp_path / "cache.json"
+        p.write_text(json.dumps(dict(
+            workspace["cfg"], corpus_dir=str(corpus_dir), output_dir=str(tmp_path / "runs")
+        )))
+        if command == "eval":
+            args = ["eval", "--config", str(p), "--checkpoint", str(workspace["run_dir"] / "best.ckpt")]
+        else:
+            args = ["kl-test", "--config", str(p), "--run-dir", str(workspace["run_dir"])]
+        assert cli.main(args) == 1
+        assert named in capsys.readouterr().err
+
     def test_missing_checkpoint(self, workspace):
         rc = cli.main([
             "eval", "--config", str(workspace["cfg_path"]), "--checkpoint", "/nope.ckpt",
@@ -401,16 +425,16 @@ GOLDEN_INPUT = [
 GOLDEN_ARTIFACTS = ("vocab.tsv", "train.corpus", "valid.corpus", "test.corpus", "ingest_report.json")
 GOLDEN_PRESPLIT = {
     "vocab.tsv": "2c2316835a757e0382e4cf60397b4b4a244e2a09fb045c9e165b9023f5559238",
-    "train.corpus": "135c13b7522b578766d8eb4f788021e9dd2d3d84f1f888f87c8af5ba3fc90dc4",
-    "valid.corpus": "ffac64f6a2df2e5c4f81c17cd310eb676114dfae6d8e598e346fbc29ecc9e92c",
-    "test.corpus": "9392fb933b753de3d7f7e9c62a98ad75cef0757099596675276659da7f41b250",
+    "train.corpus": "bd8dccaa9e0b7db30429f9e35fdb1fdbc8cfc323a4a05144f8b4991558ef8aca",
+    "valid.corpus": "727f81b1763d066b235233aef9f8b665c0c6d5494b25310a762fe7ac8c37451f",
+    "test.corpus": "d9a616eb2fc18ca9233a19bc894aff0c8f040e44ab06a30ed9b7a6bbbe2e4ea3",
     "ingest_report.json": "388628363cfcd1b3b72edc7f7f9441cfe9ac6aa34e8e434a548d989f9588659f",
 }
 GOLDEN_SINGLE = {
     "vocab.tsv": "b618875478b6a173d3e6a8d9da7cde972c9376a22087a672043a031b2ce55c27",
-    "train.corpus": "41f2e7af43a1a3cab8c89a231d773acf9020f4aa9070cd731e860357badcaed4",
-    "valid.corpus": "cc2ef3c6c001b30472591e4252fc69cb1f622bb524856b562125e785548f1bed",
-    "test.corpus": "2fd1f89432630671c5a8d41d0353fcd0dc281ca8bde8f23468c5173b0a0a2478",
+    "train.corpus": "21858608eedec4cccc78139260b999cc1e76ffa1b01b2673c73d6d5f3ca28b88",
+    "valid.corpus": "529a8bbb93b679d9af4feff4cb8673f77e4182a8762c17a4c8bf1fa2e1dc4387",
+    "test.corpus": "29f276158199f11cf1abc43343ffef9ff1fb243e9dfecb776daf2eafdea39e6c",
     "ingest_report.json": "69127bc1a3c552bcc5b97c26cff6eb8380dd74d5e5b3fb5798e0cd553e031f9a",
 }
 

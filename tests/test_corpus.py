@@ -344,12 +344,14 @@ class TestFileFormats:
 
 def _cache_bytes(V, docs):
     """A cache file built field by field: docs is a list of (id, count) lists."""
-    out = cp.CACHE_MAGIC + struct.pack("<III", cp.CACHE_VERSION, V, len(docs))
-    for pairs in docs:
-        out += struct.pack("<I", len(pairs))
-        for w, n in pairs:
-            out += struct.pack("<II", w, n)
-    return out
+    pairs = [pair for doc in docs for pair in doc]
+    return (
+        cp.CACHE_MAGIC
+        + struct.pack("<III", cp.CACHE_VERSION, V, len(docs))
+        + struct.pack(f"<{len(docs)}I", *map(len, docs))
+        + struct.pack(f"<{len(pairs)}I", *(w for w, _ in pairs))
+        + struct.pack(f"<{len(pairs)}I", *(n for _, n in pairs))
+    )
 
 
 class TestCacheValidation:
@@ -383,6 +385,27 @@ class TestCacheValidation:
     def test_document_without_pairs(self, tmp_path):
         with pytest.raises(cp.CacheFormatError, match="no \\(id, count\\) pairs"):
             self._read(tmp_path, [[(0, 1)], []])
+
+    def test_no_documents(self, tmp_path):
+        with pytest.raises(cp.CacheFormatError, match="no documents"):
+            self._read(tmp_path, [])
+
+    def test_version_1_is_refused_with_a_re_ingest_hint(self, tmp_path):
+        # a version-1 file: per document a pair count, then its (id, count) pairs
+        path = tmp_path / "train.corpus"
+        path.write_bytes(cp.CACHE_MAGIC + struct.pack("<IIIIII", 1, self.VOCAB.V, 1, 1, 0, 1))
+        with pytest.raises(cp.CacheFormatError, match="cache version 1, .*re-run diffetm ingest"):
+            cp.read_corpus_cache(path, "train", self.VOCAB)
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda body: body[:-4], "truncated"),
+        (lambda body: body + struct.pack("<I", 1), "4 trailing bytes"),
+    ], ids=["one_word_short", "one_word_long"])
+    def test_body_one_word_short_or_long(self, tmp_path, edit, named):
+        path = tmp_path / "train.corpus"
+        path.write_bytes(edit(_cache_bytes(self.VOCAB.V, [[(0, 1), (2, 3)], [(1, 1)]])))
+        with pytest.raises(cp.CacheFormatError, match=named):
+            cp.read_corpus_cache(path, "train", self.VOCAB)
 
     def test_writer_matches_the_field_by_field_format(self, tmp_path):
         corpus = corpus_of([{2: 1, 0: 4}, {1: 7}], vocab_ref=self.VOCAB.ref_id)

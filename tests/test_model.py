@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import batch_of
+from conftest import batch_of, finite_diff_check
 from diffetm import autodiff as ad
 from diffetm import model as m
 from diffetm.corpus import BowCorpus, dense_counts
@@ -147,7 +147,7 @@ class TestEncoders:
             return ad.sum_all(m.encode_x0(x_norm, store))
 
         for name in ("diff.w1", "diff.b1", "diff.w2", "diff.w3"):
-            assert ad.finite_diff_check(store, name, loss, max_coords=5) <= 1e-4
+            assert finite_diff_check(store, name, loss, max_coords=5) <= 1e-4
 
 
 class TestSampleEps:
@@ -469,7 +469,7 @@ class TestForwardBatch:
             return m.forward_batch(batch, store, cfg, np.random.default_rng(99)).total
 
         for name in store.names():
-            err = ad.finite_diff_check(store, name, loss, max_coords=4, seed=1)
+            err = finite_diff_check(store, name, loss, max_coords=4, seed=1)
             assert err <= 1e-4, f"{name}: {err}"
 
     def test_no_rng_takes_the_conditional_mean_path(self):

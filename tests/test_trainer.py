@@ -78,6 +78,14 @@ class TestTrain:
         assert report.val_perplexity[1] is not None
         assert report.val_perplexity[2] is None
 
+    def test_eval_every_beyond_epochs_is_rejected(self, tiny_dataset, tiny_config, tmp_path):
+        tr.TrainConfig(epochs=3, eval_every=3).validate()
+        with pytest.raises(ValueError, match="eval_every must be <= epochs"):
+            tr.TrainConfig(epochs=3, eval_every=5).validate()
+        with pytest.raises(ValueError, match="eval_every"):
+            tr.train(tiny_config, tiny_train_config(tmp_path, epochs=3, eval_every=5), tiny_dataset)
+        assert list(tmp_path.iterdir()) == []
+
     def test_max_checkpoints_retention(self, tiny_dataset, tiny_config, tmp_path):
         tr.train(tiny_config, tiny_train_config(tmp_path, epochs=8, max_checkpoints=2), tiny_dataset)
         kept = sorted(tmp_path.glob("checkpoint_epoch*.ckpt"))
