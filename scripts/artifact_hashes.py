@@ -8,12 +8,12 @@ documents again as one input file with a stop-word list, and on that corpus
 runs one diffusion ``train`` that validates every other epoch, keeps one
 epoch checkpoint and clips its gradients, followed by ``kl-test``.  Prints
 ``{relative path: sha256}`` for every file the run left, as JSON.  A change
-that must keep every artifact byte-identical is checked with one diff,
-running this script against each tree's package:
+that must keep every artifact byte-identical is checked with one command,
+which runs the script once more in a subprocess with the other tree's
+package on PYTHONPATH, prints every path whose hash differs or that only
+one side has, and exits 1 if there is any:
 
-    PYTHONPATH=src python scripts/artifact_hashes.py > after.json
-    PYTHONPATH=/path/to/parent/src python scripts/artifact_hashes.py > before.json
-    diff before.json after.json
+    PYTHONPATH=src python scripts/artifact_hashes.py --against /path/to/parent/src
 
 Every path in the configs is relative to the work directory, so the run
 ids, the manifests and the printed paths do not depend on where it is.
@@ -27,6 +27,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -114,18 +115,42 @@ def run(work: Path, seed: int = 17) -> dict[str, str]:
     }
 
 
+def hashes_with(src: Path, seed: int) -> dict[str, str]:
+    """The hashes this script prints when it imports diffetm from src."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--seed", str(seed)]
+    return json.loads(subprocess.run(cmd, env=env, stdout=subprocess.PIPE, check=True).stdout)
+
+
+def differing(before: dict[str, str], after: dict[str, str]) -> list[str]:
+    """Every path whose hash differs or that only one side has."""
+    return sorted(p for p in before.keys() | after.keys() if before.get(p) != after.get(p))
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--work", help="work directory to keep (default: a temporary one)")
     ap.add_argument("--seed", type=int, default=17, help="seed of the synthetic corpus")
+    ap.add_argument(
+        "--against", metavar="PATH/src",
+        help="compare with a run that imports diffetm from this src; exits 1 on any difference",
+    )
     args = ap.parse_args()
     if args.work is not None:
         hashes = run(Path(args.work).resolve(), args.seed)
     else:
         with tempfile.TemporaryDirectory() as tmp:
             hashes = run(Path(tmp), args.seed)
-    json.dump(hashes, sys.stdout, indent=1, sort_keys=True)
-    print()
+    if args.against is None:
+        json.dump(hashes, sys.stdout, indent=1, sort_keys=True)
+        print()
+        return
+    before = hashes_with(Path(args.against).resolve(), args.seed)
+    paths = differing(before, hashes)
+    for path in paths:
+        print(path)
+    print(f"{len(paths)} of {len(before.keys() | hashes.keys())} paths differ", file=sys.stderr)
+    sys.exit(1 if paths else 0)
 
 
 if __name__ == "__main__":

@@ -166,9 +166,9 @@ def load_config(
         raise ConfigError("config key 'top_words_export': expected an integer >= 1")
     try:
         corpus_mod.check_min_df(cfg["min_df"])
-        corpus_mod.check_fractions(cfg["split_fractions"])
+        corpus_mod.check_split(cfg["split_fractions"], cfg["split_seed"])
         model_config_of(cfg).validate()
-        train_config_of(cfg, Path()).validate()
+        train_config_of(cfg).validate()
     except ValueError as exc:
         raise ConfigError(f"invalid config: {exc}") from None
     return cfg
@@ -183,9 +183,8 @@ def model_config_of(cfg: dict) -> ModelConfig:
     return ModelConfig(**{f.name: cfg[f.name] for f in fields(ModelConfig)})
 
 
-def train_config_of(cfg: dict, output_dir: Path) -> TrainConfig:
-    keys = {f.name: cfg[f.name] for f in fields(TrainConfig) if f.name != "output_dir"}
-    return TrainConfig(**keys, output_dir=str(output_dir))
+def train_config_of(cfg: dict) -> TrainConfig:
+    return TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
 
 
 def _sha256(path: Path) -> str:
@@ -297,11 +296,8 @@ def cmd_ingest(cfg: dict) -> int:
 def cmd_train(cfg: dict) -> int:
     dataset = load_dataset(_require_dir_key(cfg, "corpus_dir"))
     run_dir = Path(cfg["output_dir"]) / run_id_of(cfg)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    model_config = model_config_of(cfg)
-    train_config = train_config_of(cfg, run_dir)
     try:
-        report = trainer_mod.train(model_config, train_config, dataset)
+        report = trainer_mod.train(model_config_of(cfg), train_config_of(cfg), dataset, run_dir)
     except Diverged as exc:
         write_manifest(run_dir, "train", cfg, _run_artifacts(run_dir))
         print(f"[train] diverged: {exc}", file=sys.stderr)
@@ -381,11 +377,9 @@ def cmd_sweep_t(cfg: dict) -> int:
     rows = []
     for t in cfg["sweep_t_values"]:
         run_dir = sweep_dir / f"t{t:04d}"
-        run_dir.mkdir(parents=True, exist_ok=True)
         model_config = replace(model_config_of(cfg), diff_steps=t, mode="diffusion")
-        train_config = train_config_of(cfg, run_dir)
         try:
-            trainer_mod.train(model_config, train_config, dataset)
+            trainer_mod.train(model_config, train_config_of(cfg), dataset, run_dir)
             store, ckpt_config = load_checkpoint(run_dir / "best.ckpt")
             report, _ = _evaluate(cfg, store, ckpt_config, dataset)
             rows.append(
@@ -413,22 +407,26 @@ def cmd_kl_test(cfg: dict, run_dir_arg: str) -> int:
     run_dir = Path(run_dir_arg)
     if not run_dir.exists():
         raise ConfigError(f"run directory does not exist: {run_dir}")
-    ckpts = sorted(run_dir.glob("checkpoint_epoch*.ckpt"))
+    found = run_dir.glob("checkpoint_epoch*.ckpt")
+    try:  # by epoch number: as a name, epoch 10000 sorts before 9999
+        ckpts = sorted((trainer_mod.checkpoint_epoch(p.name), p) for p in found)
+    except ValueError as exc:
+        raise ConfigError(f"{run_dir}: {exc}") from None
     if not ckpts:
         raise ConfigError(f"no epoch checkpoints under {run_dir}")
     dataset = load_dataset(_require_dir_key(cfg, "corpus_dir"))
     split = dataset.split(cfg["eval_split"])
     points = []
-    for ckpt in ckpts:
+    for epoch, ckpt in ckpts:
         store, model_config = load_checkpoint(ckpt)
         metrics_mod.check_vocab_size(store, dataset.vocab.V)
         ppl, kl, _ = metrics_mod.perplexity_and_kl(store, model_config, split)
-        points.append((int(ckpt.stem.removeprefix("checkpoint_epoch")), kl, ppl))
+        points.append((epoch, kl, ppl))
     traj = trainer_mod.improving_trajectory(points)
     csv_path = run_dir / "kl_test.csv"
-    csv_path.write_text(traj.to_csv())
+    csv_path.write_text(trainer_mod.trajectory_csv(traj))
     write_manifest(run_dir, "kl-test", cfg, [csv_path], KL_TEST_MANIFEST)
-    print(f"[kl-test] {len(traj.points)} improving checkpoints -> {csv_path}")
+    print(f"[kl-test] {len(traj)} improving checkpoints -> {csv_path}")
     return 0
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 
 class AllTokensPruned(ValueError):
-    """No token survived document-frequency pruning (min_df too large)."""
+    """Fewer than two tokens survived document-frequency pruning (min_df too large)."""
 
 
 class EmptySplit(ValueError):
@@ -79,6 +79,11 @@ class Vocabulary:
 def check_min_df(min_df: int) -> None:
     if min_df < 1:
         raise ValueError(f"min_df must be >= 1, got {min_df}")
+
+
+def check_min_vocab(vocab: Vocabulary, error: type[ValueError], source: str) -> None:
+    if vocab.V < 2:  # NPMI coherence scores pairs of a topic's top words
+        raise error(f"{source} {vocab.V} token(s); a vocabulary needs at least 2")
 
 
 def build_vocabulary(token_docs: list[list[str]], min_df: int) -> Vocabulary:
@@ -257,11 +262,14 @@ def iter_batches(corpus: BowCorpus, size: int, batch_size: int, dtype):
         yield dense_counts(corpus, range(start, min(start + batch_size, n)), size, dtype)
 
 
-def check_fractions(fractions) -> None:
+def check_split(fractions, seed: int) -> None:
+    """The rule for a split's train/valid/test fractions and shuffle seed."""
     if len(fractions) != 3 or not all(isinstance(f, (int, float)) and f > 0 for f in fractions):
         raise ValueError(f"fractions must be three positive numbers: {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1: {fractions}")
+    if seed < 0:
+        raise ValueError(f"split_seed must be >= 0, got {seed}")
 
 
 def split_corpus(
@@ -274,7 +282,7 @@ def split_corpus(
     Split sizes differ from N*f by at most 1.  Raises EmptySplit when a
     split would get zero documents.
     """
-    check_fractions(fractions)
+    check_split(fractions, seed)
     n = len(corpus)
     exact = [n * f for f in fractions]
     sizes = [int(e) for e in exact]
@@ -356,6 +364,7 @@ def ingest_presplit(
         "test": _read_token_docs(test_path, stop),
     }
     vocab = build_vocabulary(raw["train"], min_df)
+    check_min_vocab(vocab, AllTokensPruned, f"min_df={min_df} keeps")
     splits: dict[str, BowCorpus] = {}
     docs_in, kept, dropped, tokens = {}, {}, {}, {}
     for name, token_docs in raw.items():
@@ -381,6 +390,7 @@ def ingest_single(
     stop = load_stopwords(stopword_path)
     token_docs = _read_token_docs(input_path, stop)
     vocab = build_vocabulary(token_docs, min_df)
+    check_min_vocab(vocab, AllTokensPruned, f"min_df={min_df} keeps")
     corpus = vectorize(token_docs, vocab, "all")
     train, valid, test = split_corpus(corpus, fractions, seed)
     n_in = len(token_docs)
@@ -412,7 +422,7 @@ def read_vocabulary(path: str | Path) -> Vocabulary:
     Raises VocabularyFormatError for text that is not UTF-8, a bad header,
     a line without exactly three tab-separated fields, an empty or repeated
     token, an id other than the line's position written as a plain decimal,
-    and a doc_freq that is not a nonnegative decimal integer.
+    a doc_freq that is not a nonnegative decimal integer, or < 2 tokens.
     """
     index_of: dict[str, int] = {}
     freqs: list[int] = []
@@ -439,7 +449,9 @@ def read_vocabulary(path: str | Path) -> Vocabulary:
                 freqs.append(int(df))
     except UnicodeDecodeError as exc:
         raise VocabularyFormatError(f"{path}: not UTF-8 text ({exc})") from None
-    return Vocabulary(list(index_of), index_of, np.array(freqs, dtype=np.int64))
+    vocab = Vocabulary(list(index_of), index_of, np.array(freqs, dtype=np.int64))
+    check_min_vocab(vocab, VocabularyFormatError, f"{path}: holds")
+    return vocab
 
 
 def write_corpus_cache(corpus: BowCorpus, vocab_size: int, path: str | Path) -> None:

@@ -85,6 +85,8 @@ class ModelConfig:
         check_minimums(self, {"num_topics": 2, "embed_size": 1, "hidden_size": 1, "kl_weight": 0})
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not 0 <= self.seed < 2**63:  # a checkpoint header stores a signed 64-bit seed
+            raise ValueError(f"seed must be in [0, 2**63), got {self.seed}")
         self.alpha_bar()  # the step and beta-range rules; InvalidSchedule is a ValueError
 
     def alpha_bar(self) -> float:
@@ -243,19 +245,17 @@ def reconstruct(theta: ad.Tensor, beta: ad.Tensor) -> ad.Tensor:
 def reconstruction_loss(
     batch: Batch,
     x_prime: ad.Tensor,
-    clamp: float | None = LOG_FLOOR,
 ) -> ad.Tensor:
     """Negative log-likelihood -sum(X * log X') averaged over documents.
 
     Only the entries with a nonzero count can contribute, so X' is gathered
     at the batch's entries and the clamp, log, product and sum run over
-    those alone; every other entry of X' gets a zero gradient.  clamp
-    guards the log against softmax underflow; pass None to disable, in
-    which case a nonpositive X' where the count is nonzero raises
-    DomainError.  The counts are taken in X''s dtype.
+    those alone; every other entry of X' gets a zero gradient.  The clamp
+    at LOG_FLOOR guards the log against softmax underflow.  The counts are
+    taken in X''s dtype.
     """
     picked = ad.gather(x_prime, batch.rows, batch.cols)
-    logged = ad.log_rows(picked if clamp is None else ad.clamp_min(picked, clamp))
+    logged = ad.log_rows(ad.clamp_min(picked, LOG_FLOOR))
     counts = ad.Tensor(batch.counts.astype(x_prime.data.dtype))
     return ad.scale(ad.sum_all(ad.hadamard(counts, logged)), -1.0 / batch.shape[0])
 

@@ -3,8 +3,8 @@
 Randomness is split into independent seeded streams (init / shuffle /
 noise) so that runs with equal configuration and seed are bitwise
 reproducible.  A checkpoint is written whenever validation perplexity
-improves; the trajectory of those improving epochs is the model-quality
-instrumentation exported by log_kl_trajectory.
+improves; one list of those epochs decides which epoch files are kept and
+is exported as kl_trajectory.csv, the model-quality instrumentation.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import struct
 import time
 from dataclasses import asdict, dataclass, field, fields
-from itertools import count
 from pathlib import Path
 from typing import Iterable
 
@@ -62,7 +61,6 @@ class TrainConfig:
     eval_every: int = 1
     max_checkpoints: int = 0  # 0 keeps every improving checkpoint
     deterministic: bool = False
-    output_dir: str | None = None
     clip_norm: float = 0.0  # 0 disables clipping
 
     def validate(self) -> None:
@@ -103,21 +101,20 @@ class TrainReport:
         return json.dumps(asdict(self), indent=2)
 
 
-@dataclass
-class KlTrajectory:
-    """(epoch, kl, perplexity) at exactly the improving-checkpoint epochs."""
-
-    points: list[tuple[int, float, float]]
-
-    def to_csv(self) -> str:
-        lines = ["epoch,kl,perplexity"]
-        for epoch, kl, ppl in self.points:
-            lines.append(f"{epoch},{kl!r},{ppl!r}")
-        return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # checkpoint serialization (float32 storage)
+
+
+def checkpoint_name(epoch: int) -> str:
+    return f"checkpoint_epoch{epoch:04d}.ckpt"
+
+
+def checkpoint_epoch(name: str) -> int:
+    """The epoch of a checkpoint_name; ValueError for any other name."""
+    digits = name.removeprefix("checkpoint_epoch").removesuffix(".ckpt")
+    if not (digits.isascii() and digits.isdigit() and checkpoint_name(int(digits)) == name):
+        raise ValueError(f"{name!r} is not an epoch checkpoint name (checkpoint_epochNNNN.ckpt)")
+    return int(digits)
 
 
 def save_checkpoint(store: ad.ParamStore, config: ModelConfig, path: str | Path) -> None:
@@ -246,13 +243,14 @@ def train(
     model_config: ModelConfig,
     train_config: TrainConfig,
     data: Dataset,
+    run_dir: Path | None = None,
 ) -> TrainReport:
     """Run the full training loop; returns the report, writes artifacts.
 
-    Checkpoints land in train_config.output_dir (when set) as
-    checkpoint_epoch{NNNN}.ckpt at each improving epoch plus best.ckpt;
-    at most max_checkpoints epoch files are retained (0 = unlimited).
-    Raises Diverged, carrying the partial report, on a non-finite loss;
+    When run_dir is given it is created and gets checkpoint_name(epoch)
+    at each improving epoch plus best.ckpt, at most max_checkpoints epoch
+    files (0 = unlimited), and those epochs' kl_trajectory.csv.  Raises
+    Diverged, carrying the partial report, on a non-finite loss;
     train_report.json is written either way.
     """
     model_config.validate()
@@ -269,12 +267,12 @@ def train(
     store = init_params(model_config, v, init_rng)
     adam = ad.AdamState(lr=train_config.learning_rate)
 
-    out_dir = Path(train_config.output_dir) if train_config.output_dir else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if run_dir is not None:
+        run_dir.mkdir(parents=True, exist_ok=True)
 
     report = TrainReport(seed=seed, epochs=train_config.epochs)
-    epoch_ckpts: list[Path] = []
+    # (epoch, val_kl, val_ppl) of each selected checkpoint, in epoch order
+    improving: list[tuple[int, float, float]] = []
     n = len(data.train)
     started = time.monotonic()
 
@@ -285,7 +283,7 @@ def train(
             result = forward_batch(batch, store, model_config, noise_rng)
             recon, kl, total = result.values()
             if not np.isfinite(total):
-                _close_report(report, started, train_config.deterministic, out_dir)
+                _close_report(report, started, train_config.deterministic, run_dir)
                 raise Diverged(
                     f"non-finite loss at epoch {epoch} (lr={train_config.learning_rate})",
                     report=report,
@@ -314,50 +312,41 @@ def train(
             if ppl < report.best_val_perplexity:
                 report.best_val_perplexity = ppl
                 report.best_epoch = epoch
-                if out_dir is not None:
-                    ckpt = out_dir / f"checkpoint_epoch{epoch:04d}.ckpt"
-                    save_checkpoint(store, model_config, ckpt)
-                    save_checkpoint(store, model_config, out_dir / "best.ckpt")
-                    epoch_ckpts.append(ckpt)
-                    if train_config.max_checkpoints > 0:
-                        while len(epoch_ckpts) > train_config.max_checkpoints:
-                            epoch_ckpts.pop(0).unlink()
+                improving.append((epoch, kl_term, ppl))
+                if run_dir is not None:
+                    save_checkpoint(store, model_config, run_dir / checkpoint_name(epoch))
+                    save_checkpoint(store, model_config, run_dir / "best.ckpt")
+                    if 0 < train_config.max_checkpoints < len(improving):
+                        dropped = improving[-1 - train_config.max_checkpoints][0]
+                        (run_dir / checkpoint_name(dropped)).unlink()
         else:
             report.val_perplexity.append(None)
             report.val_kl.append(None)
             report.val_z_kl.append(None)
 
-    _close_report(report, started, train_config.deterministic, out_dir)
-    if out_dir is not None:
-        log_kl_trajectory(report, out_dir / "kl_trajectory.csv")
+    _close_report(report, started, train_config.deterministic, run_dir)
+    if run_dir is not None:
+        (run_dir / "kl_trajectory.csv").write_text(trajectory_csv(improving))
     return report
 
 
-def _close_report(report: TrainReport, started: float, deterministic: bool, out_dir: Path | None) -> None:
-    """Stamp the wall-clock time and write train_report.json when out_dir is set."""
+def _close_report(report: TrainReport, started: float, deterministic: bool, run_dir: Path | None) -> None:
+    """Stamp the wall-clock time and write train_report.json when run_dir is set."""
     report.wall_seconds = 0.0 if deterministic else time.monotonic() - started
-    if out_dir is not None:
-        (out_dir / "train_report.json").write_text(report.to_json())
+    if run_dir is not None:
+        (run_dir / "train_report.json").write_text(report.to_json())
 
 
-def improving_trajectory(points: Iterable[tuple[int, float | None, float | None]]) -> KlTrajectory:
-    """Keep the (epoch, kl, perplexity) points whose perplexity beats every
-    earlier one, skipping points that were not evaluated.
-
-    The perplexity column is strictly decreasing by construction.
-    """
+def improving_trajectory(points: Iterable[tuple]) -> list[tuple[int, float, float]]:
+    """The (epoch, kl, perplexity) points whose perplexity beats every earlier
+    one, as training selects its checkpoints; the perplexity strictly falls."""
     kept = []
-    best = float("inf")
     for epoch, kl, ppl in points:
-        if ppl is not None and ppl < best:
-            best = ppl
+        if ppl < (kept[-1][2] if kept else float("inf")):
             kept.append((epoch, kl, ppl))
-    return KlTrajectory(points=kept)
+    return kept
 
 
-def log_kl_trajectory(report: TrainReport, path: str | Path | None = None) -> KlTrajectory:
-    """Extract the improving-checkpoint epochs as (epoch, kl, perplexity)."""
-    traj = improving_trajectory(zip(count(1), report.val_kl, report.val_perplexity))
-    if path is not None:
-        Path(path).write_text(traj.to_csv())
-    return traj
+def trajectory_csv(points: Iterable[tuple]) -> str:
+    """The epoch,kl,perplexity CSV of (epoch, kl, perplexity) points."""
+    return "epoch,kl,perplexity\n" + "".join(f"{e},{kl!r},{ppl!r}\n" for e, kl, ppl in points)

@@ -95,8 +95,7 @@ class TestConfig:
         assert cli.model_config_of(cli.load_config()) == ModelConfig()
 
     def test_train_defaults_are_the_dataclass_defaults(self):
-        train_config = cli.train_config_of(cli.load_config(), Path("runs/x"))
-        assert train_config == TrainConfig(output_dir="runs/x")
+        assert cli.train_config_of(cli.load_config()) == TrainConfig()
 
     def test_missing_config_file(self):
         with pytest.raises(cli.ConfigError, match="not found"):
@@ -125,6 +124,9 @@ class TestConfig:
         ("clip_norm", math.inf, "clip_norm"),
         ("beta_start", -math.inf, "beta_start"),
         ("eval_every", 5, "eval_every"),
+        ("seed", -1, "seed"),
+        ("seed", 2**63, "seed"),
+        ("split_seed", -1, "split_seed"),
     ])
     def test_bad_value_exits_2_before_any_directory(self, workspace, tmp_path, capsys, key, value, named):
         path = tmp_path / "bad.json"
@@ -133,6 +135,13 @@ class TestConfig:
             cli.load_config(str(path))
         assert cli.main(["train", "--config", str(path)]) == 2
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_negative_seed_flag_exits_2_before_any_directory(self, workspace, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**workspace["cfg"], "output_dir": str(tmp_path / "runs")}))
+        assert cli.main(["train", "--config", str(path), "--seed", "-1"]) == 2
+        assert "seed must be in [0, 2**63)" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
     def test_integer_too_large_for_a_float_is_a_config_error(self, tmp_path):
@@ -177,6 +186,18 @@ class TestIngestCommand:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert cli.main(["ingest", "--config", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_one_word_vocabulary_exits_1_before_output(self, tmp_path, capsys):
+        cfg = {"min_df": 2, "corpus_dir": str(tmp_path / "out")}
+        for name in ("train", "valid", "test"):
+            path = tmp_path / f"{name}.txt"
+            path.write_text("alpha beta\nalpha gamma\nalpha\n")
+            cfg[f"{name}_file"] = str(path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["ingest", "--config", str(path)]) == 1
+        assert "min_df=2 keeps 1 token(s); a vocabulary needs at least 2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_higher_min_df_gives_smaller_vocab(self, workspace, tmp_path):
@@ -276,6 +297,19 @@ class TestEvalCommand:
             args += ["--checkpoint", str(workspace["run_dir"] / "best.ckpt")]
         assert cli.main(args) == 1
         assert "vocab.tsv:3: 2 fields, expected 3" in capsys.readouterr().err
+
+    def test_one_word_vocabulary_file_exits_1(self, workspace, tmp_path, capsys):
+        corpus_dir = tmp_path / "corpus"
+        shutil.copytree(workspace["root"] / "corpus", corpus_dir)
+        lines = (corpus_dir / "vocab.tsv").read_text().splitlines(keepends=True)
+        (corpus_dir / "vocab.tsv").write_text("".join(lines[:2]))
+        p = tmp_path / "one.json"
+        p.write_text(json.dumps(dict(
+            workspace["cfg"], corpus_dir=str(corpus_dir), output_dir=str(tmp_path / "runs")
+        )))
+        assert cli.main(["train", "--config", str(p)]) == 1
+        assert "vocab.tsv: holds 1 token(s)" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("command", ["eval", "kl-test"])
     @pytest.mark.parametrize("version,named", [
@@ -380,6 +414,29 @@ class TestKlTestCommand:
         # a rerun of train hashes the run's files but not kl-test's manifest
         assert cli.main(["train", "--config", str(path)]) == 0
         assert cli.KL_TEST_MANIFEST not in json.loads((run_dir / "manifest.json").read_text())["artifacts"]
+
+    def _run_copy(self, workspace, tmp_path, names):
+        """A run directory holding the workspace run's best.ckpt under each name."""
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        for name in names:
+            shutil.copy(workspace["run_dir"] / "best.ckpt", run_dir / name)
+        return run_dir
+
+    def test_checkpoints_are_read_in_epoch_order(self, workspace, tmp_path):
+        # as strings, epoch 10000 sorts before 9999; equal perplexities keep only the first
+        run_dir = self._run_copy(workspace, tmp_path, ["checkpoint_epoch9999.ckpt", "checkpoint_epoch10000.ckpt"])
+        args = ["kl-test", "--config", str(workspace["cfg_path"]), "--run-dir", str(run_dir)]
+        assert cli.main(args) == 0
+        lines = (run_dir / "kl_test.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["9999"]
+
+    def test_stray_checkpoint_name_exits_2(self, workspace, tmp_path, capsys):
+        run_dir = self._run_copy(workspace, tmp_path, ["checkpoint_epoch0002.ckpt", "checkpoint_epoch0002-old.ckpt"])
+        args = ["kl-test", "--config", str(workspace["cfg_path"]), "--run-dir", str(run_dir)]
+        assert cli.main(args) == 2
+        assert "'checkpoint_epoch0002-old.ckpt' is not an epoch checkpoint name" in capsys.readouterr().err
+        assert not (run_dir / "kl_test.csv").exists()
 
     def test_missing_run_dir(self, workspace):
         rc = cli.main([

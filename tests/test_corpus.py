@@ -260,6 +260,10 @@ class TestSplitCorpus:
         with pytest.raises(ValueError):
             cp.split_corpus(_docs(10), (0.5, 0.4, 0.2), 0)
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="split_seed"):
+            cp.split_corpus(_docs(10), (0.8, 0.1, 0.1), -1)
+
     def test_same_seed_reproducible(self):
         corpus = _docs(20)
         a = cp.split_corpus(corpus, (0.6, 0.2, 0.2), 13)
@@ -490,6 +494,14 @@ class TestIngest:
         dataset, _ = cp.ingest_presplit(train, valid, test, min_df=1, stopword_path=stops)
         assert set(dataset.vocab.tokens) == {"cat", "dog"}
 
+    def test_one_surviving_token_is_refused(self, tmp_path):
+        lines = ["alpha beta", "alpha gamma", "alpha delta", "alpha"]
+        train = self._write(tmp_path, "train.txt", lines)
+        with pytest.raises(cp.AllTokensPruned, match="min_df=2 keeps 1 token"):
+            cp.ingest_presplit(train, train, train, min_df=2)
+        with pytest.raises(cp.AllTokensPruned, match="min_df=2 keeps 1 token"):
+            cp.ingest_single(train, 2, (0.5, 0.25, 0.25), seed=0)
+
     def test_single_file_splits(self, tmp_path):
         lines = [f"tok{i % 4} tok{(i + 1) % 4}" for i in range(20)]
         path = self._write(tmp_path, "all.txt", lines)
@@ -553,6 +565,11 @@ class TestVocabularyValidation:
     def test_duplicate_token(self, tmp_path):
         with pytest.raises(cp.VocabularyFormatError, match="vocab.tsv:3: duplicate token 'a'"):
             self._read(tmp_path, "a\t0\t2\na\t1\t1\n")
+
+    @pytest.mark.parametrize("body,n", [("a\t0\t1\n", 1), ("", 0)])
+    def test_fewer_than_two_tokens(self, tmp_path, body, n):
+        with pytest.raises(cp.VocabularyFormatError, match=f"vocab.tsv: holds {n} token"):
+            self._read(tmp_path, body)
 
     def test_not_utf8(self, tmp_path):
         path = tmp_path / "vocab.tsv"

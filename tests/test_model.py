@@ -94,6 +94,14 @@ def test_nan_is_below_every_minimum():
         replace(m.ModelConfig(), num_topics=math.nan).validate()
 
 
+def test_seed_fits_the_signed_64_bit_header_field():
+    for seed in (0, 2**63 - 1):
+        m.ModelConfig(seed=seed).validate()
+    for seed in (-1, 2**63):
+        with pytest.raises(ValueError, match="seed"):
+            m.ModelConfig(seed=seed).validate()
+
+
 def small_setup(seed=0, v=12, k=4, e=5, h=7, n=3, mode="diffusion"):
     cfg = m.ModelConfig(
         num_topics=k, embed_size=e, hidden_size=h, mode=mode, seed=seed,
@@ -320,17 +328,10 @@ class TestLosses:
         out = m.reconstruction_loss(batch_of(x), ad.Tensor(x_prime))
         assert abs(out.item() - expected) < 1e-9
 
-    def test_domain_error_without_clamp(self):
-        x = np.ones((1, 2))
-        with pytest.raises(ad.DomainError):
-            m.reconstruction_loss(batch_of(x), ad.Tensor([[0.5, 0.0]]), clamp=None)
-
     def test_no_domain_error_where_the_count_is_zero(self):
         x = np.array([[2.0, 0.0, 1.0]])
-        out = m.reconstruction_loss(batch_of(x), ad.Tensor([[0.5, 0.0, 0.5]]), clamp=None)
+        out = m.reconstruction_loss(batch_of(x), ad.Tensor([[0.5, 0.0, 0.5]]))
         assert out.item() == pytest.approx(3 * math.log(2.0), rel=1e-15)
-        with pytest.raises(ad.DomainError):
-            m.reconstruction_loss(batch_of(x), ad.Tensor([[0.5, 0.5, -0.0]]), clamp=None)
 
     @staticmethod
     def _sparse_batch(dtype, seed=12):

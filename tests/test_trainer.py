@@ -1,6 +1,7 @@
 import hashlib
 import struct
 from dataclasses import replace
+from itertools import count
 
 import numpy as np
 import pytest
@@ -14,11 +15,8 @@ from diffetm.corpus import dense_counts, iter_batches
 from diffetm.model import ModelConfig, forward_batch, init_params
 
 
-def tiny_train_config(tmp_path=None, **kwargs):
-    defaults = dict(
-        epochs=3, batch_size=8, learning_rate=0.02, deterministic=True,
-        output_dir=None if tmp_path is None else str(tmp_path),
-    )
+def tiny_train_config(**kwargs):
+    defaults = dict(epochs=3, batch_size=8, learning_rate=0.02, deterministic=True)
     defaults.update(kwargs)
     return tr.TrainConfig(**defaults)
 
@@ -52,18 +50,18 @@ class TestTrain:
 
     def test_divergence_writes_the_partial_report(self, tiny_dataset, tiny_config, tmp_path):
         with pytest.raises(tr.Diverged) as excinfo:
-            tr.train(tiny_config, tiny_train_config(tmp_path, epochs=60, learning_rate=1e9), tiny_dataset)
+            tr.train(tiny_config, tiny_train_config(epochs=60, learning_rate=1e9), tiny_dataset, tmp_path)
         assert (tmp_path / "train_report.json").read_text() == excinfo.value.report.to_json()
 
     def test_writes_artifacts(self, tiny_dataset, tiny_config, tmp_path):
-        tr.train(tiny_config, tiny_train_config(tmp_path, epochs=2), tiny_dataset)
+        tr.train(tiny_config, tiny_train_config(epochs=2), tiny_dataset, tmp_path)
         assert (tmp_path / "best.ckpt").exists()
         assert (tmp_path / "train_report.json").exists()
         assert (tmp_path / "kl_trajectory.csv").exists()
         assert (tmp_path / "checkpoint_epoch0001.ckpt").exists()
 
     def test_best_checkpoint_matches_series_minimum(self, tiny_dataset, tiny_config, tmp_path):
-        report = tr.train(tiny_config, tiny_train_config(tmp_path, epochs=6), tiny_dataset)
+        report = tr.train(tiny_config, tiny_train_config(epochs=6), tiny_dataset, tmp_path)
         observed = [p for p in report.val_perplexity if p is not None]
         assert report.best_val_perplexity == min(observed)
         store, cfg = tr.load_checkpoint(tmp_path / "best.ckpt")
@@ -83,14 +81,28 @@ class TestTrain:
         with pytest.raises(ValueError, match="eval_every must be <= epochs"):
             tr.TrainConfig(epochs=3, eval_every=5).validate()
         with pytest.raises(ValueError, match="eval_every"):
-            tr.train(tiny_config, tiny_train_config(tmp_path, epochs=3, eval_every=5), tiny_dataset)
+            tr.train(tiny_config, tiny_train_config(epochs=3, eval_every=5), tiny_dataset, tmp_path)
         assert list(tmp_path.iterdir()) == []
 
     def test_max_checkpoints_retention(self, tiny_dataset, tiny_config, tmp_path):
-        tr.train(tiny_config, tiny_train_config(tmp_path, epochs=8, max_checkpoints=2), tiny_dataset)
+        tr.train(tiny_config, tiny_train_config(epochs=8, max_checkpoints=2), tiny_dataset, tmp_path)
         kept = sorted(tmp_path.glob("checkpoint_epoch*.ckpt"))
         assert len(kept) <= 2
         assert (tmp_path / "best.ckpt").exists()
+
+    def test_one_list_of_improving_epochs_drives_the_files(self, tiny_dataset, tiny_config, tmp_path):
+        cfg = tiny_train_config(epochs=12, eval_every=2, max_checkpoints=2)
+        report = tr.train(tiny_config, cfg, tiny_dataset, tmp_path)
+        evaluated = [
+            (epoch, kl, ppl)
+            for epoch, kl, ppl in zip(count(1), report.val_kl, report.val_perplexity)
+            if ppl is not None
+        ]
+        points = tr.improving_trajectory(evaluated)
+        assert len(points) > 2  # so the bound deletes an epoch file
+        assert (tmp_path / "kl_trajectory.csv").read_text() == tr.trajectory_csv(points)
+        kept = {p.name for p in tmp_path.glob("*.ckpt")}
+        assert kept == {tr.checkpoint_name(epoch) for epoch, _, _ in points[-2:]} | {"best.ckpt"}
 
     def test_one_encoder_pass_per_validation(self, tiny_dataset, tiny_config, monkeypatch):
         rows = []
@@ -226,33 +238,54 @@ class TestKlTrajectory:
         r.val_z_kl = [0.0] * len(ppls)
         return r
 
+    def _improving(self, report):
+        """The improving points among the report's evaluated epochs."""
+        return tr.improving_trajectory(
+            (epoch, kl, ppl)
+            for epoch, kl, ppl in zip(count(1), report.val_kl, report.val_perplexity)
+            if ppl is not None
+        )
+
     def test_single_epoch_single_point(self):
-        traj = tr.log_kl_trajectory(self._report([100.0]))
-        assert traj.points == [(1, 0, 100.0)]
+        assert self._improving(self._report([100.0])) == [(1, 0, 100.0)]
 
     def test_improvement_filter(self):
-        traj = tr.log_kl_trajectory(self._report([100.0, 90.0, 95.0, 80.0]))
-        assert [p[0] for p in traj.points] == [1, 2, 4]
+        traj = self._improving(self._report([100.0, 90.0, 95.0, 80.0]))
+        assert [p[0] for p in traj] == [1, 2, 4]
 
     def test_perplexity_column_strictly_decreasing(self):
-        traj = tr.log_kl_trajectory(self._report([50.0, 60.0, 45.0, 45.0, 20.0]))
-        ppls = [p[2] for p in traj.points]
+        traj = self._improving(self._report([50.0, 60.0, 45.0, 45.0, 20.0]))
+        ppls = [p[2] for p in traj]
         assert all(a > b for a, b in zip(ppls, ppls[1:]))
 
     def test_filter_keeps_the_given_epochs(self):
         traj = tr.improving_trajectory([(3, 0.5, 90.0), (7, 0.4, 95.0), (12, 0.3, 80.0)])
-        assert traj.points == [(3, 0.5, 90.0), (12, 0.3, 80.0)]
+        assert traj == [(3, 0.5, 90.0), (12, 0.3, 80.0)]
 
     def test_skips_unevaluated_epochs(self):
-        traj = tr.log_kl_trajectory(self._report([None, 90.0, None, 85.0]))
-        assert [p[0] for p in traj.points] == [2, 4]
+        traj = self._improving(self._report([None, 90.0, None, 85.0]))
+        assert [p[0] for p in traj] == [2, 4]
 
-    def test_csv_format(self, tmp_path):
-        path = tmp_path / "traj.csv"
-        tr.log_kl_trajectory(self._report([70.0, 60.0]), path)
-        lines = path.read_text().splitlines()
+    def test_csv_format(self):
+        lines = tr.trajectory_csv(self._improving(self._report([70.0, 60.0]))).splitlines()
         assert lines[0] == "epoch,kl,perplexity"
         assert lines[1].startswith("1,")
+
+
+class TestCheckpointName:
+    def test_round_trip(self):
+        assert tr.checkpoint_name(7) == "checkpoint_epoch0007.ckpt"
+        for epoch in (1, 42, 9999, 10000, 123456):
+            assert tr.checkpoint_epoch(tr.checkpoint_name(epoch)) == epoch
+
+    @pytest.mark.parametrize("name", [
+        "checkpoint_epoch0002-old.ckpt", "checkpoint_epoch2.ckpt", "checkpoint_epoch00002.ckpt",
+        "checkpoint_epoch.ckpt", "checkpoint_epoch+002.ckpt", "checkpoint_epoch-001.ckpt",
+        "checkpoint_epoch\u0660\u0660\u0660\u0662.ckpt", "checkpoint_epoch0002.ckpt.bak", "best.ckpt",
+    ])
+    def test_any_other_name_is_refused(self, name):
+        with pytest.raises(ValueError, match="not an epoch checkpoint name"):
+            tr.checkpoint_epoch(name)
 
 
 class TestCheckpointIO:
@@ -361,12 +394,19 @@ class TestCheckpointIO:
         with pytest.raises(tr.CorruptCheckpoint, match="beta_end"):
             tr.load_checkpoint(path)
 
-    # every header field differs from its default; the hash pins the v1 bytes
+    def test_negative_seed(self, tiny_config, tmp_path):
+        store = init_params(tiny_config, 9, np.random.default_rng(2))
+        path, _ = self._saved(tmp_path, replace(tiny_config, seed=-1), store)
+        with pytest.raises(tr.CorruptCheckpoint, match="seed"):
+            tr.load_checkpoint(path)
+
+    # every header field differs from its default, the seed fills all 63 bits
+    # of its signed field; the hash pins the v1 bytes
     GOLDEN_CONFIG = ModelConfig(
         num_topics=2, embed_size=2, hidden_size=2, diff_steps=7, beta_start=0.01,
-        beta_end=0.03, kl_weight=0.5, mode="standard_etm", seed=-5,
+        beta_end=0.03, kl_weight=0.5, mode="standard_etm", seed=2**63 - 5,
     )
-    GOLDEN_SHA256 = "f02f90c50abc6dd273d2e0d67438fecc49fd20da3daab42571dd28c1f38bc36c"
+    GOLDEN_SHA256 = "92e41b4c792b868cef7384c60d15413b4aba2e4fe61adff2bb2bea87040a04f5"
 
     def test_golden_checkpoint(self, tmp_path):
         store = ad.ParamStore()
