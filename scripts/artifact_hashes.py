@@ -6,8 +6,11 @@ runs ``train`` (deterministic, so no wall-clock time reaches a report),
 ``eval``, ``topics``, ``kl-test`` and ``sweep-t``.  It then ingests the same
 documents again as one input file with a stop-word list, and on that corpus
 runs one diffusion ``train`` that validates every other epoch, keeps one
-epoch checkpoint and clips its gradients, followed by ``kl-test``.  Prints
-``{relative path: sha256}`` for every file the run left, as JSON.  A change
+epoch checkpoint and clips its gradients, followed by ``kl-test``.  Last,
+one short ``train`` with ``--preset`` and ``--seed`` on a config that leaves
+the preset's keys unset, so the merged config, and with it the run id and
+the manifest, passes through every layer (defaults < preset < file < flags).
+Prints ``{relative path: sha256}`` for every file the run left, as JSON.  A change
 that must keep every artifact byte-identical is checked with one command,
 which runs the script once more in a subprocess with the other tree's
 package on PYTHONPATH, prints every path whose hash differs or that only
@@ -66,6 +69,9 @@ SINGLE = {
     "max_checkpoints": 1,
     "clip_norm": 0.5,
 }
+# the config leaves out the keys the preset sets; 20ng-k50 would equal the defaults
+PRESET, PRESET_SEED = "20ng-k100", 5
+PRESET_CONFIG = {k: v for k, v in {**CONFIG, "epochs": 2}.items() if k not in cli.PRESETS[PRESET]}
 # upper case, edge punctuation and a blank line: load_stopwords normalizes or skips each
 STOPWORDS = ["W000", "w001.", "", "w002"]
 
@@ -106,6 +112,8 @@ def run(work: Path, seed: int = 17) -> dict[str, str]:
         _diffetm("train", "--config", "single.json")
         run_dir = Path(SINGLE["output_dir"]) / cli.run_id_of(cli.load_config("single.json"))
         _diffetm("kl-test", "--config", "single.json", "--run-dir", run_dir)
+        Path("preset.json").write_text(json.dumps(PRESET_CONFIG))
+        _diffetm("train", "--config", "preset.json", "--preset", PRESET, "--seed", PRESET_SEED)
     finally:
         os.chdir(cwd)
     return {

@@ -15,6 +15,7 @@ import math
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from . import corpus as corpus_mod
 from . import metrics as metrics_mod
@@ -42,44 +43,28 @@ class ConfigError(ValueError):
     """A config key is unknown, mistyped, out of range, or names a missing path."""
 
 
-# key -> (type, default, description); None defaults mean "unset".  Model
-# and training defaults are those of ModelConfig and TrainConfig.
-CONFIG_SCHEMA: dict[str, tuple[type, object, str]] = {
+# key -> (type, default), None defaults meaning "unset": the CLI's own keys,
+# then every field of ModelConfig and TrainConfig with its type and default
+CONFIG_SCHEMA: dict[str, tuple[type, object]] = {
     # corpus
-    "train_file": (str, None, "one-document-per-line train split"),
-    "valid_file": (str, None, "one-document-per-line validation split"),
-    "test_file": (str, None, "one-document-per-line test split"),
-    "input_file": (str, None, "single unsplit corpus (alternative to per-split files)"),
-    "split_fractions": (list, [0.8, 0.1, 0.1], "train/valid/test fractions for input_file"),
-    "split_seed": (int, 7, "shuffle seed for splitting input_file"),
-    "min_df": (int, 3, "prune tokens whose document frequency is below this"),
-    "stopword_file": (str, None, "optional newline-separated stop-word list"),
-    "corpus_dir": (str, None, "directory of ingested corpus artifacts"),
-    # model
-    "num_topics": (int, ModelConfig.num_topics, "number of topics K"),
-    "embed_size": (int, ModelConfig.embed_size, "word/topic embedding width"),
-    "hidden_size": (int, ModelConfig.hidden_size, "encoder hidden width"),
-    "diff_steps": (int, ModelConfig.diff_steps, "forward-diffusion step count T"),
-    "beta_start": (float, ModelConfig.beta_start, "first noise-schedule beta"),
-    "beta_end": (float, ModelConfig.beta_end, "last noise-schedule beta"),
-    "kl_weight": (float, ModelConfig.kl_weight, "weight of the KL term in the loss"),
-    "mode": (str, ModelConfig.mode, "diffusion | no_diffusion | standard_etm"),
-    "seed": (int, ModelConfig.seed, "master seed for init/shuffle/noise streams"),
-    # training
-    "epochs": (int, TrainConfig.epochs, "training epochs"),
-    "batch_size": (int, TrainConfig.batch_size, "mini-batch size"),
-    "learning_rate": (float, TrainConfig.learning_rate, "Adam learning rate"),
-    "eval_every": (int, TrainConfig.eval_every, "validate every N epochs"),
-    "max_checkpoints": (int, TrainConfig.max_checkpoints, "retained improving checkpoints (0 = all)"),
-    "deterministic": (bool, TrainConfig.deterministic, "suppress wall-clock so artifacts are bitwise stable"),
-    "clip_norm": (float, TrainConfig.clip_norm, "global gradient-norm clip (0 = off)"),
-    "output_dir": (str, "runs", "root directory for run artifacts"),
-    # evaluation
-    "eval_split": (str, "test", "split evaluated by eval/kl-test"),
-    "top_words_export": (int, 25, "words per topic in the exported TSV"),
-    # sweep
-    "sweep_t_values": (list, [0, 20, 50, 100, 150, 200], "diffusion steps tried by sweep-t"),
+    "train_file": (str, None),  # one-document-per-line train split
+    "valid_file": (str, None),  # one-document-per-line validation split
+    "test_file": (str, None),  # one-document-per-line test split
+    "input_file": (str, None),  # single unsplit corpus (alternative to per-split files)
+    "split_fractions": (list, [0.8, 0.1, 0.1]),  # train/valid/test fractions for input_file
+    "split_seed": (int, 7),  # shuffle seed for splitting input_file
+    "min_df": (int, 3),  # prune tokens whose document frequency is below this
+    "stopword_file": (str, None),  # optional newline-separated stop-word list
+    "corpus_dir": (str, None),  # directory of ingested corpus artifacts
+    # runs and evaluation
+    "output_dir": (str, "runs"),  # root directory for run artifacts
+    "eval_split": (str, "test"),  # split evaluated by eval/kl-test
+    "top_words_export": (int, 25),  # words per topic in the exported TSV
+    "sweep_t_values": (list, [0, 20, 50, 100, 150, 200]),  # diffusion steps tried by sweep-t
 }
+CONFIG_SCHEMA.update({
+    f.name: (get_type_hints(cls)[f.name], f.default) for cls in (ModelConfig, TrainConfig) for f in fields(cls)
+})
 
 # named presets bundling the reference hyperparameters per dataset setting
 PRESETS: dict[str, dict] = {
@@ -130,7 +115,7 @@ def load_config(
 ) -> dict:
     """Merge defaults, preset, config file, and flag overrides, validating
     every key against the schema."""
-    cfg = {key: default for key, (_, default, _) in CONFIG_SCHEMA.items()}
+    cfg = {key: default for key, (_, default) in CONFIG_SCHEMA.items()}
     if preset is not None:
         if preset not in PRESETS:
             raise ConfigError(
@@ -138,9 +123,7 @@ def load_config(
             )
         cfg.update(PRESETS[preset])
     if config_path is not None:
-        path = Path(config_path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {config_path}")
+        path = _input_file(config_path, "config file")
         try:
             loaded = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
@@ -229,22 +212,34 @@ def _require_dir_key(cfg: dict, key: str) -> Path:
     return Path(cfg[key])
 
 
+def _input_file(path: str | Path, what: str) -> Path:
+    """The one rule for every input file: a path that names no file is a
+    ConfigError, raised before any output directory exists."""
+    if not Path(path).is_file():
+        raise ConfigError(f"{what} not found: {path}")
+    return Path(path)
+
+
 def _require_file_key(cfg: dict, key: str) -> Path:
-    path = _require_dir_key(cfg, key)
-    if not path.exists():
-        raise ConfigError(f"config key {key!r}: path does not exist: {path}")
-    return path
+    return _input_file(_require_dir_key(cfg, key), f"config key {key!r}: file")
+
+
+def _open_checkpoint(path: str | Path, vocab) -> tuple:
+    """The store and config of a checkpoint file whose model fits vocab."""
+    store, model_config = load_checkpoint(_input_file(path, "checkpoint"))
+    metrics_mod.check_vocab_size(store, vocab.V)
+    return store, model_config
 
 
 def load_dataset(corpus_dir: Path) -> Dataset:
     vocab_path = corpus_dir / "vocab.tsv"
-    if not vocab_path.exists():
+    if not vocab_path.is_file():
         raise ConfigError(f"no vocab.tsv under {corpus_dir}; run ingest first")
     vocab = read_vocabulary(vocab_path)
     splits = {}
     for name in SPLITS:
         cache = corpus_dir / f"{name}.corpus"
-        if not cache.exists():
+        if not cache.is_file():
             raise ConfigError(f"missing corpus cache {cache}; run ingest first")
         splits[name] = read_corpus_cache(cache, name, vocab)
     return Dataset(vocab, splits["train"], splits["valid"], splits["test"])
@@ -256,6 +251,7 @@ def load_dataset(corpus_dir: Path) -> Dataset:
 
 def cmd_ingest(cfg: dict) -> int:
     out_dir = _require_dir_key(cfg, "corpus_dir")
+    stopword_path = _require_file_key(cfg, "stopword_file") if cfg["stopword_file"] else None
     if cfg["input_file"]:
         path = _require_file_key(cfg, "input_file")
         dataset, report = ingest_single(
@@ -263,7 +259,7 @@ def cmd_ingest(cfg: dict) -> int:
             cfg["min_df"],
             tuple(float(f) for f in cfg["split_fractions"]),
             cfg["split_seed"],
-            stopword_path=cfg["stopword_file"],
+            stopword_path=stopword_path,
         )
     else:
         paths = {key: _require_file_key(cfg, key) for key in ("train_file", "valid_file", "test_file")}
@@ -272,7 +268,7 @@ def cmd_ingest(cfg: dict) -> int:
             paths["valid_file"],
             paths["test_file"],
             cfg["min_df"],
-            stopword_path=cfg["stopword_file"],
+            stopword_path=stopword_path,
         )
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = [out_dir / "vocab.tsv"]
@@ -319,16 +315,6 @@ def _export_top_words(beta, vocab, n: int, path: Path) -> None:
                 fh.write(f"{topic_id}\t{rank}\t{vocab.tokens[w]}\t{float(beta[topic_id, w])!r}\n")
 
 
-def _load_eval_inputs(cfg: dict, checkpoint: str) -> tuple:
-    ckpt_path = Path(checkpoint)
-    if not ckpt_path.exists():
-        raise ConfigError(f"checkpoint does not exist: {ckpt_path}")
-    store, model_config = load_checkpoint(ckpt_path)
-    dataset = load_dataset(_require_dir_key(cfg, "corpus_dir"))
-    metrics_mod.check_vocab_size(store, dataset.vocab.V)
-    return store, model_config, dataset, ckpt_path
-
-
 def _evaluate(cfg: dict, store, model_config: ModelConfig, dataset: Dataset, checkpoint_id: str = ""):
     """All four metrics on the configured split, coherence referenced to train."""
     return metrics_mod.evaluate_model(
@@ -338,10 +324,11 @@ def _evaluate(cfg: dict, store, model_config: ModelConfig, dataset: Dataset, che
 
 
 def cmd_eval(cfg: dict, checkpoint: str) -> int:
-    store, model_config, dataset, ckpt_path = _load_eval_inputs(cfg, checkpoint)
+    dataset = load_dataset(_require_dir_key(cfg, "corpus_dir"))
+    store, model_config = _open_checkpoint(checkpoint, dataset.vocab)
     out_dir = Path(cfg["output_dir"]) / f"eval_{run_id_of(cfg)}"
     out_dir.mkdir(parents=True, exist_ok=True)
-    report, beta = _evaluate(cfg, store, model_config, dataset, _sha256(ckpt_path)[:12])
+    report, beta = _evaluate(cfg, store, model_config, dataset, _sha256(Path(checkpoint))[:12])
     report_path = out_dir / "metrics_report.json"
     report_path.write_text(report.to_json())
     words_path = out_dir / "top_words.tsv"
@@ -355,12 +342,9 @@ def cmd_eval(cfg: dict, checkpoint: str) -> int:
 
 
 def cmd_topics(cfg: dict, checkpoint: str) -> int:
-    store, _, dataset, _ = _load_eval_inputs(cfg, checkpoint)
-    from . import autodiff as ad
-    from .model import topic_word_dist
-
-    with ad.no_grad():
-        beta = topic_word_dist(store["topic_emb"], store["word_emb"]).data
+    dataset = load_dataset(_require_dir_key(cfg, "corpus_dir"))
+    store, _ = _open_checkpoint(checkpoint, dataset.vocab)
+    beta = metrics_mod.topic_word_matrix(store)
     out_dir = Path(cfg["output_dir"]) / f"topics_{run_id_of(cfg)}"
     out_dir.mkdir(parents=True, exist_ok=True)
     words_path = out_dir / "top_words.tsv"
@@ -380,7 +364,7 @@ def cmd_sweep_t(cfg: dict) -> int:
         model_config = replace(model_config_of(cfg), diff_steps=t, mode="diffusion")
         try:
             trainer_mod.train(model_config, train_config_of(cfg), dataset, run_dir)
-            store, ckpt_config = load_checkpoint(run_dir / "best.ckpt")
+            store, ckpt_config = _open_checkpoint(run_dir / "best.ckpt", dataset.vocab)
             report, _ = _evaluate(cfg, store, ckpt_config, dataset)
             rows.append(
                 (t, report.coherence, report.diversity, report.quality, report.perplexity)
@@ -418,8 +402,7 @@ def cmd_kl_test(cfg: dict, run_dir_arg: str) -> int:
     split = dataset.split(cfg["eval_split"])
     points = []
     for epoch, ckpt in ckpts:
-        store, model_config = load_checkpoint(ckpt)
-        metrics_mod.check_vocab_size(store, dataset.vocab.V)
+        store, model_config = _open_checkpoint(ckpt, dataset.vocab)
         ppl, kl, _ = metrics_mod.perplexity_and_kl(store, model_config, split)
         points.append((epoch, kl, ppl))
     traj = trainer_mod.improving_trajectory(points)

@@ -211,6 +211,12 @@ def check_vocab_size(store: ad.ParamStore, vocab_size: int) -> None:
         )
 
 
+def topic_word_matrix(store: ad.ParamStore) -> np.ndarray:
+    """The (K, V) topic-word distribution beta of a store, built without a graph."""
+    with ad.no_grad():
+        return topic_word_dist(store["topic_emb"], store["word_emb"]).data
+
+
 def evaluate_model(
     store: ad.ParamStore,
     config: ModelConfig,
@@ -225,8 +231,7 @@ def evaluate_model(
     Returns the report and the beta matrix (for top-word export).
     """
     check_vocab_size(store, vocab_size)
-    with ad.no_grad():
-        beta = topic_word_dist(store["topic_emb"], store["word_emb"]).data
+    beta = topic_word_matrix(store)
     stats = build_cooccurrence(reference_split, vocab_size)
     # a stable ranking's top N_DIVERSITY words start with its top N_COHERENCE
     ranked = top_words(beta, N_DIVERSITY)

@@ -71,15 +71,15 @@ class ModelConfig:
     with the reparameterized z without projection.
     """
 
-    num_topics: int = 50
-    embed_size: int = 300
-    hidden_size: int = 800
-    diff_steps: int = 100
-    beta_start: float = 0.0
-    beta_end: float = 0.02
-    kl_weight: float = 1.0
-    mode: str = "diffusion"
-    seed: int = 0
+    num_topics: int = 50  # number of topics K
+    embed_size: int = 300  # word/topic embedding width
+    hidden_size: int = 800  # encoder hidden width
+    diff_steps: int = 100  # forward-diffusion step count T
+    beta_start: float = 0.0  # first noise-schedule beta
+    beta_end: float = 0.02  # last noise-schedule beta
+    kl_weight: float = 1.0  # weight of the KL term in the loss
+    mode: str = "diffusion"  # diffusion | no_diffusion | standard_etm
+    seed: int = 0  # master seed for init/shuffle/noise streams
 
     def validate(self) -> None:
         check_minimums(self, {"num_topics": 2, "embed_size": 1, "hidden_size": 1, "kl_weight": 0})

@@ -42,7 +42,7 @@ CONFIG_BLOCK = struct.Struct("<IIIIdddBq")
 
 
 class Diverged(RuntimeError):
-    """Training produced a non-finite loss (learning rate too high)."""
+    """Training produced a non-finite loss or validation (learning rate too high)."""
 
     def __init__(self, message: str, report: "TrainReport | None" = None):
         super().__init__(message)
@@ -55,13 +55,13 @@ class CorruptCheckpoint(ValueError):
 
 @dataclass
 class TrainConfig:
-    epochs: int = 300
-    batch_size: int = 1000
-    learning_rate: float = 0.008
-    eval_every: int = 1
-    max_checkpoints: int = 0  # 0 keeps every improving checkpoint
-    deterministic: bool = False
-    clip_norm: float = 0.0  # 0 disables clipping
+    epochs: int = 300  # training epochs
+    batch_size: int = 1000  # mini-batch size
+    learning_rate: float = 0.008  # Adam learning rate
+    eval_every: int = 1  # validate every N epochs
+    max_checkpoints: int = 0  # retained improving checkpoints (0 = all)
+    deterministic: bool = False  # suppress wall-clock so artifacts are bitwise stable
+    clip_norm: float = 0.0  # global gradient-norm clip (0 = off)
 
     def validate(self) -> None:
         # a learning rate of 0 is allowed: it freezes the parameters (Adam fixed point)
@@ -250,8 +250,9 @@ def train(
     When run_dir is given it is created and gets checkpoint_name(epoch)
     at each improving epoch plus best.ckpt, at most max_checkpoints epoch
     files (0 = unlimited), and those epochs' kl_trajectory.csv.  Raises
-    Diverged, carrying the partial report, on a non-finite loss;
-    train_report.json is written either way.
+    Diverged, carrying the partial report without that epoch, on a
+    non-finite loss or validation perplexity or KL; train_report.json is
+    written either way.
     """
     model_config.validate()
     train_config.validate()
@@ -298,31 +299,35 @@ def train(
             sum_recon += recon * w
             sum_kl += kl * w
             sum_total += total * w
-        report.train_recon.append(sum_recon)
-        report.train_kl.append(sum_kl)
-        report.train_total.append(sum_total)
-
+        ppl = kl_term = z_kl = None
         if epoch % train_config.eval_every == 0:
             ppl, kl_term, z_kl = validate(
                 store, model_config, data.valid, np.random.default_rng([seed, 3, epoch])
             )
-            report.val_perplexity.append(ppl)
-            report.val_kl.append(kl_term)
-            report.val_z_kl.append(z_kl)
-            if ppl < report.best_val_perplexity:
-                report.best_val_perplexity = ppl
-                report.best_epoch = epoch
-                improving.append((epoch, kl_term, ppl))
-                if run_dir is not None:
-                    save_checkpoint(store, model_config, run_dir / checkpoint_name(epoch))
-                    save_checkpoint(store, model_config, run_dir / "best.ckpt")
-                    if 0 < train_config.max_checkpoints < len(improving):
-                        dropped = improving[-1 - train_config.max_checkpoints][0]
-                        (run_dir / checkpoint_name(dropped)).unlink()
-        else:
-            report.val_perplexity.append(None)
-            report.val_kl.append(None)
-            report.val_z_kl.append(None)
+            # z_kl is a diagnostic; a non-finite perplexity or KL can select no checkpoint
+            if not (np.isfinite(ppl) and np.isfinite(kl_term)):
+                _close_report(report, started, train_config.deterministic, run_dir)
+                raise Diverged(
+                    f"non-finite validation at epoch {epoch}: perplexity {ppl}, kl {kl_term} "
+                    f"(lr={train_config.learning_rate})",
+                    report=report,
+                )
+        report.train_recon.append(sum_recon)
+        report.train_kl.append(sum_kl)
+        report.train_total.append(sum_total)
+        report.val_perplexity.append(ppl)
+        report.val_kl.append(kl_term)
+        report.val_z_kl.append(z_kl)
+        if ppl is not None and ppl < report.best_val_perplexity:
+            report.best_val_perplexity = ppl
+            report.best_epoch = epoch
+            improving.append((epoch, kl_term, ppl))
+            if run_dir is not None:
+                save_checkpoint(store, model_config, run_dir / checkpoint_name(epoch))
+                save_checkpoint(store, model_config, run_dir / "best.ckpt")
+                if 0 < train_config.max_checkpoints < len(improving):
+                    dropped = improving[-1 - train_config.max_checkpoints][0]
+                    (run_dir / checkpoint_name(dropped)).unlink()
 
     _close_report(report, started, train_config.deterministic, run_dir)
     if run_dir is not None:

@@ -6,7 +6,9 @@ import shutil
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -47,6 +49,11 @@ def workspace(tmp_path_factory):
     assert cli.main(["train", "--config", str(cfg_path)]) == 0
     run_dir = root / "runs" / cli.run_id_of(cli.load_config(str(cfg_path)))
     return {"root": root, "cfg": cfg, "cfg_path": cfg_path, "run_dir": run_dir}
+
+
+# one epoch of one batch: the loss is finite, but the Adam step leaves
+# parameters whose validation perplexity and KL are not
+ONE_HUGE_STEP = {"epochs": 1, "batch_size": 1000, "learning_rate": 1e6}
 
 
 class TestConfig:
@@ -97,6 +104,20 @@ class TestConfig:
     def test_train_defaults_are_the_dataclass_defaults(self):
         assert cli.train_config_of(cli.load_config()) == TrainConfig()
 
+    def test_every_dataclass_field_is_a_config_key_of_its_type_and_default(self, workspace, tmp_path, capsys):
+        wrong = {int: 1.5, float: "0.5", str: 3, bool: 1}
+        for cls in (ModelConfig, TrainConfig):
+            hints = get_type_hints(cls)
+            for f in fields(cls):
+                assert cli.CONFIG_SCHEMA[f.name] == (hints[f.name], f.default)
+                path = tmp_path / f"{f.name}.json"
+                path.write_text(json.dumps({
+                    **workspace["cfg"], "output_dir": str(tmp_path / "runs"), f.name: wrong[hints[f.name]],
+                }))
+                assert cli.main(["train", "--config", str(path)]) == 2
+                assert f"config key {f.name!r}: expected" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_missing_config_file(self):
         with pytest.raises(cli.ConfigError, match="not found"):
             cli.load_config("/nonexistent/config.json")
@@ -143,6 +164,36 @@ class TestConfig:
         assert cli.main(["train", "--config", str(path), "--seed", "-1"]) == 2
         assert "seed must be in [0, 2**63)" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("case,named", [
+        ("config", "config file not found: ."),
+        ("checkpoint", "checkpoint not found: ."),
+        ("train_file", "config key 'train_file': file not found: ."),
+        ("stopword_file", "config key 'stopword_file': file not found: stop.txt"),
+        ("vocab.tsv", "no vocab.tsv under corpus; run ingest first"),
+    ], ids=["config", "checkpoint", "train_file", "stopword_file", "vocab.tsv"])
+    def test_a_path_that_names_no_file_exits_2_before_any_directory(
+        self, workspace, tmp_path, monkeypatch, capsys, case, named
+    ):
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)  # "." is a directory; relative outputs would land here
+        cfg = {**workspace["cfg"], "output_dir": "runs"}
+        if case in ("train_file", "stopword_file"):
+            cfg.update({"corpus_dir": "corpus", case: "." if case == "train_file" else "stop.txt"})
+        if case == "vocab.tsv":  # a corpus directory whose vocab.tsv is a directory
+            (cwd / "corpus" / "vocab.tsv").mkdir(parents=True)
+            cfg["corpus_dir"] = "corpus"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = {
+            "config": ["train", "--config", "."],
+            "checkpoint": ["eval", "--config", str(path), "--checkpoint", "."],
+            "vocab.tsv": ["train", "--config", str(path)],
+        }.get(case, ["ingest", "--config", str(path)])
+        assert cli.main(argv) == 2
+        assert named in capsys.readouterr().err
+        assert sorted(p.name for p in cwd.iterdir()) == (["corpus"] if case == "vocab.tsv" else [])
 
     def test_integer_too_large_for_a_float_is_a_config_error(self, tmp_path):
         path = tmp_path / "big.json"
@@ -236,6 +287,15 @@ class TestTrainCommand:
         assert (run_dir / "train_report.json").read_bytes() == report_before
         assert (run_dir / "best.ckpt").read_bytes() == ckpt_before
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_validation_exits_1_with_the_report(self, workspace, tmp_path, capsys):
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps({**workspace["cfg"], **ONE_HUGE_STEP, "output_dir": str(tmp_path / "runs")}))
+        assert cli.main(["train", "--config", str(path)]) == 1
+        assert "diverged: non-finite validation at epoch 1" in capsys.readouterr().err
+        run_dir = tmp_path / "runs" / cli.run_id_of(cli.load_config(str(path)))
+        assert json.loads((run_dir / "train_report.json").read_text())["val_perplexity"] == []
+        assert not list(run_dir.glob("*.ckpt"))
 
     def test_diverged_rerun_manifest_excludes_itself(self, workspace, tmp_path):
         path = tmp_path / "diverge.json"
@@ -387,6 +447,17 @@ class TestSweepCommand:
         t0_report = json.loads((sweep_dir / "t0000" / "train_report.json").read_text())
         assert nd_report["train_total"] == t0_report["train_total"]
         assert nd_report["val_perplexity"] == t0_report["val_perplexity"]
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_run_diverging_at_validation_is_a_nan_row(self, workspace, tmp_path, capsys):
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps({**workspace["cfg"], **ONE_HUGE_STEP, "output_dir": str(tmp_path / "runs")}))
+        assert cli.main(["sweep-t", "--config", str(path)]) == 0
+        assert "T=0 failed: non-finite validation at epoch 1" in capsys.readouterr().err
+        sweep_dir = tmp_path / "runs" / f"sweep_{cli.run_id_of(cli.load_config(str(path)))}"
+        lines = (sweep_dir / "sweep.csv").read_text().splitlines()
+        assert lines[1:] == ["0,nan,nan,nan,nan", "100,nan,nan,nan,nan"]
 
 
 class TestKlTestCommand:

@@ -53,6 +53,31 @@ class TestTrain:
             tr.train(tiny_config, tiny_train_config(epochs=60, learning_rate=1e9), tiny_dataset, tmp_path)
         assert (tmp_path / "train_report.json").read_text() == excinfo.value.report.to_json()
 
+    @pytest.mark.parametrize("ppl,kl", [(np.nan, 1.0), (np.inf, 1.0), (5.0, np.inf)], ids=["ppl_nan", "ppl_inf", "kl_inf"])
+    def test_non_finite_validation_raises_and_writes_the_report(
+        self, tiny_dataset, tiny_config, tmp_path, monkeypatch, ppl, kl
+    ):
+        validate, calls = tr.validate, count(1)
+        monkeypatch.setattr(tr, "validate", lambda *a: (ppl, kl, 0.0) if next(calls) == 2 else validate(*a))
+        with pytest.raises(tr.Diverged, match=f"non-finite validation at epoch 2: perplexity {ppl}, kl {kl}") as excinfo:
+            tr.train(tiny_config, tiny_train_config(), tiny_dataset, tmp_path)
+        report = excinfo.value.report
+        assert len(report.train_total) == len(report.val_perplexity) == 1  # nothing of epoch 2
+        assert (tmp_path / "train_report.json").read_text() == report.to_json()
+        assert sorted(p.name for p in tmp_path.glob("*.ckpt")) == ["best.ckpt", "checkpoint_epoch0001.ckpt"]
+
+    def test_non_finite_realized_z_kl_is_only_reported(self, tiny_dataset, tiny_config, monkeypatch):
+        validate = tr.validate
+        monkeypatch.setattr(tr, "validate", lambda *a: (*validate(*a)[:2], np.inf))
+        assert tr.train(tiny_config, tiny_train_config(), tiny_dataset).val_z_kl == [np.inf] * 3
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_one_huge_adam_step_diverges_at_validation(self, tiny_dataset, tiny_config):
+        # one finite-loss step leaves parameters whose validation is not finite
+        cfg = tiny_train_config(epochs=1, batch_size=1000, learning_rate=1e6)
+        with pytest.raises(tr.Diverged, match="non-finite validation at epoch 1"):
+            tr.train(tiny_config, cfg, tiny_dataset)
+
     def test_writes_artifacts(self, tiny_dataset, tiny_config, tmp_path):
         tr.train(tiny_config, tiny_train_config(epochs=2), tiny_dataset, tmp_path)
         assert (tmp_path / "best.ckpt").exists()
