@@ -1,8 +1,7 @@
-"""Diffusion-enhanced embedded topic modeling toolchain."""
+"""Diffusion-enhanced embedded topic modeling toolchain.
 
-from .model import ModelConfig
-from .trainer import TrainConfig
+Importing the package loads none of its modules, so ``diffetm.synth``
+loads numpy alone.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = ["ModelConfig", "TrainConfig", "__version__"]

@@ -1,5 +1,8 @@
 """Reverse-mode automatic differentiation over dense 2-D float arrays.
 
+One primitive, ``sparse_affine``, also takes a constant ``scipy.sparse`` CSC
+input; nothing here imports scipy.
+
 Arrays are float32 when given as float32 and float64 otherwise; every
 primitive computes its output and its gradients in its operands' dtype, so
 a graph built from float32 parameters and inputs stays float32 end to end.
@@ -158,6 +161,29 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             _accum(b, g.sum(axis=0, keepdims=True))
 
     return _node(x.data @ w.data + b.data, (x, w, b), back)
+
+
+def sparse_affine(x, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for a constant (B, V) scipy.sparse CSC array x in w's dtype.
+
+    The products run over x's nonzeros alone: the forward is scipy's CSC
+    kernel, and w's gradient is x.T @ g, where x.T is the CSR array of x
+    transposed, taken without a copy.  x gets no gradient.
+    """
+    if x.shape[1] != w.rows:
+        raise ShapeMismatch(f"sparse_affine: x is {x.shape}, w is {w.data.shape}")
+    if b.rows != 1 or b.cols != w.cols:
+        raise ShapeMismatch(f"sparse_affine: bias must be 1x{w.cols}, got {b.data.shape}")
+
+    def back(g: np.ndarray) -> None:
+        if w.requires:
+            _accum(w, x.T @ g)
+        if b.requires:
+            _accum(b, g.sum(axis=0, keepdims=True))
+
+    out = x @ w.data
+    out += b.data
+    return _node(out, (w, b), back)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

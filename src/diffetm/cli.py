@@ -3,7 +3,8 @@
 Subcommands: ingest, train, eval, topics, sweep-t, kl-test.  Every run is
 driven by a flat JSON config (defaults < preset < file < flags), prints
 its effective configuration, and writes a manifest with artifact hashes
-so it can be reproduced exactly.
+and the numeric environment (numpy, scipy, BLAS and its thread count) so
+it can be reproduced exactly.
 """
 
 from __future__ import annotations
@@ -12,10 +13,14 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import get_type_hints
+
+import numpy as np
+import scipy
 
 from . import corpus as corpus_mod
 from . import metrics as metrics_mod
@@ -186,6 +191,26 @@ def _run_artifacts(run_dir: Path) -> list[Path]:
     return [p for p in sorted(run_dir.glob("*")) if p.name not in ("manifest.json", KL_TEST_MANIFEST)]
 
 
+# the variables OpenBLAS reads its thread count from, in the order it reads them
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def numeric_environment() -> dict:
+    """What the artifacts' bits depend on besides the inputs: the numpy and
+    scipy versions, numpy's BLAS and its thread count.  The count is the
+    first positive one the environment sets, else the usable cores, which
+    is OpenBLAS's default."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas['name']} {blas.get('version', '')}".strip()
+    except (KeyError, TypeError, ValueError):
+        blas_name = "unknown"
+    set_counts = (os.environ.get(var, "").strip() for var in BLAS_THREAD_VARS)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = next((int(n) for n in set_counts if n.isdigit() and int(n) > 0), cores)
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas_name, "blas_threads": threads}
+
+
 def write_manifest(
     out_dir: Path, command: str, cfg: dict, artifacts: list[Path], name: str = "manifest.json"
 ) -> Path:
@@ -194,6 +219,7 @@ def write_manifest(
         "run_id": run_id_of(cfg),
         "seed": cfg["seed"],
         "config": cfg,
+        "environment": numeric_environment(),
         "artifacts": {p.name: _sha256(p) for p in sorted(artifacts)},
     }
     path = out_dir / name

@@ -18,6 +18,7 @@ from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 
 class AllTokensPruned(ValueError):
@@ -220,13 +221,15 @@ class DocumentView(Sequence):
 class Batch:
     """Some documents of a corpus as the model reads them, built once.
 
-    ``x_norm`` is the (B, V) array of each row's counts over the row total,
-    in the model's dtype.  ``rows``, ``cols`` and ``counts`` are the nonzero
-    entries in row-major order, taken from the CSR arrays: the only entries
-    where a count weighs a log-probability in the loss and the perplexity.
+    ``x_norm`` holds each row's counts over the row total as one (B, V)
+    ``scipy.sparse`` CSC array in the model's dtype, the constant input of
+    every encoder's first layer (``autodiff.sparse_affine``).  ``rows``,
+    ``cols`` and ``counts`` are the nonzero entries in row-major order, taken
+    from the CSR arrays: the only entries where a count weighs a
+    log-probability in the loss and the perplexity.
     """
 
-    x_norm: np.ndarray
+    x_norm: sparse.csc_array
     rows: np.ndarray
     cols: np.ndarray
     counts: np.ndarray
@@ -240,8 +243,9 @@ def dense_counts(corpus: BowCorpus, indices, size: int, dtype) -> Batch:
     """The batch of the given documents over a vocabulary of size words.
 
     Each entry of x_norm is count / total divided in float64, where integer
-    totals are exact, then rounded once to dtype.  Raises ValueError for a
-    document without tokens.  (The name is older than the record; the
+    totals are exact, then rounded once to dtype; no dense (B, V) array is
+    built.  Raises ValueError for a document without tokens or a word id
+    outside the vocabulary.  (The name is older than the record; the
     benchmark tracer patches the function by it.)
     """
     lengths, at = _entries(corpus.indptr, indices)
@@ -250,8 +254,12 @@ def dense_counts(corpus: BowCorpus, indices, size: int, dtype) -> Batch:
     totals = np.bincount(rows, weights=counts, minlength=len(lengths))
     if np.any(totals <= 0):
         raise ValueError("forward_batch: a document row has zero tokens")
-    x_norm = np.zeros((len(lengths), size), dtype=dtype)
-    x_norm[rows, cols] = counts / totals[rows]
+    # the compiled CSR -> CSC conversion does not check its indices
+    if cols.size and cols.max() >= size:
+        raise ValueError(f"word id {cols.max()} outside a vocabulary of {size}")
+    values = (counts / totals[rows]).astype(dtype)
+    indptr = np.append(0, np.cumsum(lengths))
+    x_norm = sparse.csr_array((values, cols, indptr), shape=(len(lengths), size)).tocsc()
     return Batch(x_norm, rows, cols, counts)
 
 

@@ -161,20 +161,23 @@ def store_dtype(store: ad.ParamStore) -> np.dtype:
 # forward operations
 
 
-def _mlp3(x: ad.Tensor, store: ad.ParamStore, prefix: str) -> ad.Tensor:
-    """Three affine layers with two interleaved ReLUs."""
-    h1 = ad.relu(ad.affine(x, store[f"{prefix}.w1"], store[f"{prefix}.b1"]))
+def _mlp3(x_norm, store: ad.ParamStore, prefix: str) -> ad.Tensor:
+    """Three affine layers with two interleaved ReLUs; the first reads the
+    batch's sparse x_norm over its nonzeros alone."""
+    h1 = ad.relu(ad.sparse_affine(x_norm, store[f"{prefix}.w1"], store[f"{prefix}.b1"]))
     h2 = ad.relu(ad.affine(h1, store[f"{prefix}.w2"], store[f"{prefix}.b2"]))
     return ad.affine(h2, store[f"{prefix}.w3"], store[f"{prefix}.b3"])
 
 
-def encode_x0(x_norm: ad.Tensor, store: ad.ParamStore) -> ad.Tensor:
-    """Enhanced document representation feeding the diffusion process."""
+def encode_x0(x_norm, store: ad.ParamStore) -> ad.Tensor:
+    """Enhanced document representation feeding the diffusion process, from
+    a batch's CSC x_norm."""
     return _mlp3(x_norm, store, "diff")
 
 
-def encode_mu_logvar(x_norm: ad.Tensor, store: ad.ParamStore) -> tuple[ad.Tensor, ad.Tensor]:
-    """Posterior mean and log-variance from two independent encoders.
+def encode_mu_logvar(x_norm, store: ad.ParamStore) -> tuple[ad.Tensor, ad.Tensor]:
+    """Posterior mean and log-variance from two independent encoders, from a
+    batch's CSC x_norm.
 
     The second head is read as log sigma^2; exponentiation guarantees a
     positive standard deviation.
@@ -330,13 +333,12 @@ def _forward_core(
     dtype = store_dtype(store)
     if batch.x_norm.dtype != dtype:
         raise ValueError(f"forward_batch: a {batch.x_norm.dtype} batch for {dtype} parameters")
-    x_norm = ad.Tensor(batch.x_norm)
 
-    x0 = None if config.mode == "standard_etm" else encode_x0(x_norm, store)
+    x0 = None if config.mode == "standard_etm" else encode_x0(batch.x_norm, store)
     eps = sample_eps(
-        x0, config.alpha_bar(), rng, config.mode, (x_norm.rows, config.num_topics), dtype
+        x0, config.alpha_bar(), rng, config.mode, (batch.shape[0], config.num_topics), dtype
     )
-    mu, logvar = encode_mu_logvar(x_norm, store)
+    mu, logvar = encode_mu_logvar(batch.x_norm, store)
     z = reparameterize(eps, mu, logvar)
     theta = doc_topic_dist(z)
     beta = topic_word_dist(store["topic_emb"], store["word_emb"])

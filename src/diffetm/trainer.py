@@ -10,6 +10,8 @@ is exported as kl_trajectory.csv, the model-quality instrumentation.
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import struct
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -82,7 +84,9 @@ class TrainReport:
 
     Validation entries are None at epochs that were not evaluated
     (eval_every > 1).  In deterministic mode wall_seconds is reported as
-    0.0 so identical runs produce identical reports.
+    0.0 so identical runs produce identical reports.  The JSON holds
+    best_val_perplexity as null while no epoch is selected, and refuses
+    any other non-finite value.
     """
 
     seed: int
@@ -98,7 +102,10 @@ class TrainReport:
     wall_seconds: float = 0.0
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        out = asdict(self)
+        if not self.best_epoch:
+            out["best_val_perplexity"] = None
+        return json.dumps(out, indent=2, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +124,19 @@ def checkpoint_epoch(name: str) -> int:
     return int(digits)
 
 
-def save_checkpoint(store: ad.ParamStore, config: ModelConfig, path: str | Path) -> None:
+def _replace_via_temp(path: Path, write) -> None:
+    """write(temp) a temp file in path's directory, then rename it to path,
+    so that path is always either the old file or the whole new one."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_checkpoint(store: ad.ParamStore, config: ModelConfig, path: Path) -> None:
     with open(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<I", CKPT_VERSION))
@@ -130,7 +149,26 @@ def save_checkpoint(store: ad.ParamStore, config: ModelConfig, path: str | Path)
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
             fh.write(struct.pack("<II", t.rows, t.cols))
-            fh.write(t.data.astype("<f4").tobytes())
+            # a float32 store is written from its own buffer, without a copy
+            fh.write(np.ascontiguousarray(t.data, dtype="<f4"))
+
+
+def save_checkpoint(store: ad.ParamStore, config: ModelConfig, path: str | Path) -> None:
+    """Write the store and config to path atomically (a temp file, then os.replace)."""
+    _replace_via_temp(Path(path), lambda tmp: _write_checkpoint(store, config, tmp))
+
+
+def link_checkpoint(src: Path, dst: Path) -> None:
+    """Make dst the same file as src: a hard link, or a copy where the file
+    system refuses one, put in place atomically."""
+
+    def link(tmp: Path) -> None:
+        try:
+            os.link(src, tmp)
+        except OSError:
+            shutil.copyfile(src, tmp)
+
+    _replace_via_temp(dst, link)
 
 
 def load_checkpoint(path: str | Path) -> tuple[ad.ParamStore, ModelConfig]:
@@ -248,11 +286,11 @@ def train(
     """Run the full training loop; returns the report, writes artifacts.
 
     When run_dir is given it is created and gets checkpoint_name(epoch)
-    at each improving epoch plus best.ckpt, at most max_checkpoints epoch
-    files (0 = unlimited), and those epochs' kl_trajectory.csv.  Raises
-    Diverged, carrying the partial report without that epoch, on a
-    non-finite loss or validation perplexity or KL; train_report.json is
-    written either way.
+    at each improving epoch, with best.ckpt a hard link to the latest, at
+    most max_checkpoints epoch files (0 = unlimited), and those epochs'
+    kl_trajectory.csv.  Raises Diverged, carrying the partial report
+    without that epoch, on a non-finite loss or validation perplexity or
+    KL; train_report.json is written either way.
     """
     model_config.validate()
     train_config.validate()
@@ -324,7 +362,7 @@ def train(
             improving.append((epoch, kl_term, ppl))
             if run_dir is not None:
                 save_checkpoint(store, model_config, run_dir / checkpoint_name(epoch))
-                save_checkpoint(store, model_config, run_dir / "best.ckpt")
+                link_checkpoint(run_dir / checkpoint_name(epoch), run_dir / "best.ckpt")
                 if 0 < train_config.max_checkpoints < len(improving):
                     dropped = improving[-1 - train_config.max_checkpoints][0]
                     (run_dir / checkpoint_name(dropped)).unlink()

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import sparse
 
 from conftest import finite_diff_check
 from diffetm import autodiff as ad
@@ -203,6 +210,88 @@ def test_every_primitive_matches_finite_differences(seed):
         p = param(store, name, raw)
         err = finite_diff_check(store, name, lambda: build(p), max_coords=6, seed=seed)
         assert err <= 1e-4, f"{name}: rel err {err}"
+
+
+def _sparse_input(rng, rows, cols, density, dtype=np.float64):
+    """A (rows, cols) CSC array with about density of its entries nonzero."""
+    dense = np.where(rng.random((rows, cols)) < density, rng.random((rows, cols)), 0.0)
+    return sparse.csc_array(dense.astype(dtype))
+
+
+class TestSparseAffine:
+    def test_gradients_match_finite_differences_in_float64(self):
+        rng = np.random.default_rng(4)
+        x = _sparse_input(rng, 6, 10, 0.3)
+        weights = ad.Tensor(rng.normal(size=(6, 4)))
+        store = ad.ParamStore()
+        w = param(store, "w1", rng.normal(size=(10, 4)) * 0.5)
+        b = param(store, "b1", rng.normal(size=(1, 4)) * 0.5)
+
+        def loss():
+            return ad.sum_all(ad.hadamard(ad.exp(ad.sparse_affine(x, w, b)), weights))
+
+        for name in ("w1", "b1"):
+            assert finite_diff_check(store, name, loss, max_coords=12) <= 1e-7, name
+
+    @pytest.mark.parametrize("dtype,rel", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_matches_the_dense_affine(self, dtype, rel):
+        rng = np.random.default_rng(7)
+        x = _sparse_input(rng, 40, 60, 0.1, dtype)
+        w0, b0 = rng.normal(size=(60, 16)).astype(dtype), rng.normal(size=(1, 16)).astype(dtype)
+        g = ad.Tensor(rng.normal(size=(40, 16)).astype(dtype))
+        outs = []
+        for layer, x_in in ((ad.sparse_affine, x), (ad.affine, ad.Tensor(x.toarray()))):
+            w, b = ad.Tensor(w0, requires=True), ad.Tensor(b0, requires=True)
+            y = layer(x_in, w, b)
+            ad.backward(ad.sum_all(ad.hadamard(y, g)))
+            outs.append((y.data, w.grad, b.grad))
+        for got, want in zip(*outs):
+            assert got.dtype == dtype
+            np.testing.assert_allclose(got, want, rtol=rel, atol=rel * np.abs(want).max())
+
+    def test_input_gets_no_gradient(self):
+        x = sparse.csc_array(np.eye(3))
+        w = ad.Tensor(np.ones((3, 2)))
+        b = ad.Tensor(np.zeros((1, 2)), requires=True)
+        out = ad.sparse_affine(x, w, b)
+        assert out._parents == (w, b)
+        ad.backward(ad.sum_all(out))
+        np.testing.assert_array_equal(b.grad, [[3.0, 3.0]])
+
+    def test_shape_mismatch(self):
+        x = sparse.csc_array(np.eye(3))
+        with pytest.raises(ad.ShapeMismatch, match="sparse_affine: x is"):
+            ad.sparse_affine(x, ad.Tensor(np.ones((2, 2))), ad.Tensor(np.zeros((1, 2))))
+        with pytest.raises(ad.ShapeMismatch, match="bias"):
+            ad.sparse_affine(x, ad.Tensor(np.ones((3, 2))), ad.Tensor(np.zeros((1, 3))))
+
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self):
+        # the desk width: the first-layer products that differ between BLAS
+        # thread counts when x is dense
+        script = textwrap.dedent("""
+            import hashlib
+            import numpy as np
+            from scipy import sparse
+            from diffetm import autodiff as ad
+
+            rng = np.random.default_rng(0)
+            b, v, h = 1000, 2070, 800
+            dense = np.where(rng.random((b, v)) < 67 / v, rng.random((b, v)), 0.0)
+            x = sparse.csc_array(dense.astype(np.float32))
+            w = ad.Tensor(rng.normal(size=(v, h)).astype(np.float32), requires=True)
+            bias = ad.Tensor(np.zeros((1, h), np.float32))
+            y = ad.sparse_affine(x, w, bias)
+            g = ad.Tensor(rng.normal(size=(b, h)).astype(np.float32))
+            ad.backward(ad.sum_all(ad.hadamard(y, g)))
+            print(hashlib.sha256(y.data.tobytes() + w.grad.tobytes()).hexdigest())
+        """)
+        src = str(Path(ad.__file__).parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+            digests.add(proc.stdout.strip())
+        assert len(digests) == 1
 
 
 class TestGather:

@@ -12,6 +12,7 @@ from typing import get_type_hints
 
 import numpy as np
 import pytest
+import scipy
 
 from diffetm import cli
 from diffetm.model import ModelConfig
@@ -217,6 +218,24 @@ class TestConfig:
         assert list(cwd.iterdir()) == []
 
 
+def test_blas_threads_come_from_the_environment_else_the_cores(monkeypatch):
+    for var in cli.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    assert cli.numeric_environment()["blas_threads"] == len(os.sched_getaffinity(0))
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    assert cli.numeric_environment()["blas_threads"] == 3
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert cli.numeric_environment()["blas_threads"] == 1
+
+
+def test_importing_synth_loads_neither_scipy_nor_the_model():
+    # the benchmark's corpus generator imports diffetm.synth in a child process
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    code = "import sys, diffetm.synth; print([m for m in ('scipy', 'diffetm.model') if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 class TestIngestCommand:
     def test_artifacts_written(self, workspace):
         corpus_dir = workspace["root"] / "corpus"
@@ -278,6 +297,12 @@ class TestTrainCommand:
         assert "train_report.json" in manifest["artifacts"]
         assert all(len(h) == 64 for h in manifest["artifacts"].values())
         assert manifest["config"]["num_topics"] == 4
+
+    def test_manifest_records_the_numeric_environment(self, workspace):
+        env = json.loads((workspace["run_dir"] / "manifest.json").read_text())["environment"]
+        assert env == cli.numeric_environment()
+        assert (env["numpy"], env["scipy"]) == (np.__version__, scipy.__version__)
+        assert env["blas"] and env["blas_threads"] >= 1
 
     def test_deterministic_rerun_identical_artifacts(self, workspace):
         run_dir = workspace["run_dir"]

@@ -145,7 +145,9 @@ class TestIterBatches:
         batches = list(cp.iter_batches(corpus, 3, 3, np.float64))
         assert [b.shape for b in batches] == [(3, 3), (3, 3), (1, 3)]
         whole = cp.dense_counts(corpus, range(7), 3, np.float64)
-        np.testing.assert_array_equal(np.concatenate([b.x_norm for b in batches]), whole.x_norm)
+        np.testing.assert_array_equal(
+            np.concatenate([b.x_norm.toarray() for b in batches]), whole.x_norm.toarray()
+        )
         np.testing.assert_array_equal(np.concatenate([b.counts for b in batches]), whole.counts)
 
     def test_empty_split_yields_nothing(self):
@@ -173,8 +175,8 @@ def test_dense_counts_matches_per_token_loop(maps, data):
         return
     got = cp.dense_counts(corpus, indices, 8, dtype)
     assert got.shape == expected.shape
-    assert got.x_norm.dtype == dtype
-    assert got.x_norm.tobytes() == (expected / totals).astype(dtype).tobytes()
+    assert got.x_norm.format == "csc" and got.x_norm.dtype == dtype
+    assert got.x_norm.toarray().tobytes() == (expected / totals).astype(dtype).tobytes()
     rows, cols = np.nonzero(expected)
     np.testing.assert_array_equal(got.rows, rows)
     np.testing.assert_array_equal(got.cols, cols)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import sparse
 
 from conftest import batch_of, finite_diff_check
 from diffetm import autodiff as ad
@@ -124,7 +125,7 @@ class TestEncoders:
         cfg, _, x = small_setup()
         store = zero_store(cfg, 12)
         store["diff.b3"].data[:] = np.arange(4.0)
-        x_norm = ad.Tensor(x / x.sum(axis=1, keepdims=True))
+        x_norm = sparse.csc_array(x / x.sum(axis=1, keepdims=True))
         out = m.encode_x0(x_norm, store)
         np.testing.assert_array_equal(out.data, np.tile(np.arange(4.0), (3, 1)))
 
@@ -132,7 +133,7 @@ class TestEncoders:
         cfg, store, _ = small_setup(seed=2)
         row = np.random.default_rng(5).uniform(size=(1, 12))
         row /= row.sum()
-        x_norm = ad.Tensor(np.tile(row, (3, 1)))
+        x_norm = sparse.csc_array(np.tile(row, (3, 1)))
         out = m.encode_x0(x_norm, store)
         assert (out.data[0] == out.data[1]).all()
         assert (out.data[0] == out.data[2]).all()
@@ -140,7 +141,7 @@ class TestEncoders:
     def test_mu_logvar_zero_weights(self):
         cfg, _, x = small_setup()
         store = zero_store(cfg, 12)
-        x_norm = ad.Tensor(x / x.sum(axis=1, keepdims=True))
+        x_norm = sparse.csc_array(x / x.sum(axis=1, keepdims=True))
         mu, logvar = m.encode_mu_logvar(x_norm, store)
         np.testing.assert_array_equal(mu.data, 0.0)
         np.testing.assert_array_equal(logvar.data, 0.0)
@@ -151,7 +152,7 @@ class TestEncoders:
         cfg, store, x = small_setup(seed=3)
 
         def loss():
-            x_norm = ad.Tensor(x / x.sum(axis=1, keepdims=True))
+            x_norm = sparse.csc_array(x / x.sum(axis=1, keepdims=True))
             return ad.sum_all(m.encode_x0(x_norm, store))
 
         for name in ("diff.w1", "diff.b1", "diff.w2", "diff.w3"):

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import os
 import struct
 from dataclasses import replace
 from itertools import count
@@ -78,6 +80,52 @@ class TestTrain:
         with pytest.raises(tr.Diverged, match="non-finite validation at epoch 1"):
             tr.train(tiny_config, cfg, tiny_dataset)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_run_diverging_before_any_selection_reports_null(self, tiny_dataset, tiny_config, tmp_path):
+        cfg = tiny_train_config(epochs=1, batch_size=1000, learning_rate=1e6)
+        with pytest.raises(tr.Diverged):
+            tr.train(tiny_config, cfg, tiny_dataset, tmp_path)
+
+        def refuse(constant):
+            raise AssertionError(f"train_report.json holds {constant}")
+
+        report = json.loads((tmp_path / "train_report.json").read_text(), parse_constant=refuse)
+        assert report["best_epoch"] == 0
+        assert report["best_val_perplexity"] is None
+
+    def test_report_json_refuses_any_other_non_finite_value(self):
+        report = tr.TrainReport(seed=0, epochs=1, val_z_kl=[np.inf], best_epoch=1, best_val_perplexity=5.0)
+        with pytest.raises(ValueError, match="JSON compliant"):
+            report.to_json()
+
+    def test_best_checkpoint_is_a_link_to_the_best_epoch_file(self, tiny_dataset, tiny_config, tmp_path):
+        report = tr.train(tiny_config, tiny_train_config(epochs=4), tiny_dataset, tmp_path)
+        best, epoch_file = tmp_path / "best.ckpt", tmp_path / tr.checkpoint_name(report.best_epoch)
+        assert best.read_bytes() == epoch_file.read_bytes()
+        assert best.samefile(epoch_file)
+        # no temp file is left behind
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
+
+    def test_best_checkpoint_is_a_copy_where_linking_fails(self, tiny_dataset, tiny_config, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError("no hard links here")
+
+        monkeypatch.setattr(os, "link", refuse)
+        report = tr.train(tiny_config, tiny_train_config(epochs=4), tiny_dataset, tmp_path)
+        best, epoch_file = tmp_path / "best.ckpt", tmp_path / tr.checkpoint_name(report.best_epoch)
+        assert best.read_bytes() == epoch_file.read_bytes()
+        assert not best.samefile(epoch_file)
+
+    def test_best_checkpoint_loads_after_pruning(self, tiny_dataset, tiny_config, tmp_path):
+        report = tr.train(tiny_config, tiny_train_config(epochs=8, max_checkpoints=1), tiny_dataset, tmp_path)
+        assert len((tmp_path / "kl_trajectory.csv").read_text().splitlines()) > 2  # so a file was pruned
+        (kept,) = tmp_path.glob("checkpoint_epoch*.ckpt")
+        assert kept.name == tr.checkpoint_name(report.best_epoch)
+        assert (tmp_path / "best.ckpt").read_bytes() == kept.read_bytes()
+        store, cfg = tr.load_checkpoint(tmp_path / "best.ckpt")
+        ppl, _, _ = tr.validate(store, cfg, tiny_dataset.valid, np.random.default_rng(0))
+        assert ppl == report.best_val_perplexity
+
     def test_writes_artifacts(self, tiny_dataset, tiny_config, tmp_path):
         tr.train(tiny_config, tiny_train_config(epochs=2), tiny_dataset, tmp_path)
         assert (tmp_path / "best.ckpt").exists()
@@ -134,7 +182,7 @@ class TestTrain:
         encode = model.encode_mu_logvar
 
         def counted(x_norm, store):
-            rows.append(x_norm.rows)
+            rows.append(x_norm.shape[0])
             return encode(x_norm, store)
 
         monkeypatch.setattr(model, "encode_mu_logvar", counted)
@@ -216,7 +264,7 @@ class TestValidate:
         encode = model.encode_mu_logvar
 
         def counted(x_norm, store):
-            rows.append(x_norm.rows)
+            rows.append(x_norm.shape[0])
             return encode(x_norm, store)
 
         monkeypatch.setattr(model, "encode_mu_logvar", counted)
@@ -370,6 +418,31 @@ class TestCheckpointIO:
         path.write_bytes(bytes(raw))
         with pytest.raises(tr.CorruptCheckpoint, match="version 99"):
             tr.load_checkpoint(path)
+
+    def test_a_failed_save_leaves_the_old_file_and_no_temp(self, tiny_config, tmp_path, monkeypatch):
+        store = init_params(tiny_config, 9, np.random.default_rng(2))
+        path = tmp_path / "model.ckpt"
+        tr.save_checkpoint(store, tiny_config, path)
+        before = path.read_bytes()
+
+        def fail(store, config, tmp):
+            tmp.write_bytes(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(tr, "_write_checkpoint", fail)
+        with pytest.raises(OSError, match="disk full"):
+            tr.save_checkpoint(store, tiny_config, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_float64_store_is_saved_as_float32(self, tiny_config, tmp_path):
+        store = init_params(tiny_config, 9, np.random.default_rng(2))
+        wide = ad.ParamStore()
+        for name, t in store.items():
+            wide.add(name, t.data.astype(np.float64))
+        tr.save_checkpoint(store, tiny_config, tmp_path / "a.ckpt")
+        tr.save_checkpoint(wide, tiny_config, tmp_path / "b.ckpt")
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
     NAME0 = 8 + 4 + struct.calcsize("<IIIIdddBq") + 4  # first name-length field
 
