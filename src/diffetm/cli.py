@@ -25,6 +25,7 @@ import scipy
 from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from . import trainer as trainer_mod
+from .atomic import write_text
 from .corpus import (
     SPLITS,
     AllTokensPruned,
@@ -214,16 +215,25 @@ def numeric_environment() -> dict:
 def write_manifest(
     out_dir: Path, command: str, cfg: dict, artifacts: list[Path], name: str = "manifest.json"
 ) -> Path:
+    # a hard link (best.ckpt and its epoch file) is hashed once
+    digests: dict[tuple[int, int], str] = {}
+    hashes = {}
+    for p in sorted(artifacts):
+        st = p.stat()
+        inode = (st.st_dev, st.st_ino)
+        if inode not in digests:
+            digests[inode] = _sha256(p)
+        hashes[p.name] = digests[inode]
     manifest = {
         "command": command,
         "run_id": run_id_of(cfg),
         "seed": cfg["seed"],
         "config": cfg,
         "environment": numeric_environment(),
-        "artifacts": {p.name: _sha256(p) for p in sorted(artifacts)},
+        "artifacts": hashes,
     }
     path = out_dir / name
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    write_text(path, json.dumps(manifest, indent=2, sort_keys=True))
     return path
 
 
@@ -304,7 +314,7 @@ def cmd_ingest(cfg: dict) -> int:
         write_corpus_cache(dataset.split(name), dataset.vocab.V, cache)
         artifacts.append(cache)
     report_path = out_dir / "ingest_report.json"
-    report_path.write_text(json.dumps(asdict(report), indent=2))
+    write_text(report_path, json.dumps(asdict(report), indent=2))
     artifacts.append(report_path)
     write_manifest(out_dir, "ingest", cfg, artifacts)
     print(
@@ -333,12 +343,11 @@ def cmd_train(cfg: dict) -> int:
 
 
 def _export_top_words(beta, vocab, n: int, path: Path) -> None:
-    lists = metrics_mod.top_words(beta, n)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("topic_id\trank\ttoken\tprobability\n")
-        for topic_id, words in enumerate(lists):
-            for rank, w in enumerate(words, start=1):
-                fh.write(f"{topic_id}\t{rank}\t{vocab.tokens[w]}\t{float(beta[topic_id, w])!r}\n")
+    lines = ["topic_id\trank\ttoken\tprobability\n"]
+    for topic_id, words in enumerate(metrics_mod.top_words(beta, n)):
+        for rank, w in enumerate(words, start=1):
+            lines.append(f"{topic_id}\t{rank}\t{vocab.tokens[w]}\t{float(beta[topic_id, w])!r}\n")
+    write_text(path, "".join(lines))
 
 
 def _evaluate(cfg: dict, store, model_config: ModelConfig, dataset: Dataset, checkpoint_id: str = ""):
@@ -356,7 +365,7 @@ def cmd_eval(cfg: dict, checkpoint: str) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     report, beta = _evaluate(cfg, store, model_config, dataset, _sha256(Path(checkpoint))[:12])
     report_path = out_dir / "metrics_report.json"
-    report_path.write_text(report.to_json())
+    write_text(report_path, report.to_json())
     words_path = out_dir / "top_words.tsv"
     _export_top_words(beta, dataset.vocab, cfg["top_words_export"], words_path)
     write_manifest(out_dir, "eval", cfg, [report_path, words_path])
@@ -406,7 +415,7 @@ def cmd_sweep_t(cfg: dict) -> int:
     lines = ["T,coherence,diversity,quality,perplexity"]
     for t, coh, div, quality, ppl in rows:
         lines.append(f"{t},{coh!r},{div!r},{quality!r},{ppl!r}")
-    csv_path.write_text("\n".join(lines) + "\n")
+    write_text(csv_path, "\n".join(lines) + "\n")
     write_manifest(sweep_dir, "sweep-t", cfg, [csv_path])
     print(f"[sweep-t] wrote {csv_path}")
     return 0
@@ -433,7 +442,7 @@ def cmd_kl_test(cfg: dict, run_dir_arg: str) -> int:
         points.append((epoch, kl, ppl))
     traj = trainer_mod.improving_trajectory(points)
     csv_path = run_dir / "kl_test.csv"
-    csv_path.write_text(trainer_mod.trajectory_csv(traj))
+    write_text(csv_path, trainer_mod.trajectory_csv(traj))
     write_manifest(run_dir, "kl-test", cfg, [csv_path], KL_TEST_MANIFEST)
     print(f"[kl-test] {len(traj)} improving checkpoints -> {csv_path}")
     return 0

@@ -20,6 +20,8 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
+from .atomic import write_chunks, write_text
+
 
 class AllTokensPruned(ValueError):
     """Fewer than two tokens survived document-frequency pruning (min_df too large)."""
@@ -181,10 +183,6 @@ class BowCorpus:
 
     def total_tokens(self) -> int:
         return int(self.counts.sum())
-
-    def entry_docs(self) -> np.ndarray:
-        """The document index of every (id, count) entry."""
-        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
     def take(self, docs, split: str | None = None) -> "BowCorpus":
         """The given documents, in the given order, as a new corpus."""
@@ -418,10 +416,9 @@ def ingest_single(
 
 
 def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("token\tid\tdoc_freq\n")
-        for i, tok in enumerate(vocab.tokens):
-            fh.write(f"{tok}\t{i}\t{int(vocab.doc_freq[i])}\n")
+    rows = enumerate(zip(vocab.tokens, vocab.doc_freq.tolist()))
+    lines = (f"{tok}\t{i}\t{df}\n" for i, (tok, df) in rows)
+    write_text(path, "token\tid\tdoc_freq\n" + "".join(lines))
 
 
 def read_vocabulary(path: str | Path) -> Vocabulary:
@@ -466,11 +463,9 @@ def write_corpus_cache(corpus: BowCorpus, vocab_size: int, path: str | Path) -> 
     """Binary cache, little-endian: magic, version u32, V u32, N u32, then
     three u32 arrays in document order: the N pair counts, every word id
     (ascending within a document) and every count."""
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<III", CACHE_VERSION, vocab_size, len(corpus)))
-        for a in (np.diff(corpus.indptr), corpus.ids, corpus.counts):
-            fh.write(a.astype("<u4").tobytes())
+    header = CACHE_MAGIC + struct.pack("<III", CACHE_VERSION, vocab_size, len(corpus))
+    arrays = (np.diff(corpus.indptr), corpus.ids, corpus.counts)
+    write_chunks(path, chain([header], (a.astype("<u4") for a in arrays)))
 
 
 def read_corpus_cache(path: str | Path, split: str, vocab: Vocabulary) -> BowCorpus:

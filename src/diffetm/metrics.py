@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
+from scipy import sparse
 
 from . import autodiff as ad
 from .corpus import BowCorpus, iter_batches
@@ -64,42 +65,50 @@ def top_words(beta: np.ndarray, n: int) -> list[list[int]]:
 
 
 class CooccurrenceStats:
-    """Document-frequency and pairwise joint-document counts.
+    """Document frequencies and word-major postings of a reference corpus.
 
-    Occurrence is binary per document.  Joint counts are computed from
-    sorted posting lists on demand, so building the stats is linear in the
-    corpus and pair queries stay cheap for top-word lists.
+    Occurrence is binary per document.  Word w occurs in the documents
+    ``docs[indptr[w]:indptr[w + 1]]``, ascending; joint counts are computed
+    per word list on demand, so building the stats is linear in the corpus.
     """
 
-    def __init__(self, n_docs: int, postings: list[np.ndarray]):
+    def __init__(self, n_docs: int, indptr: np.ndarray, docs: np.ndarray):
         self.n_docs = n_docs
-        self._postings = postings
-        self.doc_freq = np.array([len(p) for p in postings], dtype=np.int64)
+        self.indptr = indptr
+        self.docs = docs
+        self.doc_freq = np.diff(indptr)
 
     @property
     def vocab_size(self) -> int:
-        return len(self._postings)
+        return len(self.indptr) - 1
 
-    def joint(self, w1: int, w2: int) -> int:
-        return int(
-            np.intersect1d(self._postings[w1], self._postings[w2], assume_unique=True).size
-        )
+    def joint_counts(self, words: list[int]) -> np.ndarray:
+        """The (len(words), len(words)) float64 matrix of joint document
+        counts, one product of the words' 0/1 document indicators: the
+        counts stay exact integers below 2**53 documents."""
+        ind = np.zeros((len(words), self.n_docs))
+        for row, w in zip(ind, words):
+            row[self.docs[self.indptr[w]:self.indptr[w + 1]]] = 1.0
+        return ind @ ind.T
 
 
 def build_cooccurrence(corpus: BowCorpus, vocab_size: int) -> CooccurrenceStats:
-    """Postings of every word id below vocab_size, from the corpus's CSR
-    arrays: a stable sort of the entries by word id keeps each word's
-    documents in ascending order."""
+    """Postings of every word id below vocab_size: the corpus's CSR arrays
+    converted to word-major order by scipy's compiled transpose, which keeps
+    each word's documents ascending."""
     ids = corpus.ids
-    if ids.size and ids.max() >= vocab_size:
-        raise VocabularyMismatch(
-            f"word id {ids.max()} outside reference vocabulary of {vocab_size}"
-        )
-    # numpy radix-sorts 16-bit keys, several times faster than int64 ones
-    keys = ids.astype(np.uint16) if vocab_size <= 1 << 16 else ids
-    by_word = corpus.entry_docs()[np.argsort(keys, kind="stable")]
-    ends = np.cumsum(np.bincount(ids, minlength=vocab_size))
-    return CooccurrenceStats(n_docs=len(corpus), postings=np.split(by_word, ends[:-1]))
+    # scipy's conversion does not check indices, so a bad id must stop here
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
+        bad = ids[(ids < 0) | (ids >= vocab_size)][0]
+        raise VocabularyMismatch(f"word id {bad} outside reference vocabulary of {vocab_size}")
+    # int32 indices, where they fit, halve the transpose's memory traffic
+    index = np.int32 if max(ids.size, vocab_size, len(corpus)) < 2**31 else np.int64
+    by_doc = sparse.csr_array(
+        (np.ones(ids.size, dtype=np.int8), ids.astype(index), corpus.indptr.astype(index)),
+        shape=(len(corpus), vocab_size),
+    )
+    by_word = by_doc.tocsc()
+    return CooccurrenceStats(len(corpus), by_word.indptr, by_word.indices)
 
 
 def npmi_pair(p_i: float, p_j: float, p_ij: float) -> float:
@@ -123,14 +132,15 @@ def npmi_coherence(topics: list[list[int]], stats: CooccurrenceStats) -> float:
     per_topic = []
     for words in topics:
         for w in words:
-            if w >= stats.vocab_size:
+            if not 0 <= w < stats.vocab_size:
                 raise VocabularyMismatch(
                     f"word id {w} outside reference vocabulary of {stats.vocab_size}"
                 )
+        joint = stats.joint_counts(words).tolist()
+        p = (stats.doc_freq[words] / n).tolist()
         scores = []
-        for w1, w2 in combinations(words, 2):
-            p_ij = stats.joint(w1, w2) / n
-            scores.append(npmi_pair(stats.doc_freq[w1] / n, stats.doc_freq[w2] / n, p_ij))
+        for i, j in combinations(range(len(words)), 2):
+            scores.append(npmi_pair(p[i], p[j], joint[i][j] / n))
         per_topic.append(sum(scores) / len(scores))
     return float(sum(per_topic) / len(per_topic))
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import metrics as metrics_mod
+from .atomic import replace_via_temp, write_text
 from .corpus import BowCorpus, Dataset, dense_counts
 from .model import (
     MODES,
@@ -124,18 +125,6 @@ def checkpoint_epoch(name: str) -> int:
     return int(digits)
 
 
-def _replace_via_temp(path: Path, write) -> None:
-    """write(temp) a temp file in path's directory, then rename it to path,
-    so that path is always either the old file or the whole new one."""
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _write_checkpoint(store: ad.ParamStore, config: ModelConfig, path: Path) -> None:
     with open(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
@@ -155,7 +144,7 @@ def _write_checkpoint(store: ad.ParamStore, config: ModelConfig, path: Path) -> 
 
 def save_checkpoint(store: ad.ParamStore, config: ModelConfig, path: str | Path) -> None:
     """Write the store and config to path atomically (a temp file, then os.replace)."""
-    _replace_via_temp(Path(path), lambda tmp: _write_checkpoint(store, config, tmp))
+    replace_via_temp(path, lambda tmp: _write_checkpoint(store, config, tmp))
 
 
 def link_checkpoint(src: Path, dst: Path) -> None:
@@ -168,7 +157,7 @@ def link_checkpoint(src: Path, dst: Path) -> None:
         except OSError:
             shutil.copyfile(src, tmp)
 
-    _replace_via_temp(dst, link)
+    replace_via_temp(dst, link)
 
 
 def load_checkpoint(path: str | Path) -> tuple[ad.ParamStore, ModelConfig]:
@@ -289,8 +278,8 @@ def train(
     at each improving epoch, with best.ckpt a hard link to the latest, at
     most max_checkpoints epoch files (0 = unlimited), and those epochs'
     kl_trajectory.csv.  Raises Diverged, carrying the partial report
-    without that epoch, on a non-finite loss or validation perplexity or
-    KL; train_report.json is written either way.
+    without that epoch, on a non-finite loss or validation perplexity, KL
+    or z-KL; train_report.json is written either way.
     """
     model_config.validate()
     train_config.validate()
@@ -342,12 +331,12 @@ def train(
             ppl, kl_term, z_kl = validate(
                 store, model_config, data.valid, np.random.default_rng([seed, 3, epoch])
             )
-            # z_kl is a diagnostic; a non-finite perplexity or KL can select no checkpoint
-            if not (np.isfinite(ppl) and np.isfinite(kl_term)):
+            # a non-finite value can select no checkpoint, nor go into the JSON report
+            if not np.isfinite([ppl, kl_term, z_kl]).all():
                 _close_report(report, started, train_config.deterministic, run_dir)
                 raise Diverged(
-                    f"non-finite validation at epoch {epoch}: perplexity {ppl}, kl {kl_term} "
-                    f"(lr={train_config.learning_rate})",
+                    f"non-finite validation at epoch {epoch}: perplexity {ppl}, kl {kl_term}, "
+                    f"z-KL {z_kl} (lr={train_config.learning_rate})",
                     report=report,
                 )
         report.train_recon.append(sum_recon)
@@ -369,7 +358,7 @@ def train(
 
     _close_report(report, started, train_config.deterministic, run_dir)
     if run_dir is not None:
-        (run_dir / "kl_trajectory.csv").write_text(trajectory_csv(improving))
+        write_text(run_dir / "kl_trajectory.csv", trajectory_csv(improving))
     return report
 
 
@@ -377,7 +366,7 @@ def _close_report(report: TrainReport, started: float, deterministic: bool, run_
     """Stamp the wall-clock time and write train_report.json when run_dir is set."""
     report.wall_seconds = 0.0 if deterministic else time.monotonic() - started
     if run_dir is not None:
-        (run_dir / "train_report.json").write_text(report.to_json())
+        write_text(run_dir / "train_report.json", report.to_json())
 
 
 def improving_trajectory(points: Iterable[tuple]) -> list[tuple[int, float, float]]:

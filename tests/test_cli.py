@@ -322,6 +322,38 @@ class TestTrainCommand:
         assert json.loads((run_dir / "train_report.json").read_text())["val_perplexity"] == []
         assert not list(run_dir.glob("*.ckpt"))
 
+    def test_non_finite_z_kl_exits_1_with_a_strict_json_report(self, workspace, tmp_path, capsys, monkeypatch):
+        validate = cli.trainer_mod.validate
+        monkeypatch.setattr(cli.trainer_mod, "validate", lambda *a: (*validate(*a)[:2], math.inf))
+        path = tmp_path / "z_kl.json"
+        path.write_text(json.dumps({**workspace["cfg"], "output_dir": str(tmp_path / "runs")}))
+        assert cli.main(["train", "--config", str(path)]) == 1
+        assert "diverged: non-finite validation at epoch 1:" in capsys.readouterr().err
+        run_dir = tmp_path / "runs" / cli.run_id_of(cli.load_config(str(path)))
+
+        def refuse(constant):
+            raise AssertionError(f"train_report.json holds {constant}")
+
+        report = json.loads((run_dir / "train_report.json").read_text(), parse_constant=refuse)
+        assert report["val_z_kl"] == []
+        assert not list(run_dir.glob("*.ckpt"))
+
+    def test_manifest_hashes_each_inode_once(self, tmp_path, monkeypatch):
+        (tmp_path / "a.ckpt").write_bytes(b"model")
+        os.link(tmp_path / "a.ckpt", tmp_path / "best.ckpt")
+        (tmp_path / "report.json").write_bytes(b"{}")
+        hashed = []
+        sha256 = cli._sha256
+        monkeypatch.setattr(cli, "_sha256", lambda p: hashed.append(p.name) or sha256(p))
+        cfg = cli.load_config()
+        path = cli.write_manifest(tmp_path, "train", cfg, cli._run_artifacts(tmp_path))
+        assert hashed == ["a.ckpt", "report.json"]
+        artifacts = json.loads(path.read_text())["artifacts"]
+        assert artifacts == {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("a.ckpt", "best.ckpt", "report.json")
+        }
+
     def test_diverged_rerun_manifest_excludes_itself(self, workspace, tmp_path):
         path = tmp_path / "diverge.json"
         path.write_text(json.dumps({

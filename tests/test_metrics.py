@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -100,9 +101,9 @@ class TestNpmi:
 
     def test_joint_bounded_by_marginals(self):
         stats = mx.build_cooccurrence(corpus_of([{0, 1}, {0}, {0, 1}, {1}, {0}]), 2)
-        joint = stats.joint(0, 1)
-        assert joint <= min(stats.doc_freq[0], stats.doc_freq[1])
-        assert joint == stats.joint(1, 0)
+        joint = stats.joint_counts([0, 1])
+        assert joint[0, 1] <= min(stats.doc_freq[0], stats.doc_freq[1])
+        assert joint[0, 1] == stats.joint_counts([1, 0])[1, 0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -121,17 +122,59 @@ def test_npmi_values_bounded(id_sets, words):
 def test_postings_match_the_per_document_loop(id_sets):
     stats = mx.build_cooccurrence(corpus_of(id_sets), 8)
     assert stats.n_docs == len(id_sets)
+    joint = stats.joint_counts(list(range(8)))
     for w in range(8):
         expected = [d for d, ids in enumerate(id_sets) if w in ids]
         assert stats.doc_freq[w] == len(expected)
+        assert stats.docs[stats.indptr[w]:stats.indptr[w + 1]].tolist() == expected
         for w2 in range(8):
             both = sum(1 for ids in id_sets if w in ids and w2 in ids)
-            assert stats.joint(w, w2) == both
+            assert joint[w, w2] == both
+
+
+def intersect_coherence(id_sets, vocab_size, topics):
+    """The coherence from sorted posting lists and one np.intersect1d per
+    pair, the way joint counts were once taken."""
+    n = len(id_sets)
+    postings = [np.array([d for d, ids in enumerate(id_sets) if w in ids], dtype=np.int64)
+                for w in range(vocab_size)]
+    doc_freq = np.array([len(p) for p in postings], dtype=np.int64)
+    per_topic = []
+    for words in topics:
+        scores = []
+        for w1, w2 in combinations(words, 2):
+            joint = int(np.intersect1d(postings[w1], postings[w2], assume_unique=True).size)
+            scores.append(mx.npmi_pair(doc_freq[w1] / n, doc_freq[w2] / n, joint / n))
+        per_topic.append(sum(scores) / len(scores))
+    return float(sum(per_topic) / len(per_topic))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.sets(st.integers(0, 9)), min_size=1, max_size=30),
+    # repeated words within a topic included
+    st.lists(st.lists(st.integers(0, 9), min_size=2, max_size=10), min_size=1, max_size=5),
+)
+def test_coherence_matches_the_intersect_formula_bit_for_bit(id_sets, topics):
+    stats = mx.build_cooccurrence(corpus_of(id_sets), 10)
+    got = mx.npmi_coherence(topics, stats)
+    assert got.hex() == intersect_coherence(id_sets, 10, topics).hex()
 
 
 def test_cooccurrence_rejects_ids_outside_the_vocabulary():
+    for bad in (3, 7, -1):
+        with pytest.raises(mx.VocabularyMismatch, match=f"word id {bad} "):
+            mx.build_cooccurrence(corpus_of([{0, 1}, {bad, 2}]), 3)
+
+
+def test_out_of_range_ids_are_refused_before_scipy_sees_them(monkeypatch):
+    class NoScipy:
+        def __getattr__(self, name):
+            raise AssertionError(f"scipy.sparse.{name} called on an unchecked corpus")
+
+    monkeypatch.setattr(mx, "sparse", NoScipy())
     with pytest.raises(mx.VocabularyMismatch):
-        mx.build_cooccurrence(corpus_of([{0, 3}]), 3)
+        mx.build_cooccurrence(corpus_of([{0, 1}, {5}]), 3)
 
 
 class TestDiversity:
@@ -234,7 +277,7 @@ class TestPerplexity:
 def dense_of(corpus, v):
     """The corpus's counts as a dense float64 array."""
     x = np.zeros((len(corpus), v))
-    x[corpus.entry_docs(), corpus.ids] = corpus.counts
+    x[np.repeat(np.arange(len(corpus)), np.diff(corpus.indptr)), corpus.ids] = corpus.counts
     return x
 
 

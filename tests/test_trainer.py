@@ -55,23 +55,24 @@ class TestTrain:
             tr.train(tiny_config, tiny_train_config(epochs=60, learning_rate=1e9), tiny_dataset, tmp_path)
         assert (tmp_path / "train_report.json").read_text() == excinfo.value.report.to_json()
 
-    @pytest.mark.parametrize("ppl,kl", [(np.nan, 1.0), (np.inf, 1.0), (5.0, np.inf)], ids=["ppl_nan", "ppl_inf", "kl_inf"])
+    @pytest.mark.parametrize(
+        "ppl,kl,z_kl",
+        [(np.nan, 1.0, 0.0), (np.inf, 1.0, 0.0), (5.0, np.inf, 0.0), (5.0, 1.0, np.inf)],
+        ids=["ppl_nan", "ppl_inf", "kl_inf", "z_kl_inf"],
+    )
     def test_non_finite_validation_raises_and_writes_the_report(
-        self, tiny_dataset, tiny_config, tmp_path, monkeypatch, ppl, kl
+        self, tiny_dataset, tiny_config, tmp_path, monkeypatch, ppl, kl, z_kl
     ):
         validate, calls = tr.validate, count(1)
-        monkeypatch.setattr(tr, "validate", lambda *a: (ppl, kl, 0.0) if next(calls) == 2 else validate(*a))
-        with pytest.raises(tr.Diverged, match=f"non-finite validation at epoch 2: perplexity {ppl}, kl {kl}") as excinfo:
+        monkeypatch.setattr(tr, "validate", lambda *a: (ppl, kl, z_kl) if next(calls) == 2 else validate(*a))
+        with pytest.raises(
+            tr.Diverged, match=f"non-finite validation at epoch 2: perplexity {ppl}, kl {kl}, z-KL {z_kl} "
+        ) as excinfo:
             tr.train(tiny_config, tiny_train_config(), tiny_dataset, tmp_path)
         report = excinfo.value.report
         assert len(report.train_total) == len(report.val_perplexity) == 1  # nothing of epoch 2
         assert (tmp_path / "train_report.json").read_text() == report.to_json()
         assert sorted(p.name for p in tmp_path.glob("*.ckpt")) == ["best.ckpt", "checkpoint_epoch0001.ckpt"]
-
-    def test_non_finite_realized_z_kl_is_only_reported(self, tiny_dataset, tiny_config, monkeypatch):
-        validate = tr.validate
-        monkeypatch.setattr(tr, "validate", lambda *a: (*validate(*a)[:2], np.inf))
-        assert tr.train(tiny_config, tiny_train_config(), tiny_dataset).val_z_kl == [np.inf] * 3
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_one_huge_adam_step_diverges_at_validation(self, tiny_dataset, tiny_config):
