@@ -13,6 +13,12 @@ gradient back to them.  ``backward()`` walks the graph in reverse
 topological order from a 1x1 output and accumulates d(output)/d(leaf) into
 every leaf created with ``requires=True``.
 
+A graph is differentiated once: ``backward`` releases each node's closure
+and each interior node's ``data`` (leaves and the output keep theirs) as it
+goes, and a second ``backward`` through it raises ``GraphConsumed``.  ReLU
+is fused into ``affine`` and ``sparse_affine`` (``relu=True``), so no
+pre-activation is kept.
+
 Backward closures receive the output gradient as an argument and capture
 only input tensors and saved arrays, never the output node itself, so a
 released graph is reclaimed by reference counting alone (no cycles).
@@ -42,6 +48,10 @@ class DomainError(ValueError):
 
 class NotScalar(ValueError):
     """backward() was asked to differentiate a non-1x1 output."""
+
+
+class GraphConsumed(RuntimeError):
+    """backward() reached a node that an earlier backward has released."""
 
 
 _grad_enabled = True
@@ -145,14 +155,20 @@ def _node(
 # primitives
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b, with b a 1-row bias broadcast over the rows of x."""
+def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """x @ w + b, with b a 1-row bias broadcast over the rows of x.
+
+    relu gives clamp_min(affine(x, w, b), 0.0) bit for bit in one node: the
+    backward masks g with out > 0, which is pre > 0 for NaN and ±0 too.
+    """
     if x.cols != w.rows:
         raise ShapeMismatch(f"affine: x is {x.data.shape}, w is {w.data.shape}")
     if b.rows != 1 or b.cols != w.cols:
         raise ShapeMismatch(f"affine: bias must be 1x{w.cols}, got {b.data.shape}")
 
     def back(g: np.ndarray) -> None:
+        if relu:
+            g = g * (out > 0.0)
         if x.requires:
             _accum(x, g @ w.data.T)
         if w.requires:
@@ -160,11 +176,16 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if b.requires:
             _accum(b, g.sum(axis=0, keepdims=True))
 
-    return _node(x.data @ w.data + b.data, (x, w, b), back)
+    out = x.data @ w.data
+    out += b.data
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    return _node(out, (x, w, b), back)
 
 
-def sparse_affine(x, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b for a constant (B, V) scipy.sparse CSC array x in w's dtype.
+def sparse_affine(x, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """x @ w + b for a constant (B, V) scipy.sparse CSC array x in w's dtype;
+    relu as in affine.
 
     The products run over x's nonzeros alone: the forward is scipy's CSC
     kernel, and w's gradient is x.T @ g, where x.T is the CSR array of x
@@ -176,6 +197,8 @@ def sparse_affine(x, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatch(f"sparse_affine: bias must be 1x{w.cols}, got {b.data.shape}")
 
     def back(g: np.ndarray) -> None:
+        if relu:
+            g = g * (out > 0.0)
         if w.requires:
             _accum(w, x.T @ g)
         if b.requires:
@@ -183,6 +206,8 @@ def sparse_affine(x, w: Tensor, b: Tensor) -> Tensor:
 
     out = x @ w.data
     out += b.data
+    if relu:
+        np.maximum(out, 0.0, out=out)
     return _node(out, (w, b), back)
 
 
@@ -204,10 +229,6 @@ def transpose(x: Tensor) -> Tensor:
         _accum(x, g.T)
 
     return _node(x.data.T, (x,), back)
-
-
-def relu(x: Tensor) -> Tensor:
-    return clamp_min(x, 0.0)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -341,10 +362,13 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def backward(output: Tensor) -> None:
-    """Accumulate d(output)/d(leaf) into every requires-grad leaf.
+    """Accumulate d(output)/d(leaf) into every requires-grad leaf, and
+    release the graph on the way.
 
     The output must be 1x1; gradients add onto whatever is already in the
-    leaves' buffers (zero them between steps).
+    leaves' buffers (zero them between steps).  A graph that reaches a
+    node an earlier backward released raises GraphConsumed before any
+    gradient moves.
     """
     if output.data.size != 1:
         raise NotScalar(f"backward on a {output.data.shape} output")
@@ -359,6 +383,8 @@ def backward(output: Tensor) -> None:
             continue
         if id(node) in visited:
             continue
+        if node._parents and node._backward is None:
+            raise GraphConsumed("backward through a graph an earlier backward released")
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -369,9 +395,12 @@ def backward(output: Tensor) -> None:
     for node in reversed(topo):
         if node._backward is not None:
             node._backward(node.grad)
-            # interior gradients are transient; free them eagerly
+            node._backward = None
+            # interior gradients and data are transient: no node run later
+            # (its inputs) reads them
             if node is not output:
                 node.grad = None
+                node.data = None
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,11 @@ from .atomic import write_text
 from .corpus import (
     SPLITS,
     AllTokensPruned,
+    BowCorpus,
     CacheFormatError,
     Dataset,
     EmptySplit,
+    Vocabulary,
     VocabularyFormatError,
     ingest_presplit,
     ingest_single,
@@ -260,25 +262,34 @@ def _require_file_key(cfg: dict, key: str) -> Path:
     return _input_file(_require_dir_key(cfg, key), f"config key {key!r}: file")
 
 
-def _open_checkpoint(path: str | Path, vocab) -> tuple:
-    """The store and config of a checkpoint file whose model fits vocab."""
-    store, model_config = load_checkpoint(_input_file(path, "checkpoint"))
+def _open_checkpoint(path: str | Path, vocab, digest=None) -> tuple:
+    """The store and config of a checkpoint file whose model fits vocab; a
+    hashlib digest given is fed the file's bytes as they are read."""
+    store, model_config = load_checkpoint(_input_file(path, "checkpoint"), digest)
     metrics_mod.check_vocab_size(store, vocab.V)
     return store, model_config
 
 
-def load_dataset(corpus_dir: Path) -> Dataset:
+def load_corpus(corpus_dir: Path, names=SPLITS) -> tuple[Vocabulary, dict[str, BowCorpus]]:
+    """The vocabulary and the named splits, each cache parsed once.
+
+    Every split's cache must be a file, as ingest leaves them, but only the
+    named ones are read.
+    """
     vocab_path = corpus_dir / "vocab.tsv"
     if not vocab_path.is_file():
         raise ConfigError(f"no vocab.tsv under {corpus_dir}; run ingest first")
     vocab = read_vocabulary(vocab_path)
-    splits = {}
-    for name in SPLITS:
-        cache = corpus_dir / f"{name}.corpus"
+    caches = {name: corpus_dir / f"{name}.corpus" for name in SPLITS}
+    for cache in caches.values():
         if not cache.is_file():
             raise ConfigError(f"missing corpus cache {cache}; run ingest first")
-        splits[name] = read_corpus_cache(cache, name, vocab)
-    return Dataset(vocab, splits["train"], splits["valid"], splits["test"])
+    return vocab, {name: read_corpus_cache(caches[name], name, vocab) for name in dict.fromkeys(names)}
+
+
+def load_dataset(corpus_dir: Path) -> Dataset:
+    vocab, splits = load_corpus(corpus_dir)
+    return Dataset(vocab, **splits)
 
 
 # ---------------------------------------------------------------------------
@@ -350,24 +361,25 @@ def _export_top_words(beta, vocab, n: int, path: Path) -> None:
     write_text(path, "".join(lines))
 
 
-def _evaluate(cfg: dict, store, model_config: ModelConfig, dataset: Dataset, checkpoint_id: str = ""):
-    """All four metrics on the configured split, coherence referenced to train."""
+def _evaluate(store, model_config: ModelConfig, vocab: Vocabulary, split, train, checkpoint_id: str = ""):
+    """All four metrics on the corpus split, coherence referenced to train."""
     return metrics_mod.evaluate_model(
-        store, model_config, dataset.split(cfg["eval_split"]), dataset.train, dataset.vocab.V,
-        corpus_id=dataset.vocab.ref_id, checkpoint_id=checkpoint_id,
+        store, model_config, split, train, vocab.V, corpus_id=vocab.ref_id, checkpoint_id=checkpoint_id
     )
 
 
 def cmd_eval(cfg: dict, checkpoint: str) -> int:
-    dataset = load_dataset(_require_dir_key(cfg, "corpus_dir"))
-    store, model_config = _open_checkpoint(checkpoint, dataset.vocab)
+    vocab, splits = load_corpus(_require_dir_key(cfg, "corpus_dir"), ("train", cfg["eval_split"]))
+    digest = hashlib.sha256()
+    store, model_config = _open_checkpoint(checkpoint, vocab, digest)
     out_dir = Path(cfg["output_dir"]) / f"eval_{run_id_of(cfg)}"
     out_dir.mkdir(parents=True, exist_ok=True)
-    report, beta = _evaluate(cfg, store, model_config, dataset, _sha256(Path(checkpoint))[:12])
+    split = splits[cfg["eval_split"]]
+    report, beta = _evaluate(store, model_config, vocab, split, splits["train"], digest.hexdigest()[:12])
     report_path = out_dir / "metrics_report.json"
     write_text(report_path, report.to_json())
     words_path = out_dir / "top_words.tsv"
-    _export_top_words(beta, dataset.vocab, cfg["top_words_export"], words_path)
+    _export_top_words(beta, vocab, cfg["top_words_export"], words_path)
     write_manifest(out_dir, "eval", cfg, [report_path, words_path])
     print(
         f"[eval] coherence={report.coherence:.4f} diversity={report.diversity:.4f} "
@@ -377,13 +389,13 @@ def cmd_eval(cfg: dict, checkpoint: str) -> int:
 
 
 def cmd_topics(cfg: dict, checkpoint: str) -> int:
-    dataset = load_dataset(_require_dir_key(cfg, "corpus_dir"))
-    store, _ = _open_checkpoint(checkpoint, dataset.vocab)
+    vocab, _ = load_corpus(_require_dir_key(cfg, "corpus_dir"), ())
+    store, _ = _open_checkpoint(checkpoint, vocab)
     beta = metrics_mod.topic_word_matrix(store)
     out_dir = Path(cfg["output_dir"]) / f"topics_{run_id_of(cfg)}"
     out_dir.mkdir(parents=True, exist_ok=True)
     words_path = out_dir / "top_words.tsv"
-    _export_top_words(beta, dataset.vocab, cfg["top_words_export"], words_path)
+    _export_top_words(beta, vocab, cfg["top_words_export"], words_path)
     write_manifest(out_dir, "topics", cfg, [words_path])
     print(f"[topics] wrote {words_path}")
     return 0
@@ -391,6 +403,7 @@ def cmd_topics(cfg: dict, checkpoint: str) -> int:
 
 def cmd_sweep_t(cfg: dict) -> int:
     dataset = load_dataset(_require_dir_key(cfg, "corpus_dir"))
+    split = dataset.split(cfg["eval_split"])
     sweep_dir = Path(cfg["output_dir"]) / f"sweep_{run_id_of(cfg)}"
     sweep_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -400,7 +413,7 @@ def cmd_sweep_t(cfg: dict) -> int:
         try:
             trainer_mod.train(model_config, train_config_of(cfg), dataset, run_dir)
             store, ckpt_config = _open_checkpoint(run_dir / "best.ckpt", dataset.vocab)
-            report, _ = _evaluate(cfg, store, ckpt_config, dataset)
+            report, _ = _evaluate(store, ckpt_config, dataset.vocab, split, dataset.train)
             rows.append(
                 (t, report.coherence, report.diversity, report.quality, report.perplexity)
             )
@@ -433,11 +446,11 @@ def cmd_kl_test(cfg: dict, run_dir_arg: str) -> int:
         raise ConfigError(f"{run_dir}: {exc}") from None
     if not ckpts:
         raise ConfigError(f"no epoch checkpoints under {run_dir}")
-    dataset = load_dataset(_require_dir_key(cfg, "corpus_dir"))
-    split = dataset.split(cfg["eval_split"])
+    vocab, splits = load_corpus(_require_dir_key(cfg, "corpus_dir"), (cfg["eval_split"],))
+    split = splits[cfg["eval_split"]]
     points = []
     for epoch, ckpt in ckpts:
-        store, model_config = _open_checkpoint(ckpt, dataset.vocab)
+        store, model_config = _open_checkpoint(ckpt, vocab)
         ppl, kl, _ = metrics_mod.perplexity_and_kl(store, model_config, split)
         points.append((epoch, kl, ppl))
     traj = trainer_mod.improving_trajectory(points)

@@ -162,10 +162,10 @@ def store_dtype(store: ad.ParamStore) -> np.dtype:
 
 
 def _mlp3(x_norm, store: ad.ParamStore, prefix: str) -> ad.Tensor:
-    """Three affine layers with two interleaved ReLUs; the first reads the
-    batch's sparse x_norm over its nonzeros alone."""
-    h1 = ad.relu(ad.sparse_affine(x_norm, store[f"{prefix}.w1"], store[f"{prefix}.b1"]))
-    h2 = ad.relu(ad.affine(h1, store[f"{prefix}.w2"], store[f"{prefix}.b2"]))
+    """Three affine layers, the first two with a fused ReLU; the first reads
+    the batch's sparse x_norm over its nonzeros alone."""
+    h1 = ad.sparse_affine(x_norm, store[f"{prefix}.w1"], store[f"{prefix}.b1"], relu=True)
+    h2 = ad.affine(h1, store[f"{prefix}.w2"], store[f"{prefix}.b2"], relu=True)
     return ad.affine(h2, store[f"{prefix}.w3"], store[f"{prefix}.b3"])
 
 

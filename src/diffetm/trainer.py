@@ -160,14 +160,17 @@ def link_checkpoint(src: Path, dst: Path) -> None:
     replace_via_temp(dst, link)
 
 
-def load_checkpoint(path: str | Path) -> tuple[ad.ParamStore, ModelConfig]:
+def load_checkpoint(path: str | Path, digest=None) -> tuple[ad.ParamStore, ModelConfig]:
     """Rebuild a parameter store and config, checking that the parameters
     fit the configuration.
 
     The parameters stay float32, as stored, so a reloaded checkpoint is the
-    saved float32 model bit for bit.
+    saved float32 model bit for bit.  A hashlib object given as digest is
+    fed the file's bytes, so a caller that hashes the file reads it once.
     """
     data = Path(path).read_bytes()
+    if digest is not None:
+        digest.update(data)
     if data[:8] != CKPT_MAGIC:
         raise CorruptCheckpoint(f"{path}: not a checkpoint file (bad magic)")
     try:

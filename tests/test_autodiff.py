@@ -25,7 +25,8 @@ class TestPrimitives:
         np.testing.assert_allclose(out.data, [[0.25, 0.25, 0.25, 0.25]])
 
     def test_relu(self):
-        out = ad.relu(ad.Tensor([[-1.0, 2.0]]))
+        # ReLU is fused into the affine layers
+        out = ad.affine(ad.Tensor([[1.0]]), ad.Tensor([[-1.0, 2.0]]), ad.Tensor([[0.0, 0.0]]), relu=True)
         np.testing.assert_array_equal(out.data, [[0.0, 2.0]])
 
     def test_affine_hand_computed(self):
@@ -47,7 +48,9 @@ class TestPrimitives:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_clamp_min_keeps_nan_and_gives_positive_zero(self, dtype):
         x = ad.Tensor(np.array([[np.nan, -0.0, -1.0, 2.0, -np.inf]], dtype=dtype))
-        for out, floor in ((ad.relu(x), 0.0), (ad.clamp_min(x, 0.0), 0.0), (ad.clamp_min(x, 1e-12), 1e-12)):
+        # the fused ReLU: 1 * x + (-0.0) is x again
+        fused = ad.affine(ad.Tensor(np.ones((1, 1), dtype)), x, ad.Tensor(np.full((1, 5), -0.0, dtype)), relu=True)
+        for out, floor in ((fused, 0.0), (ad.clamp_min(x, 0.0), 0.0), (ad.clamp_min(x, 1e-12), 1e-12)):
             assert out.data.dtype == dtype
             assert np.isnan(out.data[0, 0])
             np.testing.assert_array_equal(out.data[0, 1:], np.array([floor, floor, 2.0, floor], dtype=dtype))
@@ -82,13 +85,15 @@ class TestBackward:
     def test_relu_subgradient(self):
         store = ad.ParamStore()
         p = param(store, "p", [[-1.0, 4.0]])
-        ad.backward(ad.sum_all(ad.relu(p)))
+        # p is the pre-activation of a fused ReLU layer: its bias, after 0 @ 0
+        zero_x, zero_w = ad.Tensor(np.zeros((1, 1))), ad.Tensor(np.zeros((1, 2)))
+        ad.backward(ad.sum_all(ad.affine(zero_x, zero_w, p, relu=True)))
         np.testing.assert_array_equal(p.grad, [[0.0, 1.0]])
 
     def test_not_scalar(self):
         p = ad.Tensor([[1.0, 2.0]], requires=True)
         with pytest.raises(ad.NotScalar):
-            ad.backward(ad.relu(p))
+            ad.backward(ad.clamp_min(p, 0.0))
 
     def test_three_layer_network_matches_finite_differences(self):
         rng = np.random.default_rng(8)
@@ -103,8 +108,8 @@ class TestBackward:
         target = rng.uniform(0.1, 1.0, size=(7, 3))
 
         def loss():
-            h = ad.relu(ad.affine(x, w1, b1))
-            h = ad.relu(ad.affine(h, w2, b2))
+            h = ad.affine(x, w1, b1, relu=True)
+            h = ad.affine(h, w2, b2, relu=True)
             probs = ad.softmax_rows(ad.affine(h, w3, b3))
             return ad.scale(ad.sum_all(ad.hadamard(ad.Tensor(target), ad.log_rows(probs))), -1.0)
 
@@ -172,8 +177,8 @@ def _primitive_losses(rng):
             lambda p, x, b: ad.affine(x, p, b), (3, 4), (1, 4), weight_shape=(3, 4))),
         case("affine_b", (1, 4), lambda: weighted(
             lambda p, x, w: ad.affine(x, w, p), (3, 4), (4, 4), weight_shape=(3, 4))),
-        case("relu", (3, 4), lambda: weighted(
-            lambda p: ad.relu(p), weight_shape=(3, 4)), away_from_zero=True),
+        case("clamp_0", (3, 4), lambda: weighted(
+            lambda p: ad.clamp_min(p, 0.0), weight_shape=(3, 4)), away_from_zero=True),
         case("softmax", (3, 4), lambda: weighted(
             lambda p: ad.softmax_rows(p), weight_shape=(3, 4))),
         case("log", (3, 4), lambda: weighted(
@@ -243,8 +248,10 @@ class TestSparseAffine:
         for layer, x_in in ((ad.sparse_affine, x), (ad.affine, ad.Tensor(x.toarray()))):
             w, b = ad.Tensor(w0, requires=True), ad.Tensor(b0, requires=True)
             y = layer(x_in, w, b)
+            # backward releases y's data; read it before
+            y_data = y.data
             ad.backward(ad.sum_all(ad.hadamard(y, g)))
-            outs.append((y.data, w.grad, b.grad))
+            outs.append((y_data, w.grad, b.grad))
         for got, want in zip(*outs):
             assert got.dtype == dtype
             np.testing.assert_allclose(got, want, rtol=rel, atol=rel * np.abs(want).max())
@@ -281,9 +288,10 @@ class TestSparseAffine:
             w = ad.Tensor(rng.normal(size=(v, h)).astype(np.float32), requires=True)
             bias = ad.Tensor(np.zeros((1, h), np.float32))
             y = ad.sparse_affine(x, w, bias)
+            y_bytes = y.data.tobytes()
             g = ad.Tensor(rng.normal(size=(b, h)).astype(np.float32))
             ad.backward(ad.sum_all(ad.hadamard(y, g)))
-            print(hashlib.sha256(y.data.tobytes() + w.grad.tobytes()).hexdigest())
+            print(hashlib.sha256(y_bytes + w.grad.tobytes()).hexdigest())
         """)
         src = str(Path(ad.__file__).parents[1])
         digests = set()
@@ -292,6 +300,148 @@ class TestSparseAffine:
             proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
             digests.add(proc.stdout.strip())
         assert len(digests) == 1
+
+
+def _kinked_layer_inputs(dtype):
+    """x, w and b whose pre-activation x @ w + b has a NaN column (from b),
+    a +0.0 column (w and b zero) and, in the rows of underflowing x, -0.0
+    entries (the products tiny * -tiny underflow to -0.0, and b adds -0.0)."""
+    rng = np.random.default_rng(2)
+    tiny = np.finfo(dtype).tiny
+    x = rng.normal(size=(5, 6)).astype(dtype)
+    x[3:] = tiny
+    w = rng.normal(size=(6, 5)).astype(dtype)
+    w[:, 1] = 0.0
+    w[:, 2] = -tiny
+    b = rng.normal(size=(1, 5)).astype(dtype)
+    b[0, :3] = np.nan, 0.0, -0.0
+    return x, w, b
+
+
+class TestFusedRelu:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("sparse_input", [False, True])
+    def test_matches_clamp_min_of_the_layer_bit_for_bit(self, dtype, sparse_input):
+        x0, w0, b0 = _kinked_layer_inputs(dtype)
+        if sparse_input:
+            # empty rows, whose pre-activation is b: NaN and zeros (scipy
+            # sums into +0.0, so this layer makes no -0.0)
+            x0[3:] = 0.0
+        g = ad.Tensor(np.random.default_rng(3).normal(size=(5, 5)).astype(dtype))
+        results = []
+        for fused in (True, False):
+            w, b = ad.Tensor(w0, requires=True), ad.Tensor(b0, requires=True)
+            if sparse_input:
+                x = sparse.csc_array(x0)
+                y = ad.sparse_affine(x, w, b, relu=True) if fused else ad.clamp_min(ad.sparse_affine(x, w, b), 0.0)
+                leaves = (w, b)
+            else:
+                x = ad.Tensor(x0, requires=True)
+                y = ad.affine(x, w, b, relu=True) if fused else ad.clamp_min(ad.affine(x, w, b), 0.0)
+                leaves = (x, w, b)
+                if not fused:
+                    pre = y._parents[0].data
+                    assert np.isnan(pre).any()
+                    assert (np.signbit(pre) & (pre == 0.0)).any() and (~np.signbit(pre) & (pre == 0.0)).any()
+            values = y.data.copy()
+            ad.backward(ad.sum_all(ad.hadamard(y, g)))
+            results.append([values] + [t.grad for t in leaves])
+        for got, want in zip(*results):
+            assert got.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sparse_input", [False, True])
+    def test_gradients_match_finite_differences_in_float64(self, sparse_input):
+        rng = np.random.default_rng(6)
+        store = ad.ParamStore()
+        w = param(store, "w", rng.normal(size=(8, 5)))
+        b = param(store, "b", rng.normal(size=(1, 5)))
+        weights = ad.Tensor(rng.normal(size=(6, 5)))
+        if sparse_input:
+            x = _sparse_input(rng, 6, 8, 0.4)
+            names = ("w", "b")
+        else:
+            x = param(store, "x", rng.normal(size=(6, 8)))
+            names = ("x", "w", "b")
+        layer = ad.sparse_affine if sparse_input else ad.affine
+        pre = layer(x, w, b).data
+        assert (pre > 0.0).any() and (pre < 0.0).any()
+        # a central difference of step 1e-5 stays on one side of every kink
+        assert np.abs(pre).min() > 1e-3
+
+        def loss():
+            return ad.sum_all(ad.hadamard(layer(x, w, b, relu=True), weights))
+
+        for name in names:
+            assert finite_diff_check(store, name, loss, max_coords=12) <= 1e-7, name
+
+
+def _graph(output):
+    """Every requires-grad tensor reachable from output through its inputs."""
+    seen, stack = {}, [output]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(p for p in t._parents if p.requires)
+    return list(seen.values())
+
+
+class TestConsumedGraph:
+    def _mlp_loss(self, store, x, target):
+        h = ad.sparse_affine(x, store["w1"], store["b1"], relu=True)
+        h = ad.affine(h, store["w2"], store["b2"], relu=True)
+        probs = ad.softmax_rows(ad.matmul(h, ad.transpose(store["w3"])))
+        picked = ad.gather(probs, [0, 1, 2], [1, 0, 2])
+        return ad.scale(ad.sum_all(ad.hadamard(target, ad.log_rows(ad.clamp_min(picked, 1e-30)))), -1.0)
+
+    def _store(self):
+        rng = np.random.default_rng(5)
+        store = ad.ParamStore()
+        for name, shape in (("w1", (7, 6)), ("b1", (1, 6)), ("w2", (6, 4)), ("b2", (1, 4)), ("w3", (3, 4))):
+            param(store, name, rng.normal(size=shape))
+        return store, _sparse_input(rng, 3, 7, 0.5), ad.Tensor(rng.uniform(0.1, 1.0, size=(1, 3)))
+
+    def test_backward_releases_interior_data_and_closures_and_keeps_the_leaves(self):
+        store, x, target = self._store()
+        out = self._mlp_loss(store, x, target)
+        nodes = _graph(out)
+        leaves = {id(t): t.data for t in nodes if not t._parents}
+        assert set(leaves) == {id(t) for _, t in store.items()}
+        value = out.item()
+        ad.backward(out)
+        for t in nodes:
+            assert t._backward is None
+            if id(t) in leaves:
+                assert t.data is leaves[id(t)]
+            elif t is not out:
+                assert t.data is None
+        # the 1x1 output keeps its value, and the walk the tracer makes still works
+        assert out.item() == value
+        assert len(_graph(out)) == len(nodes)
+
+    def test_a_second_backward_raises_and_moves_no_gradient(self):
+        store, x, target = self._store()
+        out = self._mlp_loss(store, x, target)
+        ad.backward(out)
+        grads = {name: t.grad.copy() for name, t in store.items()}
+        with pytest.raises(ad.GraphConsumed):
+            ad.backward(out)
+        for name, t in store.items():
+            assert t.grad.tobytes() == grads[name].tobytes()
+
+    def test_a_graph_sharing_a_consumed_node_raises_before_any_gradient_moves(self):
+        store, x, target = self._store()
+        h = ad.sparse_affine(x, store["w1"], store["b1"], relu=True)
+        first = ad.sum_all(h)
+        # the second graph reaches b2 through a fresh node before the shared h
+        second = ad.sum_all(ad.affine(h, store["w2"], store["b2"]))
+        ad.backward(first)
+        grads = {name: t.grad.copy() for name, t in store.items()}
+        with pytest.raises(ad.GraphConsumed):
+            ad.backward(second)
+        for name, t in store.items():
+            assert t.grad.tobytes() == grads[name].tobytes()
 
 
 class TestGather:
@@ -313,8 +463,9 @@ class TestGather:
         store = ad.ParamStore()
         p = store.add("p", np.ones((2, 2), dtype=np.float32))
         out = ad.gather(p, [0, 1], [1, 0])
+        out_dtype = out.data.dtype
         ad.backward(ad.sum_all(out))
-        assert out.data.dtype == p.grad.dtype == np.float32
+        assert out_dtype == p.grad.dtype == np.float32
 
     def test_index_shapes_must_agree(self):
         with pytest.raises(ad.ShapeMismatch):
@@ -398,7 +549,7 @@ class TestDtype:
         store = ad.ParamStore()
         p = store.add("p", np.array([[1.0, -2.0, 3.0]], dtype=np.float32))
         # sum_all's backward and the 1x1 seed used to be float64
-        ad.backward(ad.scale(ad.sum_all(ad.relu(ad.hadamard(p, p))), 0.5))
+        ad.backward(ad.scale(ad.sum_all(ad.clamp_min(ad.hadamard(p, p), 0.0)), 0.5))
         assert p.grad.dtype == np.float32
         np.testing.assert_array_equal(p.grad, [[1.0, -2.0, 3.0]])
 

@@ -456,6 +456,15 @@ class TestEvalCommand:
         ])
         assert rc == 2
 
+    def test_checkpoint_id_is_the_files_sha256_prefix(self, workspace, tmp_path):
+        ckpt = workspace["run_dir"] / "best.ckpt"
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(dict(workspace["cfg"], output_dir=str(tmp_path / "runs"))))
+        assert cli.main(["eval", "--config", str(p), "--checkpoint", str(ckpt)]) == 0
+        out_dir = tmp_path / "runs" / f"eval_{cli.run_id_of(cli.load_config(str(p)))}"
+        report = json.loads((out_dir / "metrics_report.json").read_text())
+        assert report["checkpoint_id"] == hashlib.sha256(ckpt.read_bytes()).hexdigest()[:12]
+
 
 class TestTopicsCommand:
     def test_writes_tsv(self, workspace):
@@ -571,6 +580,55 @@ class TestKlTestCommand:
             "kl-test", "--config", str(workspace["cfg_path"]), "--run-dir", "/nope",
         ])
         assert rc == 2
+
+
+class TestSplitsRead:
+    """Each command parses the caches of the splits it uses, each once."""
+
+    def _run(self, workspace, tmp_path, monkeypatch, command, **keys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(workspace["run_dir"], run_dir)
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps({**workspace["cfg"], "output_dir": str(tmp_path / "runs"), **keys}))
+        read, original = [], cli.read_corpus_cache
+
+        def recording(path, split, vocab):
+            read.append(split)
+            return original(path, split, vocab)
+
+        monkeypatch.setattr(cli, "read_corpus_cache", recording)
+        args = {"eval": ["--checkpoint", str(run_dir / "best.ckpt")],
+                "topics": ["--checkpoint", str(run_dir / "best.ckpt")],
+                "kl-test": ["--run-dir", str(run_dir)]}.get(command, [])
+        return cli.main([command, "--config", str(p), *args]), read
+
+    @pytest.mark.parametrize("command,eval_split,expected", [
+        ("train", "test", ["train", "valid", "test"]),
+        ("sweep-t", "test", ["train", "valid", "test"]),
+        ("eval", "test", ["train", "test"]),
+        ("eval", "valid", ["train", "valid"]),
+        ("eval", "train", ["train"]),
+        ("kl-test", "test", ["test"]),
+        ("kl-test", "valid", ["valid"]),
+        ("topics", "test", []),
+    ])
+    def test_each_command_parses_the_splits_it_uses_once(
+        self, workspace, tmp_path, monkeypatch, command, eval_split, expected
+    ):
+        keys = {"eval_split": eval_split}
+        if command == "sweep-t":
+            keys.update(sweep_t_values=[0], epochs=1)
+        assert self._run(workspace, tmp_path, monkeypatch, command, **keys) == (0, expected)
+
+    @pytest.mark.parametrize("command", ["topics", "kl-test", "eval"])
+    def test_a_missing_cache_of_an_unused_split_is_still_a_config_error(
+        self, workspace, tmp_path, monkeypatch, capsys, command
+    ):
+        corpus_dir = tmp_path / "corpus"
+        shutil.copytree(workspace["root"] / "corpus", corpus_dir)
+        (corpus_dir / "valid.corpus").unlink()
+        assert self._run(workspace, tmp_path, monkeypatch, command, corpus_dir=str(corpus_dir)) == (2, [])
+        assert f"missing corpus cache {corpus_dir / 'valid.corpus'}; run ingest first" in capsys.readouterr().err
 
 
 # Literal ingest inputs.  Each set has a line of out-of-vocabulary words

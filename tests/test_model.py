@@ -445,6 +445,41 @@ class TestForwardBatch:
         store.zero_grads()
         return parts
 
+    def test_backward_releases_the_step_graph(self):
+        cfg, store, x = small_setup(v=300, h=64, n=80)
+        batch = batch_of(x, m.store_dtype(store))
+        params = {name: t.data for name, t in store.items()}
+        # a first step, so that lazy imports and caches are not counted
+        ad.backward(m.forward_batch(batch, store, cfg, np.random.default_rng(0)).total)
+        store.zero_grads()
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            result = m.forward_batch(batch, store, cfg, np.random.default_rng(0))
+            ad.backward(result.total)
+            kept = tracemalloc.get_traced_memory()[0] - held
+        finally:
+            tracemalloc.stop()
+        seen, stack = {}, [result.total]
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen:
+                seen[id(t)] = t
+                stack.extend(p for p in t._parents if p.requires)
+        leaves = {id(t): name for name, t in store.items()}
+        for t in seen.values():
+            assert t._backward is None
+            if id(t) in leaves:
+                assert t.data is params[leaves[id(t)]]
+            elif t is not result.total:
+                assert t.data is None
+        # what stays while result is alive: the gradients, the latents and
+        # the constant inputs (the counts, the noise), not the activations
+        grads = sum(t.grad.nbytes for _, t in store.items())
+        latents = sum(a.nbytes for a in vars(result.latents).values() if a is not None)
+        counts = batch.counts.size * m.store_dtype(store).itemsize
+        assert kept < grads + latents + counts + 32 * 1024
+
     def test_total_gradient_is_linear_in_parts(self, as_float64):
         cfg, store, x = small_setup(seed=5)
         g_recon, g_kl, g_total = self._gradient_parts(cfg, as_float64(store), x)
