@@ -4,7 +4,9 @@
 Writes a seeded synthetic corpus, ingests it, and then, in each model mode,
 runs ``train`` (deterministic, so no wall-clock time reaches a report),
 ``eval``, ``topics``, ``kl-test`` and ``sweep-t``.  It then ingests the same
-documents again as one input file with a stop-word list, and on that corpus
+documents again as one input file with a stop-word list, after a fixed block
+of prose-like lines that exercise the tokenizer (case, edge punctuation, CRLF
+and lone-CR line ends, blank lines, Unicode case and whitespace), and on that corpus
 runs one diffusion ``train`` that validates every other epoch, keeps one
 epoch checkpoint and clips its gradients, followed by ``kl-test``.  Last,
 one short ``train`` with ``--preset`` and ``--seed`` on a config that leaves
@@ -74,6 +76,18 @@ PRESET, PRESET_SEED = "20ng-k100", 5
 PRESET_CONFIG = {k: v for k, v in {**CONFIG, "epochs": 2}.items() if k not in cli.PRESETS[PRESET]}
 # upper case, edge punctuation and a blank line: load_stopwords normalizes or skips each
 STOPWORDS = ["W000", "w001.", "", "w002"]
+# appended to the single input file: every line break and character class the
+# tokenizer treats specially, with words repeated so that min_df keeps some
+PROSE = (
+    "The Quick brown fox, don't you see?\r\n"
+    "ΟΔΟΣ İstanbul straße STRASSE\xa0the\u2003end\x1cof 'quoted' (text).\r\n"
+    "\r\n"
+    "... --- !!!\n"
+    "W000 w001. the QUICK\rbrown fox: ΟΔΟΣ, οδος\n"
+    "don't stop -- Straße; İstanbul... the end of (text)\n"
+    "\n"
+    "w003 w004\tw005 The End"
+)
 
 
 def _diffetm(*argv) -> None:
@@ -94,7 +108,8 @@ def run(work: Path, seed: int = 17) -> dict[str, str]:
         splits = write_split_files(
             "raw", 300, 60, 60, vocab_size=200, n_topics=5, seed=seed, doc_len_range=(20, 60)
         )
-        Path(SINGLE["input_file"]).write_text("".join(p.read_text() for p in splits.values()))
+        text = "".join(p.read_text() for p in splits.values()) + PROSE
+        Path(SINGLE["input_file"]).write_bytes(text.encode("utf-8"))
         Path(SINGLE["stopword_file"]).write_text("\n".join(STOPWORDS) + "\n")
         Path("corpus.json").write_text(json.dumps(CONFIG))
         _diffetm("ingest", "--config", "corpus.json")

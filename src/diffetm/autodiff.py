@@ -51,7 +51,8 @@ class NotScalar(ValueError):
 
 
 class GraphConsumed(RuntimeError):
-    """backward() reached a node that an earlier backward has released."""
+    """backward() reached, or a read asked for the value of, a node that an
+    earlier backward has released."""
 
 
 _grad_enabled = True
@@ -98,18 +99,24 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
 
+    def _value(self) -> np.ndarray:
+        if self.data is None:
+            raise GraphConsumed("read of a graph node an earlier backward released")
+        return self.data
+
     @property
     def rows(self) -> int:
-        return self.data.shape[0]
+        return self._value().shape[0]
 
     @property
     def cols(self) -> int:
-        return self.data.shape[1]
+        return self._value().shape[1]
 
     def item(self) -> float:
-        if self.data.size != 1:
-            raise NotScalar(f"item() on a {self.data.shape} tensor")
-        return float(self.data[0, 0])
+        data = self._value()
+        if data.size != 1:
+            raise NotScalar(f"item() on a {data.shape} tensor")
+        return float(data[0, 0])
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires={self.requires})"
@@ -417,10 +424,12 @@ class ParamStore:
     def __init__(self) -> None:
         self._params: dict[str, Tensor] = {}
 
-    def add(self, name: str, array: np.ndarray) -> Tensor:
+    def add(self, name: str, array: np.ndarray, copy: bool = True) -> Tensor:
+        """A new parameter holding a C-ordered copy of array, or with
+        copy=False the (C-ordered, float32 or float64) array itself."""
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(_as_float(array, copy=True), requires=True)
+        t = Tensor(_as_float(array, copy=copy), requires=True)
         t.grad = _zero_grad(t.data)
         self._params[name] = t
         return t

@@ -11,10 +11,10 @@ import hashlib
 import operator
 import string
 import struct
-from collections import Counter
-from collections.abc import Sequence
+from collections import defaultdict
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, count, filterfalse, repeat
 from pathlib import Path
 
 import numpy as np
@@ -48,12 +48,7 @@ _PUNCT = string.punctuation
 
 def tokenize_line(text: str) -> list[str]:
     """Lowercased whitespace tokens with punctuation stripped at the edges."""
-    out = []
-    for raw in text.lower().split():
-        tok = raw.strip(_PUNCT)
-        if tok:
-            out.append(tok)
-    return out
+    return list(filter(None, map(str.strip, text.lower().split(), repeat(_PUNCT))))
 
 
 @dataclass
@@ -89,27 +84,83 @@ def check_min_vocab(vocab: Vocabulary, error: type[ValueError], source: str) -> 
         raise error(f"{source} {vocab.V} token(s); a vocabulary needs at least 2")
 
 
-def build_vocabulary(token_docs: list[list[str]], min_df: int) -> Vocabulary:
-    """Retain tokens appearing in at least min_df documents.
+def _provisional_ids() -> defaultdict[str, int]:
+    """token -> provisional id; a token first seen gets the next id, so the
+    keys, in order, are the tokens by id."""
+    return defaultdict(count().__next__)
+
+
+def _flat_ids(
+    token_docs: Iterable[Iterable[str]], ids_of: defaultdict[str, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each document's token count, and the provisional id of every token,
+    document after document, as two int64 arrays."""
+    ids: list[int] = []
+    lengths = []
+    for tokens in token_docs:
+        before = len(ids)
+        ids += map(ids_of.__getitem__, tokens)
+        lengths.append(len(ids) - before)
+    return np.array(lengths, dtype=np.int64), np.fromiter(ids, np.int64, count=len(ids))
+
+
+def _pairs(lengths: np.ndarray, ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys document * size + id of the tokens with an id >= 0,
+    ascending, and how often each occurs."""
+    docs = np.repeat(np.arange(len(lengths)), lengths)
+    kept = ids >= 0
+    # return_counts takes the sorting path; a bare np.unique of int64 keys is
+    # many times slower
+    return np.unique(docs[kept] * size + ids[kept], return_counts=True)
+
+
+def _vocabulary(tokens: list[str], lengths, ids, min_df: int) -> tuple[Vocabulary, np.ndarray]:
+    """The vocabulary of the documents given as provisional ids into tokens,
+    and the map from provisional id to vocabulary id, -1 for a pruned one.
 
     Raises AllTokensPruned when nothing survives.
     """
     check_min_df(min_df)
-    df: Counter[str] = Counter()
-    for doc in token_docs:
-        df.update(set(doc))
-    kept = [(tok, n) for tok, n in df.items() if n >= min_df]
-    if not kept:
+    keys, _ = _pairs(lengths, ids, len(tokens))
+    df = np.bincount(keys % len(tokens), minlength=len(tokens))
+    kept = np.flatnonzero(df >= min_df)
+    if not kept.size:
         raise AllTokensPruned(
-            f"min_df={min_df} prunes every token ({len(df)} candidates)"
+            f"min_df={min_df} prunes every token ({np.count_nonzero(df)} candidates)"
         )
-    kept.sort(key=lambda kv: (-kv[1], kv[0]))
-    tokens = [tok for tok, _ in kept]
-    return Vocabulary(
-        tokens=tokens,
-        index_of={tok: i for i, tok in enumerate(tokens)},
-        doc_freq=np.array([n for _, n in kept], dtype=np.int64),
+    freq = df.tolist()
+    order = sorted(kept.tolist(), key=lambda i: (-freq[i], tokens[i]))
+    remap = np.full(len(tokens), -1, dtype=np.int64)
+    remap[order] = np.arange(len(order))
+    kept_tokens = [tokens[i] for i in order]
+    vocab = Vocabulary(
+        tokens=kept_tokens,
+        index_of={tok: i for i, tok in enumerate(kept_tokens)},
+        doc_freq=df[order],
     )
+    return vocab, remap
+
+
+def _bow(split: str, lengths, ids, vocab: Vocabulary) -> BowCorpus:
+    """The documents given as vocabulary ids (-1 for a word outside it) as a
+    corpus; documents without an in-vocabulary token are dropped, the kept
+    documents stay in order."""
+    keys, counts = _pairs(lengths, ids, vocab.V)
+    docs, ids = np.divmod(keys, vocab.V)
+    lengths = np.bincount(docs)
+    indptr = np.append(0, np.cumsum(lengths[lengths > 0]))
+    return BowCorpus(split, indptr, ids, counts, vocab.ref_id)
+
+
+def build_vocabulary(token_docs: list[list[str]], min_df: int) -> Vocabulary:
+    """Retain tokens appearing in at least min_df documents.
+
+    Ids are assigned by descending document frequency, then by token.
+    Raises AllTokensPruned when nothing survives.
+    """
+    ids_of = _provisional_ids()
+    lengths, ids = _flat_ids(token_docs, ids_of)
+    return _vocabulary(list(ids_of), lengths, ids, min_df)[0]
 
 
 @dataclass
@@ -121,25 +172,15 @@ class BowDocument:
 
 
 def vectorize(token_docs: list[list[str]], vocab: Vocabulary, split: str) -> BowCorpus:
-    """Count the in-vocabulary tokens of every document in one pass.
+    """Count the in-vocabulary tokens of every document.
 
     Documents without an in-vocabulary token are dropped; the kept
     documents stay in order.
     """
-    lengths = np.fromiter(map(len, token_docs), np.int64, count=len(token_docs))
-    ids = np.fromiter(
-        map(vocab.index_of.get, chain.from_iterable(token_docs), repeat(-1)),
-        np.int64,
-        count=int(lengths.sum()),
-    )
-    docs = np.repeat(np.arange(len(token_docs)), lengths)
-    kept = ids >= 0
-    # one sorted key per (document, id) pair: documents in order, ids ascending
-    keys, counts = np.unique(docs[kept] * vocab.V + ids[kept], return_counts=True)
-    docs, ids = np.divmod(keys, vocab.V)
-    lengths = np.bincount(docs)
-    indptr = np.append(0, np.cumsum(lengths[lengths > 0]))
-    return BowCorpus(split, indptr, ids, counts, vocab.ref_id)
+    ids_of = _provisional_ids()
+    lengths, ids = _flat_ids(token_docs, ids_of)
+    remap = np.fromiter(map(vocab.index_of.get, ids_of, repeat(-1)), np.int64, count=len(ids_of))
+    return _bow(split, lengths, remap[ids], vocab)
 
 
 def _entries(indptr: np.ndarray, docs) -> tuple[np.ndarray, np.ndarray]:
@@ -335,15 +376,16 @@ class IngestReport:
     min_df: int
 
 
-def _read_token_docs(path: str | Path, stopwords: set[str]) -> list[list[str]]:
-    docs = []
+def _read_ids(
+    path: str | Path, stopwords: set[str], ids_of: defaultdict[str, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every line of a file as one document: its token count, and the
+    provisional id of each token that is not a stopword (see _flat_ids)."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            toks = tokenize_line(line)
-            if stopwords:
-                toks = [t for t in toks if t not in stopwords]
-            docs.append(toks)
-    return docs
+        token_docs = map(tokenize_line, fh)
+        if stopwords:
+            token_docs = (filterfalse(stopwords.__contains__, toks) for toks in token_docs)
+        return _flat_ids(token_docs, ids_of)
 
 
 def load_stopwords(path: str | Path | None) -> set[str]:
@@ -362,24 +404,30 @@ def ingest_presplit(
     min_df: int,
     stopword_path: str | Path | None = None,
 ) -> tuple[Dataset, IngestReport]:
-    """Ingest pre-split files; the vocabulary is built on the train split."""
+    """Ingest pre-split files; the vocabulary is built on the train split.
+
+    Each file is read once, straight to token ids; every file is read
+    before the vocabulary is built.
+    """
     stop = load_stopwords(stopword_path)
+    ids_of = _provisional_ids()
     raw = {
-        "train": _read_token_docs(train_path, stop),
-        "valid": _read_token_docs(valid_path, stop),
-        "test": _read_token_docs(test_path, stop),
+        name: _read_ids(path, stop, ids_of)
+        for name, path in zip(SPLITS, (train_path, valid_path, test_path))
     }
-    vocab = build_vocabulary(raw["train"], min_df)
+    # a token first seen in valid or test has a train document frequency of
+    # 0, below every min_df, so remap sends it to -1
+    vocab, remap = _vocabulary(list(ids_of), *raw["train"], min_df)
     check_min_vocab(vocab, AllTokensPruned, f"min_df={min_df} keeps")
     splits: dict[str, BowCorpus] = {}
     docs_in, kept, dropped, tokens = {}, {}, {}, {}
-    for name, token_docs in raw.items():
-        splits[name] = corpus = vectorize(token_docs, vocab, name)
+    for name, (lengths, ids) in raw.items():
+        splits[name] = corpus = _bow(name, lengths, remap[ids], vocab)
         if not len(corpus):
             raise EmptySplit(f"split {name!r} has no usable documents")
-        docs_in[name] = len(token_docs)
+        docs_in[name] = len(lengths)
         kept[name] = len(corpus)
-        dropped[name] = len(token_docs) - len(corpus)
+        dropped[name] = len(lengths) - len(corpus)
         tokens[name] = corpus.total_tokens()
     report = IngestReport(vocab.V, docs_in, kept, dropped, tokens, min_df)
     return Dataset(vocab, splits["train"], splits["valid"], splits["test"]), report
@@ -394,12 +442,13 @@ def ingest_single(
 ) -> tuple[Dataset, IngestReport]:
     """Ingest one unsplit file; vocabulary from the whole corpus, then split."""
     stop = load_stopwords(stopword_path)
-    token_docs = _read_token_docs(input_path, stop)
-    vocab = build_vocabulary(token_docs, min_df)
+    ids_of = _provisional_ids()
+    lengths, ids = _read_ids(input_path, stop, ids_of)
+    vocab, remap = _vocabulary(list(ids_of), lengths, ids, min_df)
     check_min_vocab(vocab, AllTokensPruned, f"min_df={min_df} keeps")
-    corpus = vectorize(token_docs, vocab, "all")
+    corpus = _bow("all", lengths, remap[ids], vocab)
     train, valid, test = split_corpus(corpus, fractions, seed)
-    n_in = len(token_docs)
+    n_in = len(lengths)
     report = IngestReport(
         vocab_size=vocab.V,
         docs_in={"all": n_in},

@@ -165,55 +165,67 @@ def load_checkpoint(path: str | Path, digest=None) -> tuple[ad.ParamStore, Model
     fit the configuration.
 
     The parameters stay float32, as stored, so a reloaded checkpoint is the
-    saved float32 model bit for bit.  A hashlib object given as digest is
-    fed the file's bytes, so a caller that hashes the file reads it once.
+    saved float32 model bit for bit.  The file is read once, each array
+    straight into the buffer the store keeps.  A hashlib object given as
+    digest is fed the file's bytes in file order, so a caller that hashes
+    the file reads it once.
     """
-    data = Path(path).read_bytes()
-    if digest is not None:
-        digest.update(data)
-    if data[:8] != CKPT_MAGIC:
-        raise CorruptCheckpoint(f"{path}: not a checkpoint file (bad magic)")
-    try:
-        (version,) = struct.unpack_from("<I", data, 8)
-        if version != CKPT_VERSION:
-            raise CorruptCheckpoint(
-                f"{path}: checkpoint version {version}, expected {CKPT_VERSION}"
-            )
-        values = dict(zip((f.name for f in fields(ModelConfig)), CONFIG_BLOCK.unpack_from(data, 12)))
-        if values["mode"] >= len(MODES):
-            raise CorruptCheckpoint(f"{path}: unknown mode code {values['mode']}")
-        config = ModelConfig(**{**values, "mode": MODES[values["mode"]]})
-        offset = 12 + CONFIG_BLOCK.size
-        (n_params,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        store = ad.ParamStore()
-        for _ in range(n_params):
-            (name_len,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            if len(data) < offset + name_len:
-                raise CorruptCheckpoint(f"{path}: truncated name block")
-            name = data[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            rows, cols = struct.unpack_from("<II", data, offset)
-            offset += 8
-            nbytes = 4 * rows * cols
-            if len(data) < offset + nbytes:
-                raise CorruptCheckpoint(f"{path}: truncated array for {name!r}")
-            arr = np.frombuffer(data, dtype="<f4", count=rows * cols, offset=offset)
-            offset += nbytes
-            store.add(name, arr.reshape(rows, cols))
-        if offset != len(data):
-            raise CorruptCheckpoint(f"{path}: {len(data) - offset} trailing bytes")
-        if "word_emb" not in store:
-            raise CorruptCheckpoint(f"{path}: missing parameter 'word_emb'")
-        config.validate()
-        check_param_shapes(store, config, store_vocab_size(store))
-    except struct.error as exc:
-        raise CorruptCheckpoint(f"{path}: truncated checkpoint ({exc})") from None
-    except CorruptCheckpoint:
-        raise
-    except ValueError as exc:  # a name not in UTF-8, a duplicate name, a bad config or shape
-        raise CorruptCheckpoint(f"{path}: {exc}") from None
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n: int) -> bytes:
+            chunk = fh.read(n)
+            if digest is not None:
+                digest.update(chunk)
+            return chunk
+
+        if read(8) != CKPT_MAGIC:
+            raise CorruptCheckpoint(f"{path}: not a checkpoint file (bad magic)")
+        try:
+            (version,) = struct.unpack("<I", read(4))
+            if version != CKPT_VERSION:
+                raise CorruptCheckpoint(
+                    f"{path}: checkpoint version {version}, expected {CKPT_VERSION}"
+                )
+            header = CONFIG_BLOCK.unpack(read(CONFIG_BLOCK.size))
+            values = dict(zip((f.name for f in fields(ModelConfig)), header))
+            if values["mode"] >= len(MODES):
+                raise CorruptCheckpoint(f"{path}: unknown mode code {values['mode']}")
+            config = ModelConfig(**{**values, "mode": MODES[values["mode"]]})
+            (n_params,) = struct.unpack("<I", read(4))
+            offset = 12 + CONFIG_BLOCK.size + 4
+            store = ad.ParamStore()
+            for _ in range(n_params):
+                (name_len,) = struct.unpack("<I", read(4))
+                offset += 4
+                # sizes are checked against the file before anything that large is read
+                if size < offset + name_len:
+                    raise CorruptCheckpoint(f"{path}: truncated name block")
+                name = read(name_len).decode("utf-8")
+                rows, cols = struct.unpack("<II", read(8))
+                offset += name_len + 8
+                nbytes = 4 * rows * cols
+                if size < offset + nbytes:
+                    raise CorruptCheckpoint(f"{path}: truncated array for {name!r}")
+                arr = np.empty((rows, cols), dtype="<f4")
+                if fh.readinto(arr) != nbytes:  # the file shrank while it was read
+                    raise CorruptCheckpoint(f"{path}: truncated array for {name!r}")
+                if digest is not None:
+                    digest.update(arr)
+                offset += nbytes
+                store.add(name, arr, copy=False)
+            if offset != size:
+                raise CorruptCheckpoint(f"{path}: {size - offset} trailing bytes")
+            if "word_emb" not in store:
+                raise CorruptCheckpoint(f"{path}: missing parameter 'word_emb'")
+            config.validate()
+            check_param_shapes(store, config, store_vocab_size(store))
+        except struct.error as exc:
+            raise CorruptCheckpoint(f"{path}: truncated checkpoint ({exc})") from None
+        except CorruptCheckpoint:
+            raise
+        except ValueError as exc:  # a name not in UTF-8, a duplicate name, a bad config or shape
+            raise CorruptCheckpoint(f"{path}: {exc}") from None
     return store, config
 
 

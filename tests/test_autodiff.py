@@ -430,6 +430,18 @@ class TestConsumedGraph:
         for name, t in store.items():
             assert t.grad.tobytes() == grads[name].tobytes()
 
+    @pytest.mark.parametrize(
+        "read", [lambda t: t.item(), lambda t: t.rows, lambda t: t.cols], ids=["item", "rows", "cols"]
+    )
+    def test_reading_a_released_node_raises(self, read):
+        store, x, _ = self._store()
+        released = ad.sum_all(ad.sparse_affine(x, store["w1"], store["b1"], relu=True))
+        out = ad.scale(released, 0.5)
+        ad.backward(out)
+        with pytest.raises(ad.GraphConsumed, match="released"):
+            read(released)
+        read(out)  # the 1x1 output keeps its value
+
     def test_a_graph_sharing_a_consumed_node_raises_before_any_gradient_moves(self):
         store, x, target = self._store()
         h = ad.sparse_affine(x, store["w1"], store["b1"], relu=True)

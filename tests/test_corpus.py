@@ -1,5 +1,8 @@
 import re
+import string
 import struct
+from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -512,6 +515,182 @@ class TestIngest:
         assert len(dataset.valid) == 4
         assert len(dataset.test) == 4
         assert dataset.train.vocab_ref == dataset.vocab.ref_id
+
+
+# ---------------------------------------------------------------------------
+# ingest against the token-list pipeline it replaced: every line tokenized
+# into a list, document frequencies from Counter(set(doc)), then one count
+# per document
+
+
+def _oracle_tokenize(text):
+    out = []
+    for raw in text.lower().split():
+        tok = raw.strip(string.punctuation)
+        if tok:
+            out.append(tok)
+    return out
+
+
+def _oracle_docs(path, stopwords):
+    with open(path, encoding="utf-8") as fh:
+        return [[t for t in _oracle_tokenize(line) if t not in stopwords] for line in fh]
+
+
+def _oracle_vocabulary(token_docs, min_df):
+    df = Counter()
+    for doc in token_docs:
+        df.update(set(doc))
+    kept = sorted(((t, n) for t, n in df.items() if n >= min_df), key=lambda kv: (-kv[1], kv[0]))
+    if not kept:
+        raise cp.AllTokensPruned(f"min_df={min_df} prunes every token ({len(df)} candidates)")
+    if len(kept) < 2:
+        raise cp.AllTokensPruned(f"min_df={min_df} keeps {len(kept)} token(s); a vocabulary needs at least 2")
+    tokens = [t for t, _ in kept]
+    return cp.Vocabulary(tokens, {t: i for i, t in enumerate(tokens)}, np.array([n for _, n in kept]))
+
+
+def _oracle_corpus(token_docs, vocab, split):
+    maps = [Counter(vocab.index_of[t] for t in doc if t in vocab.index_of) for doc in token_docs]
+    return corpus_of([m for m in maps if m], split, vocab.ref_id)
+
+
+def _oracle_presplit(paths, min_df, stopwords):
+    raw = {name: _oracle_docs(path, stopwords) for name, path in zip(cp.SPLITS, paths)}
+    vocab = _oracle_vocabulary(raw["train"], min_df)
+    splits = {}
+    for name, docs in raw.items():
+        splits[name] = _oracle_corpus(docs, vocab, name)
+        if not len(splits[name]):
+            raise cp.EmptySplit(f"split {name!r} has no usable documents")
+    report = cp.IngestReport(
+        vocab.V,
+        {n: len(raw[n]) for n in cp.SPLITS},
+        {n: len(splits[n]) for n in cp.SPLITS},
+        {n: len(raw[n]) - len(splits[n]) for n in cp.SPLITS},
+        {n: splits[n].total_tokens() for n in cp.SPLITS},
+        min_df,
+    )
+    return cp.Dataset(vocab, **splits), report
+
+
+def _oracle_single(path, min_df, fractions, seed, stopwords):
+    docs = _oracle_docs(path, stopwords)
+    vocab = _oracle_vocabulary(docs, min_df)
+    corpus = _oracle_corpus(docs, vocab, "all")
+    splits = dict(zip(cp.SPLITS, cp.split_corpus(corpus, fractions, seed)))
+    report = cp.IngestReport(
+        vocab.V,
+        {"all": len(docs)},
+        {n: len(splits[n]) for n in cp.SPLITS},
+        {"all": len(docs) - len(corpus)},
+        {n: splits[n].total_tokens() for n in cp.SPLITS},
+        min_df,
+    )
+    return cp.Dataset(vocab, **splits), report
+
+
+def _outcome(ingest, *args):
+    """What an ingest gives, in a form two implementations can be compared in."""
+    try:
+        dataset, report = ingest(*args)
+    except (cp.AllTokensPruned, cp.EmptySplit) as exc:
+        return type(exc), str(exc)
+    vocab = dataset.vocab
+    splits = {
+        name: (c.split, c.vocab_ref, c.indptr.tolist(), c.ids.tolist(), c.counts.tolist())
+        for name in cp.SPLITS
+        for c in [dataset.split(name)]
+    }
+    return vocab.tokens, vocab.index_of, vocab.doc_freq.dtype, vocab.doc_freq.tolist(), splits, report
+
+
+def _write_bytes(path, text):
+    path.write_bytes(text.encode("utf-8"))  # no newline translation on the way out
+    return path
+
+
+def _assert_ingests_like_the_oracle(tmp_path, train, valid, test, min_df, stopwords=()):
+    paths = [_write_bytes(tmp_path / f"{n}.txt", t) for n, t in zip(cp.SPLITS, (train, valid, test))]
+    stop_path = _write_bytes(tmp_path / "stop.txt", "".join(f"{w}\n" for w in stopwords))
+    stop = cp.load_stopwords(stop_path)
+    got = _outcome(cp.ingest_presplit, *paths, min_df, stop_path)
+    assert got == _outcome(_oracle_presplit, paths, min_df, stop)
+    whole = _write_bytes(tmp_path / "all.txt", train + "\n" + valid + "\n" + test)
+    fractions = (0.5, 0.25, 0.25)
+    single = _outcome(cp.ingest_single, whole, min_df, fractions, 3, stop_path)
+    assert single == _outcome(_oracle_single, whole, min_df, fractions, 3, stop)
+    return got
+
+
+# the line breaks, blank lines, punctuation, case and whitespace a line reader
+# and tokenizer can get wrong; the last line of train has no newline
+EDGE_TRAIN = (
+    "The cat, don't stop.\r\n"
+    "ΟΔΟΣ İstanbul STRASSE straße\r"
+    "cat\xa0dog bird\x1cfish don't\n"
+    "\n"
+    "... --- !!!\n"
+    "the and a\n"
+    "ΟΔΟΣ οδος Σ cat-dog 'quoted' (cat)\r\n"
+    "\r\n"
+    "dog bird ß İ fish"
+)
+EDGE_VALID = "zebra quux\r\nCAT dog\n\nthe\n"
+EDGE_TEST = "fish\rbird\r"
+
+
+class TestIngestMatchesTheTokenListPipeline:
+    @pytest.mark.parametrize("min_df", [1, 2])
+    def test_edge_cases_with_stopwords(self, tmp_path, min_df):
+        got = _assert_ingests_like_the_oracle(
+            tmp_path, EDGE_TRAIN, EDGE_VALID, EDGE_TEST, min_df, stopwords=["The", "and", "A."]
+        )
+        report = got[-1]
+        # blank lines, the punctuation-only line and the all-stopword line still count as read
+        assert report.docs_in == {"train": 9, "valid": 4, "test": 2}
+        # the out-of-vocabulary-only, blank and all-stopword valid lines are dropped
+        assert report.docs_dropped["valid"] == 3
+
+    def test_edge_cases_without_stopwords(self, tmp_path):
+        got = _assert_ingests_like_the_oracle(tmp_path, EDGE_TRAIN, EDGE_VALID, EDGE_TEST, 1)
+        tokens = got[0]
+        for tok in ("don't", "οδος", "i̇stanbul", "straße", "strasse", "ß", "cat-dog", "quoted", "the"):
+            assert tok in tokens
+        assert "σ" in tokens and "ς" not in tokens  # a lone capital sigma is not word-final
+
+    def test_all_tokens_pruned(self, tmp_path):
+        got = _assert_ingests_like_the_oracle(tmp_path, EDGE_TRAIN, EDGE_VALID, EDGE_TEST, 50)
+        assert got == (cp.AllTokensPruned, "min_df=50 prunes every token (18 candidates)")
+
+    def test_empty_split(self, tmp_path):
+        got = _assert_ingests_like_the_oracle(
+            tmp_path, EDGE_TRAIN, EDGE_VALID, "zebra\n\nthe a\n", 1, stopwords=["the", "a"]
+        )
+        assert got == (cp.EmptySplit, "split 'test' has no usable documents")
+
+
+_LINE_ALPHABET = ["a", "b", "A", ".", "'", "-", " ", "\t", "\xa0", "Σ"]
+_LINES = st.lists(st.text(alphabet=_LINE_ALPHABET, max_size=10), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_LINES, _LINES, _LINES, st.integers(1, 3), st.sampled_from([(), ("a",), ("σ", "b-")]))
+def test_ingest_of_random_lines_matches_the_token_list_pipeline(
+    tmp_path_factory, train, valid, test, min_df, stopwords
+):
+    for line in chain(train, valid, test):
+        assert cp.tokenize_line(line) == _oracle_tokenize(line)
+    _assert_ingests_like_the_oracle(
+        tmp_path_factory.mktemp("ingest"), *("\n".join(lines) for lines in (train, valid, test)),
+        min_df, stopwords,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_tokenize_line_matches_the_loop_it_replaced(text):
+    assert cp.tokenize_line(text) == _oracle_tokenize(text)
 
 
 class TestVocabularyValidation:

@@ -411,6 +411,14 @@ class TestForwardBatch:
         np.testing.assert_array_equal(result.latents.z, result.latents.mu)
         assert result.latents.x0 is None
 
+    def test_values_after_the_backward_of_the_total_raise_graph_consumed(self):
+        cfg, store, x = small_setup()
+        result = m.forward_batch(batch_of(x, np.float32), store, cfg, np.random.default_rng(1))
+        result.values()
+        ad.backward(result.total)
+        with pytest.raises(ad.GraphConsumed):
+            result.values()
+
     def test_bitwise_deterministic_given_seed(self):
         cfg, store, x = small_setup()
         r1 = m.forward_batch(batch_of(x, np.float32), store, cfg, np.random.default_rng(42))

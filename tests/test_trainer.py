@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import struct
+import tracemalloc
 from dataclasses import replace
 from itertools import count
 
@@ -393,6 +394,26 @@ class TestCheckpointIO:
         loaded, _ = tr.load_checkpoint(path)
         for name, t in store.items():
             assert loaded[name].data.dtype == np.float32
+            assert loaded[name].data.tobytes() == t.data.tobytes()
+
+    def test_load_reads_into_the_stores_buffers_and_digests_the_file(self, tmp_path):
+        config = ModelConfig(num_topics=8, embed_size=16, hidden_size=64, seed=1)
+        store = init_params(config, 3000, np.random.default_rng(0))
+        path = tmp_path / "model.ckpt"
+        tr.save_checkpoint(store, config, path)
+        size = path.stat().st_size
+        digest = hashlib.sha256()
+        tracemalloc.start()
+        try:
+            loaded, _ = tr.load_checkpoint(path, digest)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+        # each array is read once, into the buffer the store keeps: no copy of the file
+        assert peak < 1.25 * size
+        for name, t in store.items():
+            assert loaded[name].data.flags.owndata and loaded[name].data.flags.writeable
             assert loaded[name].data.tobytes() == t.data.tobytes()
 
     def test_extra_parameter(self, tiny_config, tmp_path):
