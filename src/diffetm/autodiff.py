@@ -19,6 +19,11 @@ goes, and a second ``backward`` through it raises ``GraphConsumed``.  ReLU
 is fused into ``affine`` and ``sparse_affine`` (``relu=True``), so no
 pre-activation is kept.
 
+The model's loss is two nodes with hand-written backwards:
+``log_likelihood`` reads X' at a batch's nonzero entries alone, and
+``gaussian_kl`` sums the closed-form Gaussian KL terms.  Evaluation takes its
+log-likelihood from the same node, on a graph-free tensor.
+
 Backward closures receive the output gradient as an argument and capture
 only input tensors and saved arrays, never the output node itself, so a
 released graph is reclaimed by reference counting alone (no cycles).
@@ -40,10 +45,6 @@ import numpy as np
 
 class ShapeMismatch(ValueError):
     """Operand shapes do not conform for the requested primitive."""
-
-
-class DomainError(ValueError):
-    """An input lies outside a primitive's domain (e.g. log of x <= 0)."""
 
 
 class NotScalar(ValueError):
@@ -119,7 +120,8 @@ class Tensor:
         return float(data[0, 0])
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires={self.requires})"
+        shape = "released" if self.data is None else self.data.shape
+        return f"Tensor(shape={shape}, requires={self.requires})"
 
 
 # read-only 0-d zeros that every zeroed gradient is a broadcast view of
@@ -251,17 +253,6 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _node(y, (x,), back)
 
 
-def log_rows(x: Tensor) -> Tensor:
-    """Elementwise natural log; every entry must be strictly positive."""
-    if np.any(x.data <= 0.0):
-        raise DomainError("log_rows: nonpositive entry")
-
-    def back(g: np.ndarray) -> None:
-        _accum(x, g / x.data)
-
-    return _node(np.log(x.data), (x,), back)
-
-
 def exp(x: Tensor) -> Tensor:
     # overflow saturates to inf; divergence detection downstream handles it
     with np.errstate(over="ignore"):
@@ -308,17 +299,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data + b.data, (a, b), back)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeMismatch(f"sub: {a.data.shape} vs {b.data.shape}")
-
-    def back(g: np.ndarray) -> None:
-        _accum(a, g)
-        _accum(b, -g)
-
-    return _node(a.data - b.data, (a, b), back)
-
-
 def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
 
@@ -328,33 +308,6 @@ def scale(x: Tensor, c: float) -> Tensor:
     return _node(x.data * c, (x,), back)
 
 
-def add_scalar(x: Tensor, c: float) -> Tensor:
-    def back(g: np.ndarray) -> None:
-        _accum(x, g)
-
-    return _node(x.data + float(c), (x,), back)
-
-
-def gather(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
-    """The entries x[rows[i], cols[i]] as one 1 x n row.
-
-    The (row, col) pairs must be distinct: the backward scatters the row's
-    gradient into zeros shaped like x by assignment, so a repeated pair
-    would keep only one of its gradients.
-    """
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    if rows.shape != cols.shape or rows.ndim != 1:
-        raise ShapeMismatch(f"gather: rows {rows.shape} and cols {cols.shape}")
-
-    def back(g: np.ndarray) -> None:
-        out = np.zeros_like(x.data)
-        out[rows, cols] = g[0]
-        _accum(x, out)
-
-    return _node(x.data[rows, cols], (x,), back)
-
-
 def sum_all(x: Tensor) -> Tensor:
     shape = x.data.shape
 
@@ -362,6 +315,54 @@ def sum_all(x: Tensor) -> Tensor:
         _accum(x, np.full(shape, g[0, 0], dtype=x.data.dtype))
 
     return _node(np.array([[x.data.sum()]]), (x,), back)
+
+
+def log_likelihood(x: Tensor, rows, cols, counts: np.ndarray, floor: float) -> Tensor:
+    """The 1x1 sum of counts * log(max(x[rows, cols], floor)), summed in the
+    dtype of counts * x.
+
+    x is read at the listed entries alone.  The (row, col) pairs must be
+    distinct: the backward scatters the entries' gradient into zeros shaped
+    like x by assignment, so a repeated pair would keep only one of its
+    gradients.  The gradient reaches an entry only where x > floor (not NaN).
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    if not rows.shape == cols.shape == np.shape(counts) or rows.ndim != 1:
+        raise ShapeMismatch(
+            f"log_likelihood: rows {rows.shape}, cols {cols.shape}, counts {np.shape(counts)}"
+        )
+    picked = x.data[rows, cols]
+    clamped = np.maximum(picked, floor)
+
+    def back(g: np.ndarray) -> None:
+        out = np.zeros_like(x.data)
+        out[rows, cols] = g[0, 0] * counts / clamped * (picked > floor)
+        _accum(x, out)
+
+    return _node(np.array([[(counts * np.log(clamped)).sum()]]), (x,), back)
+
+
+def gaussian_kl(mu: Tensor, logvar: Tensor) -> Tensor:
+    """The 1x1 sum of mu^2 + exp(logvar) - logvar - 1 over every entry:
+    twice KL(N(mu, exp(logvar)) || N(0, I)) summed over the rows."""
+    if mu.data.shape != logvar.data.shape:
+        raise ShapeMismatch(f"gaussian_kl: {mu.data.shape} vs {logvar.data.shape}")
+    # overflow saturates to inf; divergence detection downstream handles it
+    with np.errstate(over="ignore"):
+        var = np.exp(logvar.data)
+
+    def back(g: np.ndarray) -> None:
+        g = np.broadcast_to(g, var.shape)
+        # one contribution at a time, in the order a graph of elementwise
+        # nodes adds them: the closed forms 2g*mu and g*(var - 1) round
+        # differently, and would change every trained parameter's bits
+        _accum(logvar, -g)
+        _accum(mu, g * mu.data)
+        _accum(mu, g * mu.data)
+        _accum(logvar, g * var)
+
+    return _node(np.array([[(mu.data * mu.data + var - logvar.data - 1.0).sum()]]), (mu, logvar), back)
 
 
 # ---------------------------------------------------------------------------

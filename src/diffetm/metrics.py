@@ -179,8 +179,10 @@ def perplexity_and_kl(
     ):
         latents, x_prime = predict_batch(batch, store, config)
         batches.append(latents)
-        picked = x_prime[batch.rows, batch.cols]
-        log_lik += float((batch.counts * np.log(np.maximum(picked, LOG_FLOOR))).sum())
+        # the int64 counts keep the sum in float64
+        log_lik += ad.log_likelihood(
+            ad.Tensor(x_prime), batch.rows, batch.cols, batch.counts, LOG_FLOOR
+        ).item()
         tokens += float(batch.counts.sum())
         per_doc = 0.5 * (
             latents.mu ** 2 + np.exp(latents.logvar) - latents.logvar - 1.0

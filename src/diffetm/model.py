@@ -251,29 +251,22 @@ def reconstruction_loss(
 ) -> ad.Tensor:
     """Negative log-likelihood -sum(X * log X') averaged over documents.
 
-    Only the entries with a nonzero count can contribute, so X' is gathered
-    at the batch's entries and the clamp, log, product and sum run over
-    those alone; every other entry of X' gets a zero gradient.  The clamp
-    at LOG_FLOOR guards the log against softmax underflow.  The counts are
-    taken in X''s dtype.
+    Only the entries with a nonzero count can contribute, so X' is read at
+    the batch's entries alone (``autodiff.log_likelihood``); every other
+    entry of X' gets a zero gradient.  The floor LOG_FLOOR guards the log
+    against softmax underflow.  The counts are taken in X''s dtype.
     """
-    picked = ad.gather(x_prime, batch.rows, batch.cols)
-    logged = ad.log_rows(ad.clamp_min(picked, LOG_FLOOR))
-    counts = ad.Tensor(batch.counts.astype(x_prime.data.dtype))
-    return ad.scale(ad.sum_all(ad.hadamard(counts, logged)), -1.0 / batch.shape[0])
+    counts = batch.counts.astype(x_prime.data.dtype)
+    log_lik = ad.log_likelihood(x_prime, batch.rows, batch.cols, counts, LOG_FLOOR)
+    return ad.scale(log_lik, -1.0 / batch.shape[0])
 
 
 def kl_loss(mu: ad.Tensor, logvar: ad.Tensor) -> ad.Tensor:
     """Closed-form KL(N(mu, sigma^2) || N(0, I)) averaged over documents."""
-    if mu.data.shape != logvar.data.shape:
-        raise ad.ShapeMismatch(f"kl_loss: {mu.data.shape} vs {logvar.data.shape}")
-    n_docs = mu.rows
-    term = ad.add_scalar(
-        ad.sub(ad.add(ad.hadamard(mu, mu), ad.exp(logvar)), logvar), -1.0
-    )
+    kl_sum = ad.gaussian_kl(mu, logvar)
     # every term is >= 0 in exact arithmetic, but rounding can carry a sum
     # of near-zero terms just below 0
-    return ad.clamp_min(ad.scale(ad.sum_all(term), 0.5 / n_docs), 0.0)
+    return ad.clamp_min(ad.scale(kl_sum, 0.5 / mu.rows), 0.0)
 
 
 def total_loss(recon: ad.Tensor, kl: ad.Tensor, weight: float) -> ad.Tensor:

@@ -53,6 +53,18 @@ def batch_of(x, dtype=np.float64) -> Batch:
     return dense_counts(corpus, range(x.shape[0]), x.shape[1], dtype)
 
 
+def graph_nodes(output: ad.Tensor) -> list[ad.Tensor]:
+    """Every requires-grad tensor reachable from output through its inputs:
+    the nodes backward visits."""
+    seen, stack = {}, [output]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(p for p in t._parents if p.requires)
+    return list(seen.values())
+
+
 def _float64_copy(store: ad.ParamStore) -> ad.ParamStore:
     out = ad.ParamStore()
     for name, t in store.items():

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
-from conftest import finite_diff_check
+from conftest import finite_diff_check, graph_nodes
 from diffetm import autodiff as ad
 
 
@@ -32,10 +33,6 @@ class TestPrimitives:
     def test_affine_hand_computed(self):
         out = ad.affine(ad.Tensor([[1.0, 2.0]]), ad.Tensor([[1.0], [1.0]]), ad.Tensor([[0.5]]))
         np.testing.assert_allclose(out.data, [[3.5]])
-
-    def test_log_rows_domain(self):
-        with pytest.raises(ad.DomainError):
-            ad.log_rows(ad.Tensor([[1.0, 0.0]]))
 
     def test_affine_shape_mismatch(self):
         with pytest.raises(ad.ShapeMismatch):
@@ -106,12 +103,13 @@ class TestBackward:
         b3 = param(store, "b3", rng.normal(size=(1, 3)))
         x = ad.Tensor(rng.normal(size=(7, 6)))
         target = rng.uniform(0.1, 1.0, size=(7, 3))
+        rows, cols = np.nonzero(target)
 
         def loss():
             h = ad.affine(x, w1, b1, relu=True)
             h = ad.affine(h, w2, b2, relu=True)
             probs = ad.softmax_rows(ad.affine(h, w3, b3))
-            return ad.scale(ad.sum_all(ad.hadamard(ad.Tensor(target), ad.log_rows(probs))), -1.0)
+            return ad.scale(ad.log_likelihood(probs, rows, cols, target[rows, cols], 1e-30), -1.0)
 
         for name in store.names():
             assert finite_diff_check(store, name, loss, max_coords=6) <= 1e-4
@@ -159,18 +157,30 @@ def _primitive_losses(rng):
     def c(*shape):
         return ad.Tensor(rng.normal(size=shape))
 
-    def case(name, shape, make_build, positive=False, away_from_zero=False):
+    def case(name, shape, make_build, positive=False, away_from_zero=False, below_floor=None):
         raw = rng.normal(size=shape)
         if positive:
             raw = np.abs(raw) + 0.5
         if away_from_zero:
             raw = np.where(np.abs(raw) < 0.1, raw + 0.3, raw)
+        if below_floor is not None:
+            raw[below_floor] = 0.05
         return name, raw, make_build()
 
     def weighted(op_of, *const_shapes, weight_shape):
         consts = [c(*s) for s in const_shapes]
         w = c(*weight_shape)
         return lambda p: ad.sum_all(ad.hadamard(op_of(p, *consts), w))
+
+    def log_likelihood():
+        # five of the six entries, one of them under the floor of 0.1
+        rows, cols = [0, 1, 1, 0, 1], [2, 0, 2, 0, 1]
+        counts = rng.uniform(0.5, 3.0, size=5)
+        return lambda p: ad.log_likelihood(p, rows, cols, counts, 0.1)
+
+    def gaussian_kl(p_is_mu):
+        other = c(3, 4)
+        return lambda p: ad.gaussian_kl(p, other) if p_is_mu else ad.gaussian_kl(other, p)
 
     return [
         case("affine_w", (4, 4), lambda: weighted(
@@ -181,14 +191,10 @@ def _primitive_losses(rng):
             lambda p: ad.clamp_min(p, 0.0), weight_shape=(3, 4)), away_from_zero=True),
         case("softmax", (3, 4), lambda: weighted(
             lambda p: ad.softmax_rows(p), weight_shape=(3, 4))),
-        case("log", (3, 4), lambda: weighted(
-            lambda p: ad.log_rows(p), weight_shape=(3, 4)), positive=True),
         case("hadamard", (3, 4), lambda: weighted(
             lambda p: ad.hadamard(p, p), weight_shape=(3, 4))),
         case("add", (3, 4), lambda: weighted(
             lambda p, q: ad.add(p, q), (3, 4), weight_shape=(3, 4))),
-        case("sub", (3, 4), lambda: weighted(
-            lambda p, q: ad.sub(p, q), (3, 4), weight_shape=(3, 4))),
         case("scale", (3, 4), lambda: weighted(
             lambda p: ad.scale(p, -1.8), weight_shape=(3, 4))),
         case("exp", (3, 4), lambda: weighted(
@@ -199,11 +205,12 @@ def _primitive_losses(rng):
             lambda p: ad.transpose(p), weight_shape=(4, 3))),
         case("clamp", (3, 4), lambda: weighted(
             lambda p: ad.clamp_min(p, -0.05), weight_shape=(3, 4)), away_from_zero=True),
-        case("add_scalar", (3, 4), lambda: weighted(
-            lambda p: ad.add_scalar(p, 2.5), weight_shape=(3, 4))),
         case("sum_all", (5, 2), lambda: (lambda p: ad.scale(ad.sum_all(p), 0.7))),
-        case("gather", (3, 4), lambda: weighted(
-            lambda p: ad.gather(p, [0, 2, 1, 2, 0], [3, 0, 1, 2, 0]), weight_shape=(1, 5))),
+        # (2, 3): all six coordinates are probed, the absent and the floored
+        # entry included
+        case("log_likelihood", (2, 3), log_likelihood, positive=True, below_floor=(1, 1)),
+        case("gaussian_kl_mu", (3, 4), lambda: gaussian_kl(True)),
+        case("gaussian_kl_logvar", (3, 4), lambda: gaussian_kl(False)),
     ]
 
 
@@ -376,36 +383,24 @@ class TestFusedRelu:
             assert finite_diff_check(store, name, loss, max_coords=12) <= 1e-7, name
 
 
-def _graph(output):
-    """Every requires-grad tensor reachable from output through its inputs."""
-    seen, stack = {}, [output]
-    while stack:
-        t = stack.pop()
-        if id(t) not in seen:
-            seen[id(t)] = t
-            stack.extend(p for p in t._parents if p.requires)
-    return list(seen.values())
-
-
 class TestConsumedGraph:
     def _mlp_loss(self, store, x, target):
         h = ad.sparse_affine(x, store["w1"], store["b1"], relu=True)
         h = ad.affine(h, store["w2"], store["b2"], relu=True)
         probs = ad.softmax_rows(ad.matmul(h, ad.transpose(store["w3"])))
-        picked = ad.gather(probs, [0, 1, 2], [1, 0, 2])
-        return ad.scale(ad.sum_all(ad.hadamard(target, ad.log_rows(ad.clamp_min(picked, 1e-30)))), -1.0)
+        return ad.scale(ad.log_likelihood(probs, [0, 1, 2], [1, 0, 2], target, 1e-30), -1.0)
 
     def _store(self):
         rng = np.random.default_rng(5)
         store = ad.ParamStore()
         for name, shape in (("w1", (7, 6)), ("b1", (1, 6)), ("w2", (6, 4)), ("b2", (1, 4)), ("w3", (3, 4))):
             param(store, name, rng.normal(size=shape))
-        return store, _sparse_input(rng, 3, 7, 0.5), ad.Tensor(rng.uniform(0.1, 1.0, size=(1, 3)))
+        return store, _sparse_input(rng, 3, 7, 0.5), rng.uniform(0.1, 1.0, size=3)
 
     def test_backward_releases_interior_data_and_closures_and_keeps_the_leaves(self):
         store, x, target = self._store()
         out = self._mlp_loss(store, x, target)
-        nodes = _graph(out)
+        nodes = graph_nodes(out)
         leaves = {id(t): t.data for t in nodes if not t._parents}
         assert set(leaves) == {id(t) for _, t in store.items()}
         value = out.item()
@@ -418,7 +413,7 @@ class TestConsumedGraph:
                 assert t.data is None
         # the 1x1 output keeps its value, and the walk the tracer makes still works
         assert out.item() == value
-        assert len(_graph(out)) == len(nodes)
+        assert len(graph_nodes(out)) == len(nodes)
 
     def test_a_second_backward_raises_and_moves_no_gradient(self):
         store, x, target = self._store()
@@ -442,6 +437,14 @@ class TestConsumedGraph:
             read(released)
         read(out)  # the 1x1 output keeps its value
 
+    def test_repr_of_a_released_node_says_so(self):
+        store, x, _ = self._store()
+        released = ad.sum_all(ad.sparse_affine(x, store["w1"], store["b1"], relu=True))
+        out = ad.scale(released, 0.5)
+        ad.backward(out)
+        assert repr(released) == "Tensor(shape=released, requires=True)"
+        assert repr(out) == "Tensor(shape=(1, 1), requires=True)"
+
     def test_a_graph_sharing_a_consumed_node_raises_before_any_gradient_moves(self):
         store, x, target = self._store()
         h = ad.sparse_affine(x, store["w1"], store["b1"], relu=True)
@@ -457,31 +460,41 @@ class TestConsumedGraph:
 
 
 class TestGather:
-    def test_picks_the_entries_as_one_row(self):
-        x = ad.Tensor(np.arange(12.0).reshape(3, 4))
-        out = ad.gather(x, np.array([2, 0, 1]), np.array([3, 1, 1]))
-        np.testing.assert_array_equal(out.data, [[11.0, 1.0, 5.0]])
+    """log_likelihood reads x at the listed entries and scatters their
+    gradient back."""
+
+    def test_reads_only_the_entries(self):
+        x = np.full((3, 4), np.nan)
+        x[[2, 0, 1], [3, 1, 1]] = 0.5, 1e-20, 2.0
+        counts = np.array([1.0, 2.0, 3.0])
+        out = ad.log_likelihood(ad.Tensor(x), np.array([2, 0, 1]), np.array([3, 1, 1]), counts, 1e-12)
+        assert out.data.shape == (1, 1)
+        # 1e-20 is read at the floor
+        expected = math.log(0.5) + 2.0 * math.log(1e-12) + 3.0 * math.log(2.0)
+        assert out.item() == pytest.approx(expected, rel=1e-14)
 
     def test_backward_scatters_into_zeros(self):
         store = ad.ParamStore()
         p = param(store, "p", np.ones((2, 3)))
-        w = ad.Tensor([[1.0, -0.0, 4.0]])
-        ad.backward(ad.sum_all(ad.hadamard(ad.gather(p, [1, 0, 0], [2, 0, 2]), w)))
+        ad.backward(ad.log_likelihood(p, [1, 0, 0], [2, 0, 2], np.array([1.0, -0.0, 4.0]), 1e-12))
         np.testing.assert_array_equal(p.grad, [[-0.0, 0.0, 4.0], [0.0, 0.0, 1.0]])
-        # the gathered gradient lands as is, the sign of a zero included
+        # the entries' gradient lands as is, the sign of a zero included
         assert np.signbit(p.grad[0, 0]) and not np.signbit(p.grad[0, 1])
 
     def test_float32_stays_float32(self):
         store = ad.ParamStore()
         p = store.add("p", np.ones((2, 2), dtype=np.float32))
-        out = ad.gather(p, [0, 1], [1, 0])
+        out = ad.log_likelihood(p, [0, 1], [1, 0], np.ones(2, dtype=np.float32), 1e-12)
         out_dtype = out.data.dtype
-        ad.backward(ad.sum_all(out))
+        ad.backward(out)
         assert out_dtype == p.grad.dtype == np.float32
 
     def test_index_shapes_must_agree(self):
+        x = ad.Tensor(np.ones((2, 2)))
         with pytest.raises(ad.ShapeMismatch):
-            ad.gather(ad.Tensor(np.ones((2, 2))), [0, 1], [0])
+            ad.log_likelihood(x, [0, 1], [0], np.ones(2), 1e-12)
+        with pytest.raises(ad.ShapeMismatch):
+            ad.log_likelihood(x, [0, 1], [0, 1], np.ones(3), 1e-12)
 
 
 class TestZeroGrads:

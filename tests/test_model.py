@@ -1,6 +1,11 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
-from conftest import batch_of, finite_diff_check
+from conftest import batch_of, finite_diff_check, graph_nodes
 from diffetm import autodiff as ad
 from diffetm import model as m
 from diffetm.corpus import BowCorpus, dense_counts
@@ -367,6 +372,34 @@ class TestLosses:
         assert not mask[1, 5] and p.grad[1, 5] == 0.0
         assert (p.grad[~nz] == 0.0).all()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_kl_gradient_adds_its_terms_one_at_a_time(self, dtype):
+        # the order of the elementwise graph the KL node replaced: logvar
+        # gets -g, mu gets g * mu twice, then logvar gets g * exp(logvar);
+        # a gradient already in the buffers (as the reparameterization
+        # leaves one in the model) makes the order visible in the bits
+        rng = np.random.default_rng(13)
+        store = ad.ParamStore()
+        mu = store.add("mu", rng.normal(size=(5, 4)).astype(dtype))
+        logvar = store.add("logvar", rng.normal(size=(5, 4)).astype(dtype))
+        before_mu, before_logvar = (rng.normal(size=(5, 4)).astype(dtype) for _ in range(2))
+        mu.grad, logvar.grad = before_mu, before_logvar
+        ad.backward(m.kl_loss(mu, logvar))
+        g = dtype(0.5 / 5)
+        assert mu.grad.dtype == logvar.grad.dtype == dtype
+        assert mu.grad.tobytes() == (before_mu + g * mu.data + g * mu.data).tobytes()
+        assert logvar.grad.tobytes() == (before_logvar - g + g * np.exp(logvar.data)).tobytes()
+
+    def test_loss_graph_has_two_nodes_for_reconstruction_and_three_for_kl(self):
+        x, x_prime = self._sparse_batch(np.float32)
+        store = ad.ParamStore()
+        p = store.add("x_prime", x_prime)
+        mu = store.add("mu", np.zeros((6, 3)))
+        logvar = store.add("logvar", np.zeros((6, 3)))
+        # the leaves count too
+        assert len(graph_nodes(m.reconstruction_loss(batch_of(x), p))) == 1 + 2
+        assert len(graph_nodes(m.kl_loss(mu, logvar))) == 2 + 3
+
     def test_nonzero_entries_in_row_major_order(self):
         batch = batch_of(np.array([[0.0, 2.0, 1.0], [3.0, 0.0, 0.0]]))
         np.testing.assert_array_equal(batch.rows, [0, 0, 1])
@@ -405,6 +438,15 @@ def test_kl_loss_nonnegative(mu, logvar):
 
 
 class TestForwardBatch:
+    @pytest.mark.parametrize("mode, nodes", [("diffusion", 47), ("no_diffusion", 45), ("standard_etm", 36)])
+    def test_a_training_step_builds_a_fixed_graph(self, mode, nodes):
+        # 20 parameters and 27 interior nodes, of which the loss builds 5;
+        # no_diffusion has no noising (scale, add), and standard_etm has no
+        # X0 encoder (6 parameters, 3 layers) either
+        cfg, store, x = small_setup(mode=mode)
+        result = m.forward_batch(batch_of(x, np.float32), store, cfg, np.random.default_rng(1))
+        assert len(graph_nodes(result.total)) == nodes
+
     def test_standard_etm_deterministic_path_gives_z_equals_mu(self):
         cfg, store, x = small_setup(mode="standard_etm")
         result = m.forward_batch(batch_of(x, np.float32), store, cfg)
@@ -468,14 +510,8 @@ class TestForwardBatch:
             kept = tracemalloc.get_traced_memory()[0] - held
         finally:
             tracemalloc.stop()
-        seen, stack = {}, [result.total]
-        while stack:
-            t = stack.pop()
-            if id(t) not in seen:
-                seen[id(t)] = t
-                stack.extend(p for p in t._parents if p.requires)
         leaves = {id(t): name for name, t in store.items()}
-        for t in seen.values():
+        for t in graph_nodes(result.total):
             assert t._backward is None
             if id(t) in leaves:
                 assert t.data is params[leaves[id(t)]]
@@ -587,6 +623,49 @@ class TestDtype:
         np.testing.assert_array_equal(
             etm.data, np.random.default_rng(4).standard_normal((3, 2)).astype(np.float32)
         )
+
+
+# one training step at the desk width (V=2070, H=800, B=1000, float32),
+# whose (H, H) and (H, K) weight gradients go through a multi-threaded GEMM
+_DESK_STEP = textwrap.dedent("""
+    import hashlib
+    import numpy as np
+    from diffetm import autodiff as ad
+    from diffetm import model as m
+    from diffetm.corpus import BowCorpus, dense_counts
+
+    rng = np.random.default_rng(0)
+    b, v = 1000, 2070
+    lengths = rng.integers(40, 100, size=b)
+    ids = np.concatenate([np.sort(rng.choice(v, size=n, replace=False)) for n in lengths])
+    corpus = BowCorpus("train", np.append(0, np.cumsum(lengths)), ids, rng.integers(1, 4, ids.size), "r")
+    cfg = m.ModelConfig(num_topics=50, embed_size=300, hidden_size=800)
+    store = m.init_params(cfg, v, np.random.default_rng([0, 0]))
+    batch = dense_counts(corpus, range(b), v, np.float32)
+    result = m.forward_batch(batch, store, cfg, np.random.default_rng([0, 2]))
+    ad.backward(result.total)
+    ad.adam_update(store, ad.AdamState(lr=0.005))
+    digest = hashlib.sha256()
+    for _, t in store.items():
+        digest.update(t.data.tobytes())
+    print(digest.hexdigest())
+""")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_desk_width_train_step_repeats_bit_for_bit_at_one_blas_thread_count(threads):
+    """README's contract: the same inputs, config and BLAS thread count give
+    the same bits, here in two fresh processes.  Whether 1 and 2 threads
+    agree is not promised, and not asserted."""
+    src = str(Path(m.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+    digests = {
+        subprocess.run(
+            [sys.executable, "-c", _DESK_STEP], env=env, capture_output=True, text=True, check=True
+        ).stdout.strip()
+        for _ in range(2)
+    }
+    assert len(digests) == 1
 
 
 class TestPredictBatch:
