@@ -12,7 +12,7 @@ import operator
 import string
 import struct
 from collections import defaultdict
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, count, filterfalse, repeat
 from pathlib import Path
@@ -61,7 +61,6 @@ class Vocabulary:
     """
 
     tokens: list[str]
-    index_of: dict[str, int]
     doc_freq: np.ndarray
     ref_id: str = field(init=False)
 
@@ -82,26 +81,6 @@ def check_min_df(min_df: int) -> None:
 def check_min_vocab(vocab: Vocabulary, error: type[ValueError], source: str) -> None:
     if vocab.V < 2:  # NPMI coherence scores pairs of a topic's top words
         raise error(f"{source} {vocab.V} token(s); a vocabulary needs at least 2")
-
-
-def _provisional_ids() -> defaultdict[str, int]:
-    """token -> provisional id; a token first seen gets the next id, so the
-    keys, in order, are the tokens by id."""
-    return defaultdict(count().__next__)
-
-
-def _flat_ids(
-    token_docs: Iterable[Iterable[str]], ids_of: defaultdict[str, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each document's token count, and the provisional id of every token,
-    document after document, as two int64 arrays."""
-    ids: list[int] = []
-    lengths = []
-    for tokens in token_docs:
-        before = len(ids)
-        ids += map(ids_of.__getitem__, tokens)
-        lengths.append(len(ids) - before)
-    return np.array(lengths, dtype=np.int64), np.fromiter(ids, np.int64, count=len(ids))
 
 
 def _pairs(lengths: np.ndarray, ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -132,13 +111,7 @@ def _vocabulary(tokens: list[str], lengths, ids, min_df: int) -> tuple[Vocabular
     order = sorted(kept.tolist(), key=lambda i: (-freq[i], tokens[i]))
     remap = np.full(len(tokens), -1, dtype=np.int64)
     remap[order] = np.arange(len(order))
-    kept_tokens = [tokens[i] for i in order]
-    vocab = Vocabulary(
-        tokens=kept_tokens,
-        index_of={tok: i for i, tok in enumerate(kept_tokens)},
-        doc_freq=df[order],
-    )
-    return vocab, remap
+    return Vocabulary([tokens[i] for i in order], df[order]), remap
 
 
 def _bow(split: str, lengths, ids, vocab: Vocabulary) -> BowCorpus:
@@ -152,35 +125,12 @@ def _bow(split: str, lengths, ids, vocab: Vocabulary) -> BowCorpus:
     return BowCorpus(split, indptr, ids, counts, vocab.ref_id)
 
 
-def build_vocabulary(token_docs: list[list[str]], min_df: int) -> Vocabulary:
-    """Retain tokens appearing in at least min_df documents.
-
-    Ids are assigned by descending document frequency, then by token.
-    Raises AllTokensPruned when nothing survives.
-    """
-    ids_of = _provisional_ids()
-    lengths, ids = _flat_ids(token_docs, ids_of)
-    return _vocabulary(list(ids_of), lengths, ids, min_df)[0]
-
-
 @dataclass
 class BowDocument:
     """Sparse id -> count map; counts strictly positive, total >= 1."""
 
     counts: dict[int, int]
     total: int
-
-
-def vectorize(token_docs: list[list[str]], vocab: Vocabulary, split: str) -> BowCorpus:
-    """Count the in-vocabulary tokens of every document.
-
-    Documents without an in-vocabulary token are dropped; the kept
-    documents stay in order.
-    """
-    ids_of = _provisional_ids()
-    lengths, ids = _flat_ids(token_docs, ids_of)
-    remap = np.fromiter(map(vocab.index_of.get, ids_of, repeat(-1)), np.int64, count=len(ids_of))
-    return _bow(split, lengths, remap[ids], vocab)
 
 
 def _entries(indptr: np.ndarray, docs) -> tuple[np.ndarray, np.ndarray]:
@@ -379,13 +329,20 @@ class IngestReport:
 def _read_ids(
     path: str | Path, stopwords: set[str], ids_of: defaultdict[str, int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Every line of a file as one document: its token count, and the
-    provisional id of each token that is not a stopword (see _flat_ids)."""
+    """Every line of a file as one document: each document's count of tokens
+    that are not stopwords, and the provisional id (see _ingest) of every
+    such token, document after document, as two int64 arrays."""
+    ids: list[int] = []
+    lengths = []
     with open(path, encoding="utf-8") as fh:
-        token_docs = map(tokenize_line, fh)
-        if stopwords:
-            token_docs = (filterfalse(stopwords.__contains__, toks) for toks in token_docs)
-        return _flat_ids(token_docs, ids_of)
+        for line in fh:
+            tokens = tokenize_line(line)
+            if stopwords:
+                tokens = filterfalse(stopwords.__contains__, tokens)
+            before = len(ids)
+            ids += map(ids_of.__getitem__, tokens)
+            lengths.append(len(ids) - before)
+    return np.array(lengths, dtype=np.int64), np.fromiter(ids, np.int64, count=len(ids))
 
 
 def load_stopwords(path: str | Path | None) -> set[str]:
@@ -397,6 +354,43 @@ def load_stopwords(path: str | Path | None) -> set[str]:
         return {w for w in (line.strip().lower().strip(_PUNCT) for line in fh) if w}
 
 
+def _ingest(
+    paths: dict[str, str | Path], vocab_from: str, min_df: int, stopword_path: str | Path | None
+) -> tuple[Vocabulary, dict[str, int], dict[str, BowCorpus]]:
+    """Read each named file once, straight to token ids, and build the
+    vocabulary on the file named vocab_from.
+
+    Every file is read before the vocabulary is built, so a file error comes
+    before AllTokensPruned.  Returns the vocabulary, and each file's line
+    count and corpus by name.
+    """
+    stop = load_stopwords(stopword_path)
+    # token -> provisional id; a token first seen gets the next id, so the
+    # keys, in order, are the tokens by id
+    ids_of: defaultdict[str, int] = defaultdict(count().__next__)
+    raw = {name: _read_ids(path, stop, ids_of) for name, path in paths.items()}
+    # a token first seen in another file has a document frequency of 0 in
+    # vocab_from, below every min_df, so remap sends it to -1
+    vocab, remap = _vocabulary(list(ids_of), *raw[vocab_from], min_df)
+    check_min_vocab(vocab, AllTokensPruned, f"min_df={min_df} keeps")
+    lines = {name: len(lengths) for name, (lengths, _) in raw.items()}
+    corpora = {name: _bow(name, lengths, remap[ids], vocab) for name, (lengths, ids) in raw.items()}
+    return vocab, lines, corpora
+
+
+def _report(
+    vocab: Vocabulary,
+    docs_in: dict[str, int],
+    docs_dropped: dict[str, int],
+    splits: dict[str, BowCorpus],
+    min_df: int,
+) -> IngestReport:
+    """The report of an ingest that gave the three named splits."""
+    kept = {name: len(c) for name, c in splits.items()}
+    tokens = {name: c.total_tokens() for name, c in splits.items()}
+    return IngestReport(vocab.V, docs_in, kept, docs_dropped, tokens, min_df)
+
+
 def ingest_presplit(
     train_path: str | Path,
     valid_path: str | Path,
@@ -404,33 +398,14 @@ def ingest_presplit(
     min_df: int,
     stopword_path: str | Path | None = None,
 ) -> tuple[Dataset, IngestReport]:
-    """Ingest pre-split files; the vocabulary is built on the train split.
-
-    Each file is read once, straight to token ids; every file is read
-    before the vocabulary is built.
-    """
-    stop = load_stopwords(stopword_path)
-    ids_of = _provisional_ids()
-    raw = {
-        name: _read_ids(path, stop, ids_of)
-        for name, path in zip(SPLITS, (train_path, valid_path, test_path))
-    }
-    # a token first seen in valid or test has a train document frequency of
-    # 0, below every min_df, so remap sends it to -1
-    vocab, remap = _vocabulary(list(ids_of), *raw["train"], min_df)
-    check_min_vocab(vocab, AllTokensPruned, f"min_df={min_df} keeps")
-    splits: dict[str, BowCorpus] = {}
-    docs_in, kept, dropped, tokens = {}, {}, {}, {}
-    for name, (lengths, ids) in raw.items():
-        splits[name] = corpus = _bow(name, lengths, remap[ids], vocab)
+    """Ingest pre-split files; the vocabulary is built on the train split."""
+    paths = dict(zip(SPLITS, (train_path, valid_path, test_path)))
+    vocab, lines, splits = _ingest(paths, "train", min_df, stopword_path)
+    for name, corpus in splits.items():
         if not len(corpus):
             raise EmptySplit(f"split {name!r} has no usable documents")
-        docs_in[name] = len(lengths)
-        kept[name] = len(corpus)
-        dropped[name] = len(lengths) - len(corpus)
-        tokens[name] = corpus.total_tokens()
-    report = IngestReport(vocab.V, docs_in, kept, dropped, tokens, min_df)
-    return Dataset(vocab, splits["train"], splits["valid"], splits["test"]), report
+    dropped = {name: lines[name] - len(c) for name, c in splits.items()}
+    return Dataset(vocab, **splits), _report(vocab, lines, dropped, splits, min_df)
 
 
 def ingest_single(
@@ -441,23 +416,10 @@ def ingest_single(
     stopword_path: str | Path | None = None,
 ) -> tuple[Dataset, IngestReport]:
     """Ingest one unsplit file; vocabulary from the whole corpus, then split."""
-    stop = load_stopwords(stopword_path)
-    ids_of = _provisional_ids()
-    lengths, ids = _read_ids(input_path, stop, ids_of)
-    vocab, remap = _vocabulary(list(ids_of), lengths, ids, min_df)
-    check_min_vocab(vocab, AllTokensPruned, f"min_df={min_df} keeps")
-    corpus = _bow("all", lengths, remap[ids], vocab)
-    train, valid, test = split_corpus(corpus, fractions, seed)
-    n_in = len(lengths)
-    report = IngestReport(
-        vocab_size=vocab.V,
-        docs_in={"all": n_in},
-        docs_kept={"train": len(train), "valid": len(valid), "test": len(test)},
-        docs_dropped={"all": n_in - len(corpus)},
-        total_tokens={s.split: s.total_tokens() for s in (train, valid, test)},
-        min_df=min_df,
-    )
-    return Dataset(vocab, train, valid, test), report
+    vocab, lines, read = _ingest({"all": input_path}, "all", min_df, stopword_path)
+    splits = dict(zip(SPLITS, split_corpus(read["all"], fractions, seed)))
+    dropped = {"all": lines["all"] - len(read["all"])}
+    return Dataset(vocab, **splits), _report(vocab, lines, dropped, splits, min_df)
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +440,7 @@ def read_vocabulary(path: str | Path) -> Vocabulary:
     token, an id other than the line's position written as a plain decimal,
     a doc_freq that is not a nonnegative decimal integer, or < 2 tokens.
     """
-    index_of: dict[str, int] = {}
-    freqs: list[int] = []
+    doc_freq: dict[str, int] = {}  # in file order
     try:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n")
@@ -493,17 +454,16 @@ def read_vocabulary(path: str | Path) -> Vocabulary:
                 tok, idx, df = fields
                 if not tok:
                     raise VocabularyFormatError(f"{where}: empty token")
-                if tok in index_of:
+                if tok in doc_freq:
                     raise VocabularyFormatError(f"{where}: duplicate token {tok!r}")
-                if idx != str(len(index_of)):
-                    raise VocabularyFormatError(f"{where}: id {idx!r}, expected {len(index_of)}")
+                if idx != str(len(doc_freq)):
+                    raise VocabularyFormatError(f"{where}: id {idx!r}, expected {len(doc_freq)}")
                 if not (df.isascii() and df.isdigit()):
                     raise VocabularyFormatError(f"{where}: doc_freq {df!r} is not an integer >= 0")
-                index_of[tok] = len(index_of)
-                freqs.append(int(df))
+                doc_freq[tok] = int(df)
     except UnicodeDecodeError as exc:
         raise VocabularyFormatError(f"{path}: not UTF-8 text ({exc})") from None
-    vocab = Vocabulary(list(index_of), index_of, np.array(freqs, dtype=np.int64))
+    vocab = Vocabulary(list(doc_freq), np.array(list(doc_freq.values()), dtype=np.int64))
     check_min_vocab(vocab, VocabularyFormatError, f"{path}: holds")
     return vocab
 

@@ -160,7 +160,6 @@ def perplexity_and_kl(
     store: ad.ParamStore,
     config: ModelConfig,
     corpus_split: BowCorpus,
-    batch_size: int = EVAL_BATCH_SIZE,
 ) -> tuple[float, float, LatentBatch]:
     """One deterministic pass over the split: exp(-sum(X log X') / sum(X)),
     the per-document mean of the closed-form KL against N(0, I), and the
@@ -175,7 +174,7 @@ def perplexity_and_kl(
     kl_sum = 0.0
     batches = []
     for batch in iter_batches(
-        corpus_split, store_vocab_size(store), batch_size, store_dtype(store)
+        corpus_split, store_vocab_size(store), EVAL_BATCH_SIZE, store_dtype(store)
     ):
         latents, x_prime = predict_batch(batch, store, config)
         batches.append(latents)
@@ -192,14 +191,9 @@ def perplexity_and_kl(
     return ppl, kl_sum / len(corpus_split), LatentBatch.concatenate(batches)
 
 
-def perplexity(
-    store: ad.ParamStore,
-    config: ModelConfig,
-    corpus_split: BowCorpus,
-    batch_size: int = EVAL_BATCH_SIZE,
-) -> float:
+def perplexity(store: ad.ParamStore, config: ModelConfig, corpus_split: BowCorpus) -> float:
     """exp(-sum(X log X') / sum(X)) over the split, deterministic path."""
-    return perplexity_and_kl(store, config, corpus_split, batch_size)[0]
+    return perplexity_and_kl(store, config, corpus_split)[0]
 
 
 @dataclass

@@ -162,7 +162,7 @@ def link_checkpoint(src: Path, dst: Path) -> None:
 
 def load_checkpoint(path: str | Path, digest=None) -> tuple[ad.ParamStore, ModelConfig]:
     """Rebuild a parameter store and config, checking that the parameters
-    fit the configuration.
+    fit the configuration and are finite.
 
     The parameters stay float32, as stored, so a reloaded checkpoint is the
     saved float32 model bit for bit.  The file is read once, each array
@@ -220,6 +220,9 @@ def load_checkpoint(path: str | Path, digest=None) -> tuple[ad.ParamStore, Model
                 raise CorruptCheckpoint(f"{path}: missing parameter 'word_emb'")
             config.validate()
             check_param_shapes(store, config, store_vocab_size(store))
+            for name, t in store.items():
+                if not np.isfinite(t.data).all():
+                    raise CorruptCheckpoint(f"{path}: parameter {name!r} holds a non-finite value")
         except struct.error as exc:
             raise CorruptCheckpoint(f"{path}: truncated checkpoint ({exc})") from None
         except CorruptCheckpoint:
@@ -238,11 +241,10 @@ def validate(
     config: ModelConfig,
     split: BowCorpus,
     rng: np.random.Generator,
-    batch_size: int = metrics_mod.EVAL_BATCH_SIZE,
 ) -> tuple[float, float, float]:
     """Held-out perplexity, the mean closed-form KL and the realized z-KL,
     all from one deterministic encoder pass over the split."""
-    ppl, kl, latents = metrics_mod.perplexity_and_kl(store, config, split, batch_size)
+    ppl, kl, latents = metrics_mod.perplexity_and_kl(store, config, split)
     return ppl, kl, realized_z_kl(latents, config, rng)
 
 

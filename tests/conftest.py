@@ -1,28 +1,22 @@
+import tempfile
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 import pytest
 
 from diffetm import autodiff as ad
-from diffetm.corpus import (
-    Batch,
-    BowCorpus,
-    Dataset,
-    build_vocabulary,
-    dense_counts,
-    split_corpus,
-    tokenize_line,
-    vectorize,
-)
+from diffetm.corpus import Batch, BowCorpus, Dataset, dense_counts, ingest_single
 from diffetm.model import ModelConfig
 from diffetm.synth import generate_docs
 
 
 def dataset_from_lines(lines, min_df=1, fractions=(0.6, 0.2, 0.2), seed=11) -> Dataset:
-    token_docs = [tokenize_line(line) for line in lines]
-    vocab = build_vocabulary(token_docs, min_df)
-    train, valid, test = split_corpus(vectorize(token_docs, vocab, "all"), fractions, seed)
-    return Dataset(vocab, train, valid, test)
+    """The lines, one document each, through the single-file ingest."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "all.txt"
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        return ingest_single(path, min_df, fractions, seed)[0]
 
 
 @pytest.fixture(scope="session")

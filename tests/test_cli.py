@@ -16,7 +16,7 @@ import scipy
 
 from diffetm import cli
 from diffetm.model import ModelConfig
-from diffetm.trainer import TrainConfig
+from diffetm.trainer import TrainConfig, load_checkpoint, save_checkpoint
 from diffetm.synth import write_split_files
 
 
@@ -449,6 +449,25 @@ class TestEvalCommand:
             args = ["kl-test", "--config", str(p), "--run-dir", str(workspace["run_dir"])]
         assert cli.main(args) == 1
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "topics", "kl-test"])
+    def test_non_finite_checkpoint_exits_1_before_any_output(self, workspace, tmp_path, capsys, command):
+        store, config = load_checkpoint(workspace["run_dir"] / "best.ckpt")
+        store["word_emb"].data[0, 0] = np.nan
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        ckpt = run_dir / "checkpoint_epoch0001.ckpt"
+        save_checkpoint(store, config, ckpt)
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(dict(workspace["cfg"], output_dir=str(tmp_path / "runs"))))
+        if command == "kl-test":
+            args = ["kl-test", "--config", str(p), "--run-dir", str(run_dir)]
+        else:
+            args = [command, "--config", str(p), "--checkpoint", str(ckpt)]
+        assert cli.main(args) == 1
+        assert f"error: {ckpt}: parameter 'word_emb' holds a non-finite value" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+        assert [f.name for f in run_dir.iterdir()] == [ckpt.name]
 
     def test_missing_checkpoint(self, workspace):
         rc = cli.main([

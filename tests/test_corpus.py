@@ -25,6 +25,26 @@ def corpus_of(maps, split="train", vocab_ref="ref"):
     )
 
 
+def _write(tmp_path, name, lines):
+    p = tmp_path / name
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return p
+
+
+def _vocabulary_of(tmp_path, token_docs, min_df):
+    """The vocabulary ingest builds on the documents, given as token lists."""
+    train = _write(tmp_path, "train.txt", map(" ".join, token_docs))
+    return cp.ingest_presplit(train, train, train, min_df)[0].vocab
+
+
+def _valid_split(tmp_path, token_docs, train_docs):
+    """The documents, given as token lists, as the valid split of an ingest
+    whose train split (and test split) is train_docs, at min_df=1."""
+    train = _write(tmp_path, "train.txt", map(" ".join, train_docs))
+    valid = _write(tmp_path, "valid.txt", map(" ".join, token_docs))
+    return cp.ingest_presplit(train, valid, train, min_df=1)
+
+
 class TestTokenize:
     def test_lowercase_and_punctuation(self):
         assert cp.tokenize_line("The cat sat.") == ["the", "cat", "sat"]
@@ -43,28 +63,29 @@ class TestTokenize:
 
 
 class TestBuildVocabulary:
-    def test_min_df_two(self):
-        vocab = cp.build_vocabulary([["a", "b"], ["a", "c"]], min_df=2)
-        assert vocab.tokens == ["a"]
-        assert vocab.doc_freq[0] == 2
+    # a vocabulary needs at least 2 tokens, so each case keeps a second one
+    def test_min_df_two(self, tmp_path):
+        vocab = _vocabulary_of(tmp_path, [["a", "b", "x"], ["a", "c", "x"], ["x"]], min_df=2)
+        assert vocab.tokens == ["x", "a"]
+        assert vocab.doc_freq[1] == 2
 
-    def test_lexicographic_tie_break(self):
-        vocab = cp.build_vocabulary([["a"], ["b"]], min_df=1)
+    def test_lexicographic_tie_break(self, tmp_path):
+        vocab = _vocabulary_of(tmp_path, [["a"], ["b"]], min_df=1)
         assert vocab.tokens == ["a", "b"]
-        assert vocab.index_of == {"a": 0, "b": 1}
 
-    def test_all_pruned(self):
+    def test_all_pruned(self, tmp_path):
         with pytest.raises(cp.AllTokensPruned):
-            cp.build_vocabulary([["a"], ["b"]], min_df=3)
+            _vocabulary_of(tmp_path, [["a"], ["b"]], min_df=3)
 
-    def test_ordered_by_descending_doc_freq(self):
+    def test_ordered_by_descending_doc_freq(self, tmp_path):
         docs = [["x", "y"], ["y"], ["y", "x"], ["x"], ["x"]]
-        vocab = cp.build_vocabulary(docs, min_df=1)
+        vocab = _vocabulary_of(tmp_path, docs, min_df=1)
         assert vocab.tokens == ["x", "y"]
         assert list(vocab.doc_freq) == [4, 3]
 
-    def test_df_counts_documents_not_tokens(self):
-        vocab = cp.build_vocabulary([["a", "a", "a"]], min_df=1)
+    def test_df_counts_documents_not_tokens(self, tmp_path):
+        vocab = _vocabulary_of(tmp_path, [["a", "a", "a", "b"]], min_df=1)
+        assert vocab.tokens[0] == "a"
         assert vocab.doc_freq[0] == 1
 
 
@@ -74,67 +95,85 @@ class TestBuildVocabulary:
     st.integers(1, 4),
     st.integers(1, 4),
 )
-def test_pruning_monotonicity(docs, df1, df2):
+def test_pruning_monotonicity(tmp_path_factory, docs, df1, df2):
     lo, hi = sorted((df1, df2))
+    tmp_path = tmp_path_factory.mktemp("prune")
     try:
-        big = set(cp.build_vocabulary(docs, lo).tokens)
+        big = set(_vocabulary_of(tmp_path, docs, lo).tokens)
     except cp.AllTokensPruned:
         big = set()
     try:
-        small = set(cp.build_vocabulary(docs, hi).tokens)
+        small = set(_vocabulary_of(tmp_path, docs, hi).tokens)
     except cp.AllTokensPruned:
         small = set()
     assert small <= big
 
 
 class TestVectorize:
-    VOCAB = cp.build_vocabulary([["a", "b"], ["a", "b"]], min_df=1)
+    # the vocabulary is ["a", "b"]
+    TRAIN = [["a", "b"], ["a", "b"]]
 
-    def test_counts(self):
-        corpus = cp.vectorize([["a", "a", "b"]], self.VOCAB, "train")
-        doc = corpus.docs[0]
+    def test_counts(self, tmp_path):
+        dataset, _ = _valid_split(tmp_path, [["a", "a", "b"]], self.TRAIN)
+        doc = dataset.valid.docs[0]
         assert doc.counts == {0: 2, 1: 1}
         assert doc.total == 3
 
-    def test_fully_oov_dropped(self):
-        assert len(cp.vectorize([["z"]], self.VOCAB, "train")) == 0
+    def test_fully_oov_dropped(self, tmp_path):
+        dataset, report = _valid_split(tmp_path, [["z"], ["b"]], self.TRAIN)
+        assert report.docs_dropped["valid"] == 1
+        assert list(dataset.valid.docs) == [cp.BowDocument({1: 1}, 1)]
+        with pytest.raises(cp.EmptySplit, match="split 'valid'"):
+            _valid_split(tmp_path, [["z"]], self.TRAIN)
 
-    def test_empty_dropped(self):
-        assert len(cp.vectorize([[]], self.VOCAB, "train")) == 0
+    def test_empty_dropped(self, tmp_path):
+        dataset, report = _valid_split(tmp_path, [[], ["b"]], self.TRAIN)
+        assert report.docs_dropped["valid"] == 1
+        assert list(dataset.valid.docs) == [cp.BowDocument({1: 1}, 1)]
+        with pytest.raises(cp.EmptySplit, match="split 'valid'"):
+            _valid_split(tmp_path, [[]], self.TRAIN)
 
-    def test_split_and_vocabulary_bound(self):
-        corpus = cp.vectorize([["b"]], self.VOCAB, "valid")
-        assert corpus.split == "valid"
-        assert corpus.vocab_ref == self.VOCAB.ref_id
+    def test_split_and_vocabulary_bound(self, tmp_path):
+        dataset, _ = _valid_split(tmp_path, [["b"]], self.TRAIN)
+        assert dataset.valid.split == "valid"
+        assert dataset.valid.vocab_ref == dataset.vocab.ref_id
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.sampled_from("abcz"), max_size=30))
-def test_vectorize_roundtrip_counts(tokens):
-    vocab = cp.build_vocabulary([["a", "b", "c"]], min_df=1)
-    in_vocab = sum(1 for t in tokens if t in vocab.index_of)
-    corpus = cp.vectorize([tokens], vocab, "train")
-    if len(corpus) == 0:
+def test_vectorize_roundtrip_counts(tmp_path_factory, tokens):
+    in_vocab = sum(1 for t in tokens if t in "abc")
+    tmp_path = tmp_path_factory.mktemp("roundtrip")
+    try:
+        dataset, _ = _valid_split(tmp_path, [tokens], [["a", "b", "c"]])
+    except cp.EmptySplit:
         assert in_vocab == 0
     else:
-        doc = corpus.docs[0]
+        doc = dataset.valid.docs[0]
         assert doc.total == in_vocab
         assert all(n > 0 for n in doc.counts.values())
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.sampled_from("abcdz"), max_size=8), max_size=10))
-def test_vectorize_matches_a_per_document_count(token_docs):
-    vocab = cp.build_vocabulary([["a", "b", "c", "d"]], min_df=1)
+def test_vectorize_matches_a_per_document_count(tmp_path_factory, token_docs):
+    index_of = {"a": 0, "b": 1, "c": 2, "d": 3}
     expected = []
     for tokens in token_docs:
         counts: dict[int, int] = {}
         for tok in tokens:
-            if tok in vocab.index_of:
-                counts[vocab.index_of[tok]] = counts.get(vocab.index_of[tok], 0) + 1
+            if tok in index_of:
+                counts[index_of[tok]] = counts.get(index_of[tok], 0) + 1
         if counts:
             expected.append(cp.BowDocument(counts, sum(counts.values())))
-    corpus = cp.vectorize(token_docs, vocab, "train")
+    tmp_path = tmp_path_factory.mktemp("count")
+    if not expected:
+        with pytest.raises(cp.EmptySplit, match="split 'valid'"):
+            _valid_split(tmp_path, token_docs, [["a", "b", "c", "d"]])
+        return
+    dataset, _ = _valid_split(tmp_path, token_docs, [["a", "b", "c", "d"]])
+    assert dataset.vocab.tokens == list(index_of)
+    corpus = dataset.valid
     assert list(corpus.docs) == expected
     # the CSR layout: every document nonempty, its ids ascending
     assert corpus.indptr[0] == 0 and (np.diff(corpus.indptr) > 0).all()
@@ -188,11 +227,9 @@ def test_dense_counts_matches_per_token_loop(maps, data):
 
 class TestBowCorpus:
     DOCS = [cp.BowDocument({4: 1, 0: 2}, 3), cp.BowDocument({2: 5}, 5)]
-    VOCAB = cp.build_vocabulary([["a", "b", "c", "d", "e"]], min_df=1)
-    TOKENS = [["e", "a", "a"], ["c"] * 5]
 
     def test_stored_as_sorted_csr(self):
-        corpus = cp.vectorize(self.TOKENS, self.VOCAB, "train")
+        corpus = corpus_of([{4: 1, 0: 2}, {2: 5}])
         np.testing.assert_array_equal(corpus.indptr, [0, 2, 3])
         np.testing.assert_array_equal(corpus.ids, [0, 4, 2])
         np.testing.assert_array_equal(corpus.counts, [2, 1, 5])
@@ -200,7 +237,7 @@ class TestBowCorpus:
         assert corpus.total_tokens() == 8
 
     def test_docs_view_yields_documents(self):
-        corpus = cp.vectorize(self.TOKENS, self.VOCAB, "train")
+        corpus = corpus_of([{4: 1, 0: 2}, {2: 5}])
         assert list(corpus.docs) == self.DOCS
         assert corpus.docs[-1] == self.DOCS[1]
         assert corpus.docs[np.int64(0)] == self.DOCS[0]
@@ -307,17 +344,16 @@ def test_split_sizes_within_one_of_exact(n, seed):
 
 class TestFileFormats:
     def test_vocabulary_tsv_roundtrip(self, tmp_path):
-        vocab = cp.build_vocabulary([["b", "a"], ["b"]], min_df=1)
+        vocab = cp.Vocabulary(["b", "a"], np.array([2, 1]))
         path = tmp_path / "vocab.tsv"
         cp.write_vocabulary(vocab, path)
         loaded = cp.read_vocabulary(path)
-        assert loaded.tokens == vocab.tokens
-        assert loaded.index_of == vocab.index_of
+        assert loaded.tokens == ["b", "a"]
         assert (loaded.doc_freq == vocab.doc_freq).all()
         assert loaded.ref_id == vocab.ref_id
 
     def test_cache_roundtrip(self, tmp_path):
-        vocab = cp.build_vocabulary([["a", "b", "c"]], min_df=1)
+        vocab = cp.Vocabulary(["a", "b", "c"], np.ones(3, dtype=np.int64))
         maps = [{0: 2, 2: 1}, {1: 7}]
         corpus = corpus_of(maps, vocab_ref=vocab.ref_id)
         path = tmp_path / "train.corpus"
@@ -327,7 +363,7 @@ class TestFileFormats:
         assert [d.total for d in loaded.docs] == [3, 7]
 
     def test_cache_bitwise_deterministic(self, tmp_path):
-        vocab = cp.build_vocabulary([["a", "b"]], min_df=1)
+        vocab = cp.Vocabulary(["a", "b"], np.ones(2, dtype=np.int64))
         corpus = corpus_of([{1: 4, 0: 1}], vocab_ref=vocab.ref_id)
         p1, p2 = tmp_path / "one.corpus", tmp_path / "two.corpus"
         cp.write_corpus_cache(corpus, vocab.V, p1)
@@ -337,12 +373,12 @@ class TestFileFormats:
     def test_cache_bad_magic(self, tmp_path):
         path = tmp_path / "bad.corpus"
         path.write_bytes(b"NOTACORP" + b"\x00" * 16)
-        vocab = cp.build_vocabulary([["a"]], min_df=1)
+        vocab = cp.Vocabulary(["a"], np.ones(1, dtype=np.int64))
         with pytest.raises(cp.CacheFormatError, match="magic"):
             cp.read_corpus_cache(path, "train", vocab)
 
     def test_cache_truncated(self, tmp_path):
-        vocab = cp.build_vocabulary([["a", "b"]], min_df=1)
+        vocab = cp.Vocabulary(["a", "b"], np.ones(2, dtype=np.int64))
         corpus = corpus_of([{0: 1, 1: 2}], vocab_ref=vocab.ref_id)
         path = tmp_path / "train.corpus"
         cp.write_corpus_cache(corpus, vocab.V, path)
@@ -364,7 +400,7 @@ def _cache_bytes(V, docs):
 
 
 class TestCacheValidation:
-    VOCAB = cp.build_vocabulary([["a", "b", "c"]], min_df=1)
+    VOCAB = cp.Vocabulary(["a", "b", "c"], np.ones(3, dtype=np.int64))
 
     def _read(self, tmp_path, docs):
         path = tmp_path / "train.corpus"
@@ -424,7 +460,7 @@ class TestCacheValidation:
 
 
 _VALID_CACHE = _cache_bytes(5, [[(0, 2), (3, 1)], [(1, 1)], [(0, 1), (2, 4), (4, 9)]])
-_FUZZ_VOCAB = cp.build_vocabulary([["a", "b", "c", "d", "e"]], min_df=1)
+_FUZZ_VOCAB = cp.Vocabulary(["a", "b", "c", "d", "e"], np.ones(5, dtype=np.int64))
 
 
 def _load_or_reject(tmp_path, data):
@@ -459,15 +495,10 @@ def test_byte_flip_is_rejected_or_loads_a_valid_corpus(tmp_path_factory, at, mas
 
 
 class TestIngest:
-    def _write(self, tmp_path, name, lines):
-        p = tmp_path / name
-        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return p
-
     def test_presplit_builds_vocab_on_train(self, tmp_path):
-        train = self._write(tmp_path, "train.txt", ["apple banana", "apple cherry", "banana?"])
-        valid = self._write(tmp_path, "valid.txt", ["apple durian"])
-        test = self._write(tmp_path, "test.txt", ["banana apple"])
+        train = _write(tmp_path, "train.txt", ["apple banana", "apple cherry", "banana?"])
+        valid = _write(tmp_path, "valid.txt", ["apple durian"])
+        test = _write(tmp_path, "test.txt", ["banana apple"])
         dataset, report = cp.ingest_presplit(train, valid, test, min_df=2)
         assert set(dataset.vocab.tokens) == {"apple", "banana"}
         # durian is out of vocabulary but the document survives on "apple"
@@ -475,33 +506,33 @@ class TestIngest:
         assert report.vocab_size == 2
 
     def test_presplit_drops_oov_documents(self, tmp_path):
-        train = self._write(tmp_path, "train.txt", ["aa bb", "aa bb"])
-        valid = self._write(tmp_path, "valid.txt", ["zz", "aa"])
-        test = self._write(tmp_path, "test.txt", ["bb"])
+        train = _write(tmp_path, "train.txt", ["aa bb", "aa bb"])
+        valid = _write(tmp_path, "valid.txt", ["zz", "aa"])
+        test = _write(tmp_path, "test.txt", ["bb"])
         dataset, report = cp.ingest_presplit(train, valid, test, min_df=1)
         assert report.docs_dropped["valid"] == 1
         assert len(dataset.valid) == 1
 
     def test_stopwords_removed(self, tmp_path):
-        train = self._write(tmp_path, "train.txt", ["the cat", "the dog"])
-        valid = self._write(tmp_path, "valid.txt", ["the cat"])
-        test = self._write(tmp_path, "test.txt", ["the dog"])
-        stops = self._write(tmp_path, "stops.txt", ["the"])
+        train = _write(tmp_path, "train.txt", ["the cat", "the dog"])
+        valid = _write(tmp_path, "valid.txt", ["the cat"])
+        test = _write(tmp_path, "test.txt", ["the dog"])
+        stops = _write(tmp_path, "stops.txt", ["the"])
         dataset, _ = cp.ingest_presplit(train, valid, test, min_df=1, stopword_path=stops)
-        assert "the" not in dataset.vocab.index_of
+        assert dataset.vocab.tokens == ["cat", "dog"]
 
     def test_stopwords_are_normalized_like_tokens(self, tmp_path):
-        train = self._write(tmp_path, "train.txt", ["The cat, and a dog.", "the (dog) AND cat"])
-        valid = self._write(tmp_path, "valid.txt", ["the cat"])
-        test = self._write(tmp_path, "test.txt", ["the dog"])
-        stops = self._write(tmp_path, "stops.txt", ["The.", "  (AND)  ", "...", "", "a"])
+        train = _write(tmp_path, "train.txt", ["The cat, and a dog.", "the (dog) AND cat"])
+        valid = _write(tmp_path, "valid.txt", ["the cat"])
+        test = _write(tmp_path, "test.txt", ["the dog"])
+        stops = _write(tmp_path, "stops.txt", ["The.", "  (AND)  ", "...", "", "a"])
         assert cp.load_stopwords(stops) == {"the", "and", "a"}
         dataset, _ = cp.ingest_presplit(train, valid, test, min_df=1, stopword_path=stops)
         assert set(dataset.vocab.tokens) == {"cat", "dog"}
 
     def test_one_surviving_token_is_refused(self, tmp_path):
         lines = ["alpha beta", "alpha gamma", "alpha delta", "alpha"]
-        train = self._write(tmp_path, "train.txt", lines)
+        train = _write(tmp_path, "train.txt", lines)
         with pytest.raises(cp.AllTokensPruned, match="min_df=2 keeps 1 token"):
             cp.ingest_presplit(train, train, train, min_df=2)
         with pytest.raises(cp.AllTokensPruned, match="min_df=2 keeps 1 token"):
@@ -509,7 +540,7 @@ class TestIngest:
 
     def test_single_file_splits(self, tmp_path):
         lines = [f"tok{i % 4} tok{(i + 1) % 4}" for i in range(20)]
-        path = self._write(tmp_path, "all.txt", lines)
+        path = _write(tmp_path, "all.txt", lines)
         dataset, report = cp.ingest_single(path, 1, (0.6, 0.2, 0.2), seed=2)
         assert len(dataset.train) == 12
         assert len(dataset.valid) == 4
@@ -546,12 +577,12 @@ def _oracle_vocabulary(token_docs, min_df):
         raise cp.AllTokensPruned(f"min_df={min_df} prunes every token ({len(df)} candidates)")
     if len(kept) < 2:
         raise cp.AllTokensPruned(f"min_df={min_df} keeps {len(kept)} token(s); a vocabulary needs at least 2")
-    tokens = [t for t, _ in kept]
-    return cp.Vocabulary(tokens, {t: i for i, t in enumerate(tokens)}, np.array([n for _, n in kept]))
+    return cp.Vocabulary([t for t, _ in kept], np.array([n for _, n in kept]))
 
 
 def _oracle_corpus(token_docs, vocab, split):
-    maps = [Counter(vocab.index_of[t] for t in doc if t in vocab.index_of) for doc in token_docs]
+    index_of = {t: i for i, t in enumerate(vocab.tokens)}
+    maps = [Counter(index_of[t] for t in doc if t in index_of) for doc in token_docs]
     return corpus_of([m for m in maps if m], split, vocab.ref_id)
 
 
@@ -602,7 +633,7 @@ def _outcome(ingest, *args):
         for name in cp.SPLITS
         for c in [dataset.split(name)]
     }
-    return vocab.tokens, vocab.index_of, vocab.doc_freq.dtype, vocab.doc_freq.tolist(), splits, report
+    return vocab.tokens, vocab.doc_freq.dtype, vocab.doc_freq.tolist(), splits, report
 
 
 def _write_bytes(path, text):
@@ -704,7 +735,6 @@ class TestVocabularyValidation:
     def test_well_formed_vocabulary_loads(self, tmp_path):
         vocab = self._read(tmp_path, "b\t0\t3\na\t1\t0\n")
         assert vocab.tokens == ["b", "a"]
-        assert vocab.index_of == {"b": 0, "a": 1}
         assert list(vocab.doc_freq) == [3, 0]
 
     def test_is_a_value_error(self):

@@ -260,8 +260,9 @@ class TestValidate:
         assert kl1 == pytest.approx(kl2, rel=1e-12)
 
     def test_one_deterministic_pass_per_document(self, tiny_dataset, tiny_config, monkeypatch):
+        monkeypatch.setattr(metrics, "EVAL_BATCH_SIZE", 3)
         store = init_params(tiny_config, tiny_dataset.vocab.V, np.random.default_rng(1))
-        expected = tr.validate(store, tiny_config, tiny_dataset.valid, np.random.default_rng(2), batch_size=3)
+        expected = tr.validate(store, tiny_config, tiny_dataset.valid, np.random.default_rng(2))
         rows = []
         encode = model.encode_mu_logvar
 
@@ -270,9 +271,10 @@ class TestValidate:
             return encode(x_norm, store)
 
         monkeypatch.setattr(model, "encode_mu_logvar", counted)
-        got = tr.validate(store, tiny_config, tiny_dataset.valid, np.random.default_rng(2), batch_size=3)
+        got = tr.validate(store, tiny_config, tiny_dataset.valid, np.random.default_rng(2))
         assert got == expected
         assert sum(rows) == len(tiny_dataset.valid)
+        assert max(rows) == 3
 
 
 class TestRealizedZKl:
@@ -287,11 +289,12 @@ class TestRealizedZKl:
         _, _, latents = metrics.perplexity_and_kl(store, tiny_config, tiny_dataset.valid)
         assert np.isfinite(tr.realized_z_kl(latents, tiny_config, np.random.default_rng(2)))
 
-    def test_same_draws_as_the_training_forward_pass(self, tiny_dataset, tiny_config):
+    def test_same_draws_as_the_training_forward_pass(self, tiny_dataset, tiny_config, monkeypatch):
+        monkeypatch.setattr(metrics, "EVAL_BATCH_SIZE", 3)
         for mode in model.MODES:
             cfg = replace(tiny_config, mode=mode)
             store = init_params(cfg, tiny_dataset.vocab.V, np.random.default_rng(1))
-            _, _, latents = metrics.perplexity_and_kl(store, cfg, tiny_dataset.valid, batch_size=3)
+            _, _, latents = metrics.perplexity_and_kl(store, cfg, tiny_dataset.valid)
             got = tr.realized_z_kl(latents, cfg, np.random.default_rng(2))
             rng = np.random.default_rng(2)
             z = np.concatenate([
@@ -301,7 +304,7 @@ class TestRealizedZKl:
             var = np.maximum(z.var(axis=0), 1e-12)
             mean = z.mean(axis=0)
             assert got == float(0.5 * (mean ** 2 + var - np.log(var) - 1.0).sum()), mode
-            validated = tr.validate(store, cfg, tiny_dataset.valid, np.random.default_rng(2), batch_size=3)
+            validated = tr.validate(store, cfg, tiny_dataset.valid, np.random.default_rng(2))
             assert validated[2] == got, mode
 
 
@@ -546,6 +549,17 @@ class TestCheckpointIO:
         with pytest.raises(tr.CorruptCheckpoint, match="magic"):
             tr.load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_value_names_the_first_such_parameter(self, tiny_config, tmp_path, value):
+        store = init_params(tiny_config, 9, np.random.default_rng(2))
+        store["word_emb"].data[-1, -1] = value
+        store["topic_emb"].data[0, 0] = value
+        names = [name for name, _ in store.items()]
+        first = min(("word_emb", "topic_emb"), key=names.index)
+        path, _ = self._saved(tmp_path, tiny_config, store)
+        with pytest.raises(tr.CorruptCheckpoint, match=f"parameter '{first}' holds a non-finite value"):
+            tr.load_checkpoint(path)
+
 
 @pytest.fixture(scope="module")
 def small_checkpoint(tmp_path_factory) -> bytes:
@@ -558,7 +572,7 @@ def small_checkpoint(tmp_path_factory) -> bytes:
 
 def _load_or_reject(tmp_path_factory, data: bytes) -> None:
     """Load data as a checkpoint: it either raises CorruptCheckpoint or
-    gives a store whose shapes fit its config."""
+    gives a finite store whose shapes fit its config."""
     path = tmp_path_factory.mktemp("fuzz") / "fuzz.ckpt"
     path.write_bytes(data)
     try:
@@ -566,6 +580,7 @@ def _load_or_reject(tmp_path_factory, data: bytes) -> None:
     except tr.CorruptCheckpoint:
         return
     model.check_param_shapes(store, config, model.store_vocab_size(store))
+    assert all(np.isfinite(t.data).all() for _, t in store.items())
 
 
 @settings(max_examples=100, deadline=None)
