@@ -14,7 +14,7 @@ import struct
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, count, filterfalse, repeat
+from itertools import chain, count
 from pathlib import Path
 
 import numpy as np
@@ -44,11 +44,6 @@ CACHE_VERSION = 2
 SPLITS = ("train", "valid", "test")
 
 _PUNCT = string.punctuation
-
-
-def tokenize_line(text: str) -> list[str]:
-    """Lowercased whitespace tokens with punctuation stripped at the edges."""
-    return list(filter(None, map(str.strip, text.lower().split(), repeat(_PUNCT))))
 
 
 @dataclass
@@ -326,28 +321,43 @@ class IngestReport:
     min_df: int
 
 
-def _read_ids(
-    path: str | Path, stopwords: set[str], ids_of: defaultdict[str, int]
-) -> tuple[np.ndarray, np.ndarray]:
+class _ChunkIds(dict):
+    """Raw chunk (a lowercased, whitespace-split piece of a line) -> the
+    provisional id of the token it normalises to by stripping its edge
+    punctuation, or -1 for nothing or a stopword.  A chunk is normalised on
+    its first lookup only.  ids_of gives a token first seen the next id, so
+    its keys, in order, are the tokens by provisional id."""
+
+    def __init__(self, stopwords: set[str]):
+        self.stopwords, self.ids_of = stopwords, defaultdict(count().__next__)
+
+    def __missing__(self, chunk: str) -> int:
+        tok = chunk.strip(_PUNCT)
+        self[chunk] = i = self.ids_of[tok] if tok and tok not in self.stopwords else -1
+        return i
+
+
+def _read_ids(path: str | Path, cache: _ChunkIds) -> tuple[np.ndarray, np.ndarray]:
     """Every line of a file as one document: each document's count of tokens
-    that are not stopwords, and the provisional id (see _ingest) of every
-    such token, document after document, as two int64 arrays."""
+    that are not stopwords, and the provisional id of every such token,
+    document after document, as two int64 arrays.  One cache serves every
+    file of an ingest."""
     ids: list[int] = []
-    lengths = []
+    ends = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
-            tokens = tokenize_line(line)
-            if stopwords:
-                tokens = filterfalse(stopwords.__contains__, tokens)
-            before = len(ids)
-            ids += map(ids_of.__getitem__, tokens)
-            lengths.append(len(ids) - before)
-    return np.array(lengths, dtype=np.int64), np.fromiter(ids, np.int64, count=len(ids))
+            ids += map(cache.__getitem__, line.lower().split())
+            ends.append(len(ids))
+    ids, ends = np.fromiter(ids, np.int64, count=len(ids)), np.array(ends, dtype=np.int64)
+    kept = ids >= 0
+    if not kept.all():  # some chunk normalised to nothing or to a stopword
+        ids, ends = ids[kept], np.append(0, np.cumsum(kept))[ends]
+    return np.diff(ends, prepend=0), ids
 
 
 def load_stopwords(path: str | Path | None) -> set[str]:
-    """One stopword per line, normalized the way tokenize_line normalizes a
-    token; lines that normalize to nothing are skipped."""
+    """One stopword per line, normalized the way ingest normalizes a token;
+    lines that normalize to nothing are skipped."""
     if path is None:
         return set()
     with open(path, encoding="utf-8") as fh:
@@ -364,14 +374,11 @@ def _ingest(
     before AllTokensPruned.  Returns the vocabulary, and each file's line
     count and corpus by name.
     """
-    stop = load_stopwords(stopword_path)
-    # token -> provisional id; a token first seen gets the next id, so the
-    # keys, in order, are the tokens by id
-    ids_of: defaultdict[str, int] = defaultdict(count().__next__)
-    raw = {name: _read_ids(path, stop, ids_of) for name, path in paths.items()}
+    cache = _ChunkIds(load_stopwords(stopword_path))
+    raw = {name: _read_ids(path, cache) for name, path in paths.items()}
     # a token first seen in another file has a document frequency of 0 in
     # vocab_from, below every min_df, so remap sends it to -1
-    vocab, remap = _vocabulary(list(ids_of), *raw[vocab_from], min_df)
+    vocab, remap = _vocabulary(list(cache.ids_of), *raw[vocab_from], min_df)
     check_min_vocab(vocab, AllTokensPruned, f"min_df={min_df} keeps")
     lines = {name: len(lengths) for name, (lengths, _) in raw.items()}
     corpora = {name: _bow(name, lengths, remap[ids], vocab) for name, (lengths, ids) in raw.items()}

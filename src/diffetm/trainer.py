@@ -142,8 +142,17 @@ def _write_checkpoint(store: ad.ParamStore, config: ModelConfig, path: Path) -> 
             fh.write(np.ascontiguousarray(t.data, dtype="<f4"))
 
 
+def _check_finite(store: ad.ParamStore, path, error: type[ValueError]) -> None:
+    """Raise error naming the first parameter non-finite in float32, as stored."""
+    for name, t in store.items():
+        if not np.isfinite(np.asarray(t.data, dtype=np.float32)).all():
+            raise error(f"{path}: parameter {name!r} holds a non-finite value")
+
+
 def save_checkpoint(store: ad.ParamStore, config: ModelConfig, path: str | Path) -> None:
-    """Write the store and config to path atomically (a temp file, then os.replace)."""
+    """Write the store and config to path atomically (a temp file, then
+    os.replace); a non-finite store raises ValueError before any write."""
+    _check_finite(store, path, ValueError)
     replace_via_temp(path, lambda tmp: _write_checkpoint(store, config, tmp))
 
 
@@ -220,9 +229,7 @@ def load_checkpoint(path: str | Path, digest=None) -> tuple[ad.ParamStore, Model
                 raise CorruptCheckpoint(f"{path}: missing parameter 'word_emb'")
             config.validate()
             check_param_shapes(store, config, store_vocab_size(store))
-            for name, t in store.items():
-                if not np.isfinite(t.data).all():
-                    raise CorruptCheckpoint(f"{path}: parameter {name!r} holds a non-finite value")
+            _check_finite(store, path, CorruptCheckpoint)
         except struct.error as exc:
             raise CorruptCheckpoint(f"{path}: truncated checkpoint ({exc})") from None
         except CorruptCheckpoint:

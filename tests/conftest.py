@@ -5,10 +5,17 @@ from typing import Callable
 import numpy as np
 import pytest
 
+import diffetm
 from diffetm import autodiff as ad
 from diffetm.corpus import Batch, BowCorpus, Dataset, dense_counts, ingest_single
 from diffetm.model import ModelConfig
 from diffetm.synth import generate_docs
+
+
+def pytest_report_header(config):
+    # pyproject.toml puts the checkout's src ahead of PYTHONPATH, so this names
+    # the tree the tests import, whatever PYTHONPATH says
+    return f"diffetm under test: {Path(diffetm.__file__).parent}"
 
 
 def dataset_from_lines(lines, min_df=1, fractions=(0.6, 0.2, 0.2), seed=11) -> Dataset:

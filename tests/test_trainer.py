@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -556,9 +557,31 @@ class TestCheckpointIO:
         store["topic_emb"].data[0, 0] = value
         names = [name for name, _ in store.items()]
         first = min(("word_emb", "topic_emb"), key=names.index)
-        path, _ = self._saved(tmp_path, tiny_config, store)
+        path = tmp_path / "model.ckpt"
+        # save_checkpoint refuses such a store, so the file is written directly
+        tr._write_checkpoint(store, tiny_config, path)
         with pytest.raises(tr.CorruptCheckpoint, match=f"parameter '{first}' holds a non-finite value"):
             tr.load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39], ids=["nan", "inf", "-inf", "f32-overflow"])
+    def test_a_non_finite_store_is_refused_before_any_write(self, tiny_config, tmp_path, value):
+        store = init_params(tiny_config, 9, np.random.default_rng(2))
+        path = tmp_path / "model.ckpt"
+        tr.save_checkpoint(store, tiny_config, path)
+        before = path.read_bytes()
+        wide = ad.ParamStore()
+        for name, t in store.items():
+            wide.add(name, t.data.astype(np.float64))
+        wide["word_emb"].data[-1, -1] = value
+        wide["topic_emb"].data[0, 0] = value
+        first = min(("word_emb", "topic_emb"), key=wide.names().index)
+        # a float64 value beyond float32's range would be stored as inf
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=f"^{re.escape(str(path))}: parameter '{first}' holds a non-finite value$"
+        ):
+            tr.save_checkpoint(wide, tiny_config, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 @pytest.fixture(scope="module")
