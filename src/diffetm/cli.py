@@ -258,6 +258,15 @@ def _input_file(path: str | Path, what: str) -> Path:
     return Path(path)
 
 
+def _output_dir(path: Path) -> Path:
+    """The one rule for every output directory: the nearest existing part of
+    the path (a dangling symlink counts) must be a directory, else ConfigError."""
+    existing = next(p for p in (path, *path.parents) if p.exists() or p.is_symlink())
+    if not existing.is_dir():
+        raise ConfigError(f"output directory {path}: {existing} is not a directory")
+    return path
+
+
 def _require_file_key(cfg: dict, key: str) -> Path:
     return _input_file(_require_dir_key(cfg, key), f"config key {key!r}: file")
 
@@ -297,7 +306,7 @@ def load_dataset(corpus_dir: Path) -> Dataset:
 
 
 def cmd_ingest(cfg: dict) -> int:
-    out_dir = _require_dir_key(cfg, "corpus_dir")
+    out_dir = _output_dir(_require_dir_key(cfg, "corpus_dir"))
     stopword_path = _require_file_key(cfg, "stopword_file") if cfg["stopword_file"] else None
     if cfg["input_file"]:
         path = _require_file_key(cfg, "input_file")
@@ -337,8 +346,8 @@ def cmd_ingest(cfg: dict) -> int:
 
 
 def cmd_train(cfg: dict) -> int:
+    run_dir = _output_dir(Path(cfg["output_dir"]) / run_id_of(cfg))
     dataset = load_dataset(_require_dir_key(cfg, "corpus_dir"))
-    run_dir = Path(cfg["output_dir"]) / run_id_of(cfg)
     try:
         report = trainer_mod.train(model_config_of(cfg), train_config_of(cfg), dataset, run_dir)
     except Diverged as exc:
@@ -361,21 +370,16 @@ def _export_top_words(beta, vocab, n: int, path: Path) -> None:
     write_text(path, "".join(lines))
 
 
-def _evaluate(store, model_config: ModelConfig, vocab: Vocabulary, split, train, checkpoint_id: str = ""):
-    """All four metrics on the corpus split, coherence referenced to train."""
-    return metrics_mod.evaluate_model(
-        store, model_config, split, train, vocab.V, corpus_id=vocab.ref_id, checkpoint_id=checkpoint_id
-    )
-
-
 def cmd_eval(cfg: dict, checkpoint: str) -> int:
+    out_dir = _output_dir(Path(cfg["output_dir"]) / f"eval_{run_id_of(cfg)}")
     vocab, splits = load_corpus(_require_dir_key(cfg, "corpus_dir"), ("train", cfg["eval_split"]))
     digest = hashlib.sha256()
     store, model_config = _open_checkpoint(checkpoint, vocab, digest)
-    out_dir = Path(cfg["output_dir"]) / f"eval_{run_id_of(cfg)}"
     out_dir.mkdir(parents=True, exist_ok=True)
-    split = splits[cfg["eval_split"]]
-    report, beta = _evaluate(store, model_config, vocab, split, splits["train"], digest.hexdigest()[:12])
+    report, beta = metrics_mod.evaluate_model(
+        store, model_config, splits[cfg["eval_split"]], splits["train"], vocab.V,
+        corpus_id=vocab.ref_id, checkpoint_id=digest.hexdigest()[:12],
+    )
     report_path = out_dir / "metrics_report.json"
     write_text(report_path, report.to_json())
     words_path = out_dir / "top_words.tsv"
@@ -389,10 +393,10 @@ def cmd_eval(cfg: dict, checkpoint: str) -> int:
 
 
 def cmd_topics(cfg: dict, checkpoint: str) -> int:
+    out_dir = _output_dir(Path(cfg["output_dir"]) / f"topics_{run_id_of(cfg)}")
     vocab, _ = load_corpus(_require_dir_key(cfg, "corpus_dir"), ())
     store, _ = _open_checkpoint(checkpoint, vocab)
     beta = metrics_mod.topic_word_matrix(store)
-    out_dir = Path(cfg["output_dir"]) / f"topics_{run_id_of(cfg)}"
     out_dir.mkdir(parents=True, exist_ok=True)
     words_path = out_dir / "top_words.tsv"
     _export_top_words(beta, vocab, cfg["top_words_export"], words_path)
@@ -402,9 +406,9 @@ def cmd_topics(cfg: dict, checkpoint: str) -> int:
 
 
 def cmd_sweep_t(cfg: dict) -> int:
+    sweep_dir = _output_dir(Path(cfg["output_dir"]) / f"sweep_{run_id_of(cfg)}")
     dataset = load_dataset(_require_dir_key(cfg, "corpus_dir"))
     split = dataset.split(cfg["eval_split"])
-    sweep_dir = Path(cfg["output_dir"]) / f"sweep_{run_id_of(cfg)}"
     sweep_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for t in cfg["sweep_t_values"]:
@@ -413,7 +417,9 @@ def cmd_sweep_t(cfg: dict) -> int:
         try:
             trainer_mod.train(model_config, train_config_of(cfg), dataset, run_dir)
             store, ckpt_config = _open_checkpoint(run_dir / "best.ckpt", dataset.vocab)
-            report, _ = _evaluate(store, ckpt_config, dataset.vocab, split, dataset.train)
+            report, _ = metrics_mod.evaluate_model(
+                store, ckpt_config, split, dataset.train, dataset.vocab.V, corpus_id=dataset.vocab.ref_id
+            )
             rows.append(
                 (t, report.coherence, report.diversity, report.quality, report.perplexity)
             )

@@ -7,7 +7,7 @@ each topic's top 10 words; diversity is the unique fraction of the top 25
 words across topics; quality is their product; perplexity is the
 exponentiated per-token negative log-likelihood on the deterministic
 evaluation path, computed in one pass together with the mean closed-form
-KL and the latents that validation also reports.
+KL and the X0, mu and logvar that validation draws its z from.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from . import autodiff as ad
 from .corpus import BowCorpus, iter_batches
 from .model import (
     LOG_FLOOR,
-    LatentBatch,
     ModelConfig,
     predict_batch,
     store_dtype,
@@ -160,10 +159,10 @@ def perplexity_and_kl(
     store: ad.ParamStore,
     config: ModelConfig,
     corpus_split: BowCorpus,
-) -> tuple[float, float, LatentBatch]:
+) -> tuple[float, float, tuple[np.ndarray | None, np.ndarray, np.ndarray]]:
     """One deterministic pass over the split: exp(-sum(X log X') / sum(X)),
     the per-document mean of the closed-form KL against N(0, I), and the
-    split's latents in split order.
+    split's (X0 or None, mu, logvar) in split order.
 
     The log-likelihood sums over the nonzero counts only, the entries where
     X log X' can differ from 0."""
@@ -172,23 +171,22 @@ def perplexity_and_kl(
     log_lik = 0.0
     tokens = 0.0
     kl_sum = 0.0
-    batches = []
+    latents = []
     for batch in iter_batches(
         corpus_split, store_vocab_size(store), EVAL_BATCH_SIZE, store_dtype(store)
     ):
-        latents, x_prime = predict_batch(batch, store, config)
-        batches.append(latents)
+        x0, mu, logvar, x_prime = predict_batch(batch, store, config)
+        latents.append((x0, mu, logvar))
         # the int64 counts keep the sum in float64
         log_lik += ad.log_likelihood(
             ad.Tensor(x_prime), batch.rows, batch.cols, batch.counts, LOG_FLOOR
         ).item()
         tokens += float(batch.counts.sum())
-        per_doc = 0.5 * (
-            latents.mu ** 2 + np.exp(latents.logvar) - latents.logvar - 1.0
-        ).sum(axis=1)
+        per_doc = 0.5 * (mu ** 2 + np.exp(logvar) - logvar - 1.0).sum(axis=1)
         kl_sum += float(per_doc.sum())
     ppl = float(np.exp(-log_lik / tokens))
-    return ppl, kl_sum / len(corpus_split), LatentBatch.concatenate(batches)
+    x0, mu, logvar = (None if arrays[0] is None else np.concatenate(arrays) for arrays in zip(*latents))
+    return ppl, kl_sum / len(corpus_split), (x0, mu, logvar)
 
 
 def perplexity(store: ad.ParamStore, config: ModelConfig, corpus_split: BowCorpus) -> float:

@@ -9,16 +9,16 @@ the topic-word distribution beta through topic and word embeddings, and
 theta @ beta reconstructs X.  The objective is reconstruction
 cross-entropy plus a weighted closed-form Gaussian KL.
 
-Modes:
-  diffusion     eps ~ sqrt(abar_T) * X0 + sqrt(1 - abar_T) * N(0, I)
-  no_diffusion  eps = X0 (the noising step removed)
-  standard_etm  eps ~ N(0, I), X0 unused (the classic embedded topic model)
+Modes, each one case of eps ~ sqrt(abar) * X0 + sqrt(1 - abar) * N(0, I):
+  diffusion     abar = alpha_bar_T of the noise schedule
+  no_diffusion  abar = 1, so eps = X0 (the noising step removed)
+  standard_etm  no X0, so eps ~ N(0, I) (the classic embedded topic model)
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,7 +90,10 @@ class ModelConfig:
         self.alpha_bar()  # the step and beta-range rules; InvalidSchedule is a ValueError
 
     def alpha_bar(self) -> float:
-        return final_alpha_bar(self.diff_steps, self.beta_start, self.beta_end)
+        """The abar of the latent driver: alpha_bar_T of the schedule, or 1 in
+        no_diffusion; the schedule is checked in every mode."""
+        abar = final_alpha_bar(self.diff_steps, self.beta_start, self.beta_end)
+        return 1.0 if self.mode == "no_diffusion" else abar
 
 
 # encoder parameter-name prefixes, in checkpoint order
@@ -189,30 +192,25 @@ def sample_eps(
     x0: ad.Tensor | None,
     abar: float,
     rng: np.random.Generator | None,
-    mode: str,
     shape: tuple[int, int],
     dtype: np.dtype,
 ) -> ad.Tensor:
-    """The latent driver eps for one batch.
+    """The latent driver eps = sqrt(abar) * X0 + sqrt(1 - abar) * n for one
+    batch, n ~ N(0, I): the one-shot closed form of running the noising
+    chain to its end.
 
-    Given an rng, eps is drawn (the sampled path); without one it is its
+    Given an rng, n is drawn (the sampled path); without one eps is its
     conditional mean given X0 and no randomness is consumed (the
-    deterministic path).  diffusion uses the one-shot closed form of running
-    the noising chain to its end, which needs only abar = alpha_bar_T; at
-    abar = 1 (no steps, or beta identically 0) X0 passes through unchanged.
-    standard_etm has no X0, so shape gives the size of eps there.
+    deterministic path).  At abar = 1 X0 passes through unchanged.  Without
+    X0 (standard_etm) eps is n itself, of the given shape.
 
     Noise is always drawn in float64, so the rng stream does not depend on
     the dtype, and then cast to dtype.
     """
-    if mode == "no_diffusion":
-        return x0
-    if mode == "standard_etm":
+    if x0 is None:
         if rng is None:
             return ad.Tensor(np.zeros(shape, dtype=dtype))
         return ad.Tensor(rng.standard_normal(shape).astype(dtype, copy=False))
-    if mode != "diffusion":
-        raise ValueError(f"unknown mode {mode!r}")
     if abar == 1.0:
         return x0
     if rng is None:
@@ -275,33 +273,7 @@ def total_loss(recon: ad.Tensor, kl: ad.Tensor, weight: float) -> ad.Tensor:
 
 
 @dataclass
-class LatentBatch:
-    """Per-document intermediate arrays for one batch.
-
-    x0 is None in standard_etm mode, where the enhanced representation is
-    never computed.
-    """
-
-    x0: np.ndarray | None
-    eps: np.ndarray
-    mu: np.ndarray
-    logvar: np.ndarray
-    z: np.ndarray
-    theta: np.ndarray
-
-    @classmethod
-    def concatenate(cls, batches: list[LatentBatch]) -> LatentBatch:
-        """The batches' rows stacked in order."""
-        return cls(**{
-            f.name: None if getattr(batches[0], f.name) is None
-            else np.concatenate([getattr(b, f.name) for b in batches])
-            for f in fields(cls)
-        })
-
-
-@dataclass
 class ForwardResult:
-    latents: LatentBatch
     recon: ad.Tensor
     kl: ad.Tensor
     total: ad.Tensor
@@ -315,9 +287,10 @@ def _forward_core(
     store: ad.ParamStore,
     config: ModelConfig,
     rng: np.random.Generator | None,
-) -> tuple[LatentBatch, ad.Tensor, ad.Tensor, ad.Tensor]:
+) -> tuple[ad.Tensor | None, ad.Tensor, ad.Tensor, ad.Tensor]:
     """Encoders, latent driver and decoder, shared by training and
-    evaluation; returns the latents, mu, logvar and the reconstruction X'.
+    evaluation; returns X0 (None in standard_etm), mu, logvar and the
+    reconstruction X'.
 
     Everything is computed in the dtype of the store's parameters, which
     the batch must have been built in.  The config is taken as validated
@@ -328,24 +301,12 @@ def _forward_core(
         raise ValueError(f"forward_batch: a {batch.x_norm.dtype} batch for {dtype} parameters")
 
     x0 = None if config.mode == "standard_etm" else encode_x0(batch.x_norm, store)
-    eps = sample_eps(
-        x0, config.alpha_bar(), rng, config.mode, (batch.shape[0], config.num_topics), dtype
-    )
+    eps = sample_eps(x0, config.alpha_bar(), rng, (batch.shape[0], config.num_topics), dtype)
     mu, logvar = encode_mu_logvar(batch.x_norm, store)
     z = reparameterize(eps, mu, logvar)
     theta = doc_topic_dist(z)
     beta = topic_word_dist(store["topic_emb"], store["word_emb"])
-    x_prime = reconstruct(theta, beta)
-
-    latents = LatentBatch(
-        x0=None if x0 is None else x0.data,
-        eps=eps.data,
-        mu=mu.data,
-        logvar=logvar.data,
-        z=z.data,
-        theta=theta.data,
-    )
-    return latents, mu, logvar, x_prime
+    return x0, mu, logvar, reconstruct(theta, beta)
 
 
 def forward_batch(
@@ -361,20 +322,20 @@ def forward_batch(
     its conditional mean and no randomness is consumed (evaluation).  One
     beta is shared by every document of the batch.
     """
-    latents, mu, logvar, x_prime = _forward_core(x_counts, store, config, rng)
+    _, mu, logvar, x_prime = _forward_core(x_counts, store, config, rng)
     recon = reconstruction_loss(x_counts, x_prime)
     kl = kl_loss(mu, logvar)
     total = total_loss(recon, kl, config.kl_weight)
-    return ForwardResult(latents=latents, recon=recon, kl=kl, total=total)
+    return ForwardResult(recon=recon, kl=kl, total=total)
 
 
 def predict_batch(
     x_counts: Batch,
     store: ad.ParamStore,
     config: ModelConfig,
-) -> tuple[LatentBatch, np.ndarray]:
-    """Evaluation pass on the deterministic path: the latents and X', with
-    no loss and no graph."""
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
+    """Evaluation pass on the deterministic path: X0 (None in standard_etm),
+    mu, logvar and X', with no loss and no graph."""
     with ad.no_grad():
-        latents, _, _, x_prime = _forward_core(x_counts, store, config, None)
-    return latents, x_prime.data
+        x0, mu, logvar, x_prime = _forward_core(x_counts, store, config, None)
+    return None if x0 is None else x0.data, mu.data, logvar.data, x_prime.data

@@ -26,7 +26,6 @@ from .atomic import replace_via_temp, write_text
 from .corpus import BowCorpus, Dataset, dense_counts
 from .model import (
     MODES,
-    LatentBatch,
     ModelConfig,
     check_minimums,
     check_param_shapes,
@@ -199,7 +198,7 @@ def load_checkpoint(path: str | Path, digest=None) -> tuple[ad.ParamStore, Model
             header = CONFIG_BLOCK.unpack(read(CONFIG_BLOCK.size))
             values = dict(zip((f.name for f in fields(ModelConfig)), header))
             if values["mode"] >= len(MODES):
-                raise CorruptCheckpoint(f"{path}: unknown mode code {values['mode']}")
+                raise CorruptCheckpoint(f"{path}: mode code {values['mode']} names no mode")
             config = ModelConfig(**{**values, "mode": MODES[values["mode"]]})
             (n_params,) = struct.unpack("<I", read(4))
             offset = 12 + CONFIG_BLOCK.size + 4
@@ -256,7 +255,7 @@ def validate(
 
 
 def realized_z_kl(
-    latents: LatentBatch,
+    latents: tuple[np.ndarray | None, np.ndarray, np.ndarray],
     config: ModelConfig,
     rng: np.random.Generator,
 ) -> float:
@@ -264,16 +263,15 @@ def realized_z_kl(
 
     Diagnostic only: with diffusion the marginal of z is not the Gaussian
     the closed form assumes, so this and the closed-form term are logged
-    side by side without being compared.  z is drawn from the X0, mu and
-    logvar of a deterministic pass; the normal stream does not depend on
-    how the draws are chunked, so z equals that of a sampled forward pass
+    side by side without being compared.  z is drawn from the (X0 or None,
+    mu, logvar) of a deterministic pass; the normal stream does not depend
+    on how the draws are chunked, so z equals that of a sampled forward pass
     over the same documents in the same order.
     """
+    x0, mu, logvar = latents
     with ad.no_grad():
-        x0 = None if latents.x0 is None else ad.Tensor(latents.x0)
-        mu, logvar = ad.Tensor(latents.mu), ad.Tensor(latents.logvar)
-        eps = sample_eps(x0, config.alpha_bar(), rng, config.mode, mu.data.shape, mu.data.dtype)
-        z = reparameterize(eps, mu, logvar).data
+        eps = sample_eps(None if x0 is None else ad.Tensor(x0), config.alpha_bar(), rng, mu.shape, mu.dtype)
+        z = reparameterize(eps, ad.Tensor(mu), ad.Tensor(logvar)).data
     mean = z.mean(axis=0)
     var = z.var(axis=0)
     var = np.maximum(var, 1e-12)

@@ -66,6 +66,20 @@ def graph_nodes(output: ad.Tensor) -> list[ad.Tensor]:
     return list(seen.values())
 
 
+def captured(monkeypatch, module, name: str) -> list:
+    """Every result of module.<name> from now on, in call order: the function
+    is wrapped at the attribute its callers look it up by."""
+    results = []
+    fn = getattr(module, name)
+
+    def wrapper(*args):
+        results.append(fn(*args))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, wrapper)
+    return results
+
+
 def _float64_copy(store: ad.ParamStore) -> ad.ParamStore:
     out = ad.ParamStore()
     for name, t in store.items():

@@ -236,6 +236,31 @@ def test_importing_synth_loads_neither_scipy_nor_the_model():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("kind", ["file", "dangling-symlink"])
+@pytest.mark.parametrize("command", ["ingest", "train", "eval", "topics", "sweep-t"])
+def test_an_output_path_that_names_a_file_exits_2_before_any_work(
+    workspace, tmp_path, monkeypatch, capsys, command, kind
+):
+    afile = tmp_path / "afile"
+    if kind == "file":
+        afile.write_text("kept\n")
+    else:
+        afile.symlink_to(tmp_path / "nowhere")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("read its inputs before checking the output directory")
+
+    for name in ("ingest_presplit", "ingest_single", "load_corpus"):
+        monkeypatch.setattr(cli, name, no_work)
+    args = [command, "--config", str(workspace["cfg_path"]), "--out", str(afile)]
+    if command in ("eval", "topics"):
+        args += ["--checkpoint", str(workspace["run_dir"] / "best.ckpt")]
+    assert cli.main(args) == 2
+    assert f"{afile} is not a directory" in capsys.readouterr().err
+    assert kind != "file" or afile.read_text() == "kept\n"
+    assert list(tmp_path.iterdir()) == [afile]
+
+
 class TestIngestCommand:
     def test_artifacts_written(self, workspace):
         corpus_dir = workspace["root"] / "corpus"

@@ -219,7 +219,7 @@ def double_loop_perplexity(store, config, split, v):
     from diffetm.model import predict_batch, store_dtype
 
     x = dense_of(split, v)
-    _, x_prime = predict_batch(batch_of(x, store_dtype(store)), store, config)
+    *_, x_prime = predict_batch(batch_of(x, store_dtype(store)), store, config)
     num = 0.0
     den = 0.0
     for d in range(x.shape[0]):

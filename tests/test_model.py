@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
-from conftest import batch_of, finite_diff_check, graph_nodes
+from conftest import batch_of, captured, finite_diff_check, graph_nodes
 from diffetm import autodiff as ad
 from diffetm import model as m
 from diffetm.corpus import BowCorpus, dense_counts
@@ -62,6 +62,14 @@ class TestLinearSchedule:
     def test_model_config_checks_the_schedule_rules(self, field, value):
         with pytest.raises(m.InvalidSchedule):
             replace(m.ModelConfig(), **{field: value}).validate()
+
+    def test_no_diffusion_is_the_driver_rule_at_alpha_bar_one(self):
+        cfg = m.ModelConfig(mode="no_diffusion")
+        assert cfg.alpha_bar() == 1.0
+        assert replace(cfg, mode="diffusion").alpha_bar() < 1.0
+        # the schedule rules hold in every mode: a checkpoint header is checked by them
+        with pytest.raises(m.InvalidSchedule):
+            replace(cfg, diff_steps=m.MAX_DIFF_STEPS + 1).validate()
 
     @pytest.mark.parametrize("steps,b0,bt", [(1, 0.0, 0.02), (7, 0.001, 0.3), (100, 0.0, 0.02)])
     def test_alpha_bar_non_increasing_and_positive(self, steps, b0, bt):
@@ -168,33 +176,33 @@ class TestSampleEps:
     def test_empty_schedule_passes_x0_through_bitwise(self):
         x0 = ad.Tensor(np.random.default_rng(0).normal(size=(4, 3)))
         abar = m.final_alpha_bar(0, 0.0, 0.02)
-        out = m.sample_eps(x0, abar, np.random.default_rng(1), "diffusion", (4, 3), np.float64)
+        out = m.sample_eps(x0, abar, np.random.default_rng(1), (4, 3), np.float64)
         assert out is x0
 
     def test_zero_beta_schedule_passes_x0_through_bitwise(self):
         x0 = ad.Tensor(np.random.default_rng(0).normal(size=(4, 3)))
         abar = m.final_alpha_bar(5, 0.0, 0.0)
-        out = m.sample_eps(x0, abar, np.random.default_rng(1), "diffusion", (4, 3), np.float64)
+        out = m.sample_eps(x0, abar, np.random.default_rng(1), (4, 3), np.float64)
         assert out is x0
 
     def test_no_rng_gives_the_conditional_mean(self):
         x0 = ad.Tensor(np.random.default_rng(0).normal(size=(4, 3)))
         abar = m.final_alpha_bar(100, 0.0, 0.02)
-        out = m.sample_eps(x0, abar, None, "diffusion", (4, 3), np.float64)
+        out = m.sample_eps(x0, abar, None, (4, 3), np.float64)
         np.testing.assert_array_equal(out.data, math.sqrt(abar) * x0.data)
-        assert m.sample_eps(x0, abar, None, "no_diffusion", (4, 3), np.float64) is x0
-        zeros = m.sample_eps(None, abar, None, "standard_etm", (4, 3), np.float64)
+        no_diffusion = m.ModelConfig(mode="no_diffusion").alpha_bar()
+        assert m.sample_eps(x0, no_diffusion, None, (4, 3), np.float64) is x0
+        zeros = m.sample_eps(None, abar, None, (4, 3), np.float64)
         np.testing.assert_array_equal(zeros.data, np.zeros((4, 3)))
 
     def test_standard_mode_draws_the_given_shape(self):
         abar = m.final_alpha_bar(10, 0.0, 0.1)
-        out = m.sample_eps(None, abar, np.random.default_rng(7), "standard_etm", (5, 2), np.float64)
+        out = m.sample_eps(None, abar, np.random.default_rng(7), (5, 2), np.float64)
         np.testing.assert_array_equal(out.data, np.random.default_rng(7).standard_normal((5, 2)))
 
     def test_standard_mode_moments(self):
-        x0 = ad.Tensor(np.ones((100_000, 4)))
         abar = m.final_alpha_bar(10, 0.0, 0.1)
-        out = m.sample_eps(x0, abar, np.random.default_rng(7), "standard_etm", (100_000, 4), np.float64)
+        out = m.sample_eps(None, abar, np.random.default_rng(7), (100_000, 4), np.float64)
         assert np.abs(out.data.mean(axis=0)).max() < 4e-2
         assert np.abs(out.data.var(axis=0) - 1.0).max() < 0.02
 
@@ -202,7 +210,7 @@ class TestSampleEps:
         abar = m.final_alpha_bar(100, 0.0, 0.02)
         x0_row = np.array([[-1.0, 0.0, 0.5, 2.0]])
         x0 = ad.Tensor(np.tile(x0_row, (100_000, 1)))
-        out = m.sample_eps(x0, abar, np.random.default_rng(9), "diffusion", (100_000, 4), np.float64)
+        out = m.sample_eps(x0, abar, np.random.default_rng(9), (100_000, 4), np.float64)
         se = math.sqrt(1.0 - abar) / math.sqrt(100_000)
         assert np.abs(out.data.mean(axis=0) - math.sqrt(abar) * x0_row[0]).max() < 5 * se
         assert np.abs(out.data.var(axis=0) - (1.0 - abar)).max() < 0.02 * (1.0 - abar)
@@ -218,7 +226,7 @@ class TestSampleEps:
             x = math.sqrt(1.0 - b) * x + math.sqrt(b) * rng.standard_normal((n, 2))
         one_shot = m.sample_eps(
             ad.Tensor(np.tile(x0, (n, 1))), m.final_alpha_bar(5, 0.0, 0.3),
-            np.random.default_rng(13), "diffusion", (n, 2), np.float64,
+            np.random.default_rng(13), (n, 2), np.float64,
         ).data
         np.testing.assert_allclose(x.mean(axis=0), one_shot.mean(axis=0), atol=0.02)
         np.testing.assert_allclose(x.var(axis=0), one_shot.var(axis=0), rtol=0.02)
@@ -449,9 +457,12 @@ class TestForwardBatch:
 
     def test_standard_etm_deterministic_path_gives_z_equals_mu(self):
         cfg, store, x = small_setup(mode="standard_etm")
-        result = m.forward_batch(batch_of(x, np.float32), store, cfg)
-        np.testing.assert_array_equal(result.latents.z, result.latents.mu)
-        assert result.latents.x0 is None
+        x0, mu, _, x_prime = m.predict_batch(batch_of(x, np.float32), store, cfg)
+        assert x0 is None
+        with ad.no_grad():
+            beta = m.topic_word_dist(store["topic_emb"], store["word_emb"])
+            expected = m.reconstruct(m.doc_topic_dist(ad.Tensor(mu)), beta).data
+        np.testing.assert_array_equal(x_prime, expected)
 
     def test_values_after_the_backward_of_the_total_raise_graph_consumed(self):
         cfg, store, x = small_setup()
@@ -461,23 +472,25 @@ class TestForwardBatch:
         with pytest.raises(ad.GraphConsumed):
             result.values()
 
-    def test_bitwise_deterministic_given_seed(self):
+    def test_bitwise_deterministic_given_seed(self, monkeypatch):
         cfg, store, x = small_setup()
+        thetas = captured(monkeypatch, m, "doc_topic_dist")
         r1 = m.forward_batch(batch_of(x, np.float32), store, cfg, np.random.default_rng(42))
         r2 = m.forward_batch(batch_of(x, np.float32), store, cfg, np.random.default_rng(42))
         assert r1.total.item() == r2.total.item()
         assert r1.recon.item() == r2.recon.item()
-        np.testing.assert_array_equal(r1.latents.theta, r2.latents.theta)
+        np.testing.assert_array_equal(thetas[0].data, thetas[1].data)
 
-    def test_t_zero_diffusion_equals_no_diffusion_bitwise(self):
+    def test_t_zero_diffusion_equals_no_diffusion_bitwise(self, monkeypatch):
         cfg, store, x = small_setup()
         cfg_t0 = replace(cfg, diff_steps=0)
         cfg_nd = replace(cfg, mode="no_diffusion")
+        zs = captured(monkeypatch, m, "reparameterize")
         r1 = m.forward_batch(batch_of(x, np.float32), store, cfg_t0, np.random.default_rng(3))
         r2 = m.forward_batch(batch_of(x, np.float32), store, cfg_nd, np.random.default_rng(3))
         assert r1.total.item() == r2.total.item()
         assert r1.kl.item() == r2.kl.item()
-        np.testing.assert_array_equal(r1.latents.z, r2.latents.z)
+        np.testing.assert_array_equal(zs[0].data, zs[1].data)
 
     @staticmethod
     def _gradient_parts(cfg, store, x):
@@ -496,7 +509,8 @@ class TestForwardBatch:
         return parts
 
     def test_backward_releases_the_step_graph(self):
-        cfg, store, x = small_setup(v=300, h=64, n=80)
+        # a latent wide enough that six (n, k) arrays would exceed the slack
+        cfg, store, x = small_setup(v=300, k=100, h=64, n=120)
         batch = batch_of(x, m.store_dtype(store))
         params = {name: t.data for name, t in store.items()}
         # a first step, so that lazy imports and caches are not counted
@@ -517,12 +531,11 @@ class TestForwardBatch:
                 assert t.data is params[leaves[id(t)]]
             elif t is not result.total:
                 assert t.data is None
-        # what stays while result is alive: the gradients, the latents and
-        # the constant inputs (the counts, the noise), not the activations
+        # what stays while result is alive: the gradients and the constant
+        # inputs (the counts, the noise), no per-document array of the step
         grads = sum(t.grad.nbytes for _, t in store.items())
-        latents = sum(a.nbytes for a in vars(result.latents).values() if a is not None)
         counts = batch.counts.size * m.store_dtype(store).itemsize
-        assert kept < grads + latents + counts + 32 * 1024
+        assert kept < grads + counts + 32 * 1024
 
     def test_total_gradient_is_linear_in_parts(self, as_float64):
         cfg, store, x = small_setup(seed=5)
@@ -553,14 +566,16 @@ class TestForwardBatch:
             err = finite_diff_check(store, name, loss, max_coords=4, seed=1)
             assert err <= 1e-4, f"{name}: {err}"
 
-    def test_no_rng_takes_the_conditional_mean_path(self):
+    def test_no_rng_takes_the_conditional_mean_path(self, monkeypatch):
         cfg, store, x = small_setup()
-        result = m.forward_batch(batch_of(x, np.float32), store, cfg)
-        latents, _ = m.predict_batch(batch_of(x, np.float32), store, cfg)
+        eps = captured(monkeypatch, m, "sample_eps")
+        thetas = captured(monkeypatch, m, "doc_topic_dist")
+        m.forward_batch(batch_of(x, np.float32), store, cfg)
+        x0, _, _, _ = m.predict_batch(batch_of(x, np.float32), store, cfg)
         abar = cfg.alpha_bar()
-        np.testing.assert_array_equal(result.latents.eps, latents.eps)
-        np.testing.assert_array_equal(result.latents.theta, latents.theta)
-        np.testing.assert_allclose(result.latents.eps, math.sqrt(abar) * result.latents.x0)
+        np.testing.assert_array_equal(eps[0].data, eps[1].data)
+        np.testing.assert_array_equal(thetas[0].data, thetas[1].data)
+        np.testing.assert_allclose(eps[0].data, math.sqrt(abar) * x0)
 
     def test_empty_document_rejected(self):
         cfg, store, x = small_setup()
@@ -574,16 +589,16 @@ class TestForwardBatch:
             m.forward_batch(batch_of(x, np.float64), store, cfg)
 
     @pytest.mark.parametrize("mode", m.MODES)
-    def test_stochastic_rows_sum_to_one(self, mode):
+    def test_stochastic_rows_sum_to_one(self, mode, monkeypatch):
         cfg, store, x = small_setup(mode=mode, seed=11)
-        result = m.forward_batch(batch_of(x, np.float32), store, cfg, np.random.default_rng(2))
-        np.testing.assert_allclose(result.latents.theta.sum(axis=1), 1.0, atol=1e-6)
-        assert (result.latents.theta > 0).all()
+        x_primes = captured(monkeypatch, m, "reconstruct")
+        m.forward_batch(batch_of(x, np.float32), store, cfg, np.random.default_rng(2))
         with ad.no_grad():
             beta = m.topic_word_dist(store["topic_emb"], store["word_emb"]).data
         np.testing.assert_allclose(beta.sum(axis=1), 1.0, atol=1e-6)
-        x_prime = result.latents.theta @ beta
-        np.testing.assert_allclose(x_prime.sum(axis=1), 1.0, atol=1e-6)
+        (x_prime,) = x_primes
+        np.testing.assert_allclose(x_prime.data.sum(axis=1), 1.0, atol=1e-6)
+        assert (x_prime.data > 0).all()
 
 
 class TestDtype:
@@ -600,8 +615,8 @@ class TestDtype:
             assert t.data.dtype == np.float32, t
             stack.extend(t._parents)
         assert len(seen) > len(store)
-        for latent in vars(result.latents).values():
-            assert latent is None or latent.dtype == np.float32
+        for array in m.predict_batch(batch_of(x, np.float32), store, cfg):
+            assert array is None or array.dtype == np.float32
         ad.backward(result.total)
         state = ad.AdamState(lr=0.01)
         for name, t in store.items():
@@ -614,12 +629,12 @@ class TestDtype:
     def test_noise_is_drawn_in_float64_then_cast(self):
         abar = m.final_alpha_bar(10, 0.0, 0.1)
         x0 = ad.Tensor(np.ones((3, 2), dtype=np.float32))
-        out = m.sample_eps(x0, abar, np.random.default_rng(4), "diffusion", (3, 2), np.float32)
+        out = m.sample_eps(x0, abar, np.random.default_rng(4), (3, 2), np.float32)
         noise = math.sqrt(1.0 - abar) * np.random.default_rng(4).standard_normal((3, 2))
         expected = np.float32(math.sqrt(abar)) * x0.data + noise.astype(np.float32)
         assert out.data.dtype == np.float32
         np.testing.assert_array_equal(out.data, expected)
-        etm = m.sample_eps(None, abar, np.random.default_rng(4), "standard_etm", (3, 2), np.float32)
+        etm = m.sample_eps(None, abar, np.random.default_rng(4), (3, 2), np.float32)
         np.testing.assert_array_equal(
             etm.data, np.random.default_rng(4).standard_normal((3, 2)).astype(np.float32)
         )
@@ -671,10 +686,11 @@ def test_a_desk_width_train_step_repeats_bit_for_bit_at_one_blas_thread_count(th
 class TestPredictBatch:
     def test_no_graph_and_deterministic(self):
         cfg, store, x = small_setup()
-        latents, x_prime = m.predict_batch(batch_of(x, np.float32), store, cfg)
-        latents2, x_prime2 = m.predict_batch(batch_of(x, np.float32), store, cfg)
-        np.testing.assert_array_equal(x_prime, x_prime2)
-        np.testing.assert_array_equal(latents.theta, latents2.theta)
+        first = m.predict_batch(batch_of(x, np.float32), store, cfg)
+        second = m.predict_batch(batch_of(x, np.float32), store, cfg)
+        for a, b in zip(first, second, strict=True):
+            assert isinstance(a, np.ndarray)
+            np.testing.assert_array_equal(a, b)
 
     def test_beta_computed_once_and_no_loss(self, monkeypatch):
         cfg, store, x = small_setup()
@@ -723,11 +739,12 @@ class TestPredictBatch:
         assert build_peak < 1.25 * dense + entries
         assert predict_peak < 1.25 * dense + entries
 
-    def test_diffusion_deterministic_path_shrinks_x0(self):
+    def test_diffusion_deterministic_path_shrinks_x0(self, monkeypatch):
         cfg, store, x = small_setup()
-        latents, _ = m.predict_batch(batch_of(x, np.float32), store, cfg)
+        eps = captured(monkeypatch, m, "sample_eps")
+        x0, _, _, _ = m.predict_batch(batch_of(x, np.float32), store, cfg)
         abar = cfg.alpha_bar()
-        np.testing.assert_allclose(latents.eps, math.sqrt(abar) * latents.x0)
+        np.testing.assert_allclose(eps[0].data, math.sqrt(abar) * x0)
 
 
 class TestCheckParamShapes:

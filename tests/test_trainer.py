@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import captured
 from diffetm import autodiff as ad
 from diffetm import metrics, model
 from diffetm import trainer as tr
@@ -298,10 +299,11 @@ class TestRealizedZKl:
             _, _, latents = metrics.perplexity_and_kl(store, cfg, tiny_dataset.valid)
             got = tr.realized_z_kl(latents, cfg, np.random.default_rng(2))
             rng = np.random.default_rng(2)
-            z = np.concatenate([
-                forward_batch(x, store, cfg, rng).latents.z
-                for x in iter_batches(tiny_dataset.valid, tiny_dataset.vocab.V, 3, np.float32)
-            ])
+            with monkeypatch.context() as patch:
+                zs = captured(patch, model, "reparameterize")
+                for x in iter_batches(tiny_dataset.valid, tiny_dataset.vocab.V, 3, np.float32):
+                    forward_batch(x, store, cfg, rng)
+            z = np.concatenate([t.data for t in zs])
             var = np.maximum(z.var(axis=0), 1e-12)
             mean = z.mean(axis=0)
             assert got == float(0.5 * (mean ** 2 + var - np.log(var) - 1.0).sum()), mode
