@@ -27,11 +27,17 @@ log-likelihood from the same node, on a graph-free tensor.
 Backward closures receive the output gradient as an argument and capture
 only input tensors and saved arrays, never the output node itself, so a
 released graph is reclaimed by reference counting alone (no cycles).
-Gradient buffers are never mutated in place (``adam_update`` only reads
-them); accumulation rebinds ``t.grad``, so freshly computed arrays may be
-shared safely.  A zeroed gradient is a read-only all-zero view, which the
-first accumulation replaces rather than adds to; a parameter's gradient is
-always an array (``backward`` frees only the interior nodes' gradients).
+Gradient buffers are never mutated in place (Adam only reads them);
+accumulation rebinds ``t.grad``, so freshly computed arrays may be shared
+safely.  A zeroed gradient is a read-only all-zero view, which the first
+accumulation replaces rather than adds to; a parameter's gradient is always
+an array (``backward`` frees only the interior nodes' gradients).
+
+Given a parameter store and its Adam state, ``backward`` steps each
+parameter the moment the walk has completed its gradient and zeroes that
+gradient again, so a step never holds every gradient of the store at once.
+``adam_update`` takes the same step for gradients that must all be complete
+first (a global-norm clip).
 """
 
 from __future__ import annotations
@@ -369,7 +375,11 @@ def gaussian_kl(mu: Tensor, logvar: Tensor) -> Tensor:
 # backward pass
 
 
-def backward(output: Tensor) -> None:
+def backward(
+    output: Tensor,
+    params: ParamStore | None = None,
+    state: AdamState | None = None,
+) -> None:
     """Accumulate d(output)/d(leaf) into every requires-grad leaf, and
     release the graph on the way.
 
@@ -377,9 +387,20 @@ def backward(output: Tensor) -> None:
     leaves' buffers (zero them between steps).  A graph that reaches a
     node an earlier backward released raises GraphConsumed before any
     gradient moves.
+
+    Given params and their Adam state, backward also takes one Adam step:
+    each parameter of the store is updated as soon as the reverse walk
+    reaches it, when every node that reads it has run and its gradient is
+    complete, and its gradient is then the zero view again.  A parameter
+    the walk does not reach is stepped after the walk.  The parameters and
+    the state end bit for bit as after backward(output) and then
+    adam_update(params, state); leaves outside the store keep their
+    gradients.
     """
     if output.data.size != 1:
         raise NotScalar(f"backward on a {output.data.shape} output")
+    if (params is None) != (state is None):
+        raise ValueError("backward takes a parameter store and its Adam state together")
 
     topo: list[Tensor] = []
     visited: set[int] = set()
@@ -399,6 +420,9 @@ def backward(output: Tensor) -> None:
             if p.requires and id(p) not in visited:
                 stack.append((p, False))
 
+    # the store's parameters not yet stepped, by identity
+    pending = {} if params is None else {id(t): (name, t) for name, t in params.items()}
+    step = None if state is None else _adam_step(state)
     output.grad = np.ones_like(output.data)
     for node in reversed(topo):
         if node._backward is not None:
@@ -409,6 +433,10 @@ def backward(output: Tensor) -> None:
             if node is not output:
                 node.grad = None
                 node.data = None
+        elif id(node) in pending:
+            step(*pending.pop(id(node)))
+    for name, t in pending.values():
+        step(name, t)
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +487,16 @@ class ParamStore:
     def grad_global_norm(self) -> float:
         sq = 0.0
         for t in self._params.values():
-            sq += float((t.grad * t.grad).sum())
+            if not _is_zero_grad(t.grad):  # adds exactly 0.0
+                sq += float((t.grad * t.grad).sum())
         return float(np.sqrt(sq))
 
     def scale_grads(self, factor: float) -> None:
+        """Multiply every gradient by factor; a zeroed gradient stays the
+        zero view."""
         for t in self._params.values():
-            t.grad = t.grad * factor
+            if not _is_zero_grad(t.grad):
+                t.grad = t.grad * factor
 
 
 @dataclass
@@ -485,32 +517,38 @@ class AdamState:
 ADAM_BLOCK = 1 << 16
 
 
-def adam_update(params: ParamStore, state: AdamState) -> None:
-    """One bias-corrected Adam step over every parameter; zeroes gradients.
+def _adam_step(state: AdamState) -> Callable[[str, Tensor], None]:
+    """Advance state to its next step, and return the update of one named
+    parameter in that step, which zeroes its gradient.
 
-    Every parameter is updated in blocks of ADAM_BLOCK elements on the
-    calling thread.  Each element sees the same operations in the same
-    order as an unblocked step, so the result is bit for bit the same.  The
-    moments are updated in place; gradient arrays, which may be shared, are
-    only read.
+    A parameter is updated in blocks of ADAM_BLOCK elements on the calling
+    thread.  Each element sees the same operations in the same order as an
+    unblocked step, so the result is bit for bit the same.  The moments are
+    updated in place; gradient arrays, which may be shared, are only read.
+    A parameter with a zeroed gradient and no moments yet is left alone,
+    without moments: a step from zero moments and a zero gradient moves
+    nothing (for a finite learning rate and eps > 0).
     """
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    scratch = None
-    for name, p in params.items():
+    scratch: dict[np.dtype, np.ndarray] = {}
+
+    def step(name: str, p: Tensor) -> None:
         if name not in state.m:
+            if _is_zero_grad(p.grad):
+                return
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        if scratch is None or scratch.dtype != p.data.dtype:
-            scratch = np.empty(ADAM_BLOCK, dtype=p.data.dtype)
+        if p.data.dtype not in scratch:
+            scratch[p.data.dtype] = np.empty(ADAM_BLOCK, dtype=p.data.dtype)
         # ParamStore.add stores C-ordered copies, so the flat views of the
         # parameter and its moments write through; the gradient is only read
         flat = [np.ravel(a) for a in (p.data, p.grad, state.m[name], state.v[name])]
         for lo in range(0, p.data.size, ADAM_BLOCK):
             pb, gb, mb, vb = (a[lo:lo + ADAM_BLOCK] for a in flat)
-            buf = scratch[:pb.size]
+            buf = scratch[p.data.dtype][:pb.size]
             mb *= b1
             vb *= b2
             np.multiply(gb, 1.0 - b1, out=buf)
@@ -525,5 +563,15 @@ def adam_update(params: ParamStore, state: AdamState) -> None:
             np.divide(mb, buf, out=buf)
             buf *= state.lr / c1
             pb -= buf
-    params.zero_grads()
+        p.grad = _zero_grad(p.data)
 
+    return step
+
+
+def adam_update(params: ParamStore, state: AdamState) -> None:
+    """One bias-corrected Adam step over every parameter, in store order;
+    zeroes gradients.  backward(output, params, state) takes the same step
+    inside the backward pass."""
+    step = _adam_step(state)
+    for name, p in params.items():
+        step(name, p)

@@ -188,10 +188,13 @@ def _sha256(path: Path) -> str:
 
 # kl-test writes into a run directory; a name of its own keeps the run's manifest
 KL_TEST_MANIFEST = "kl_test_manifest.json"
+KL_TEST_CSV = "kl_test.csv"
 
 
 def _run_artifacts(run_dir: Path) -> list[Path]:
-    return [p for p in sorted(run_dir.glob("*")) if p.name not in ("manifest.json", KL_TEST_MANIFEST)]
+    """A run directory's files that train's manifest hashes: not the
+    manifests, nor kl-test's csv, which its own manifest hashes."""
+    return [p for p in sorted(run_dir.glob("*")) if p.name not in ("manifest.json", KL_TEST_CSV, KL_TEST_MANIFEST)]
 
 
 # the variables OpenBLAS reads its thread count from, in the order it reads them
@@ -351,15 +354,23 @@ def cmd_train(cfg: dict) -> int:
     try:
         report = trainer_mod.train(model_config_of(cfg), train_config_of(cfg), dataset, run_dir)
     except Diverged as exc:
-        write_manifest(run_dir, "train", cfg, _run_artifacts(run_dir))
+        _close_train_dir(run_dir, cfg)
         print(f"[train] diverged: {exc}", file=sys.stderr)
         return 1
-    write_manifest(run_dir, "train", cfg, _run_artifacts(run_dir))
+    _close_train_dir(run_dir, cfg)
     print(
         f"[train] best validation perplexity {report.best_val_perplexity:.2f} "
         f"at epoch {report.best_epoch} -> {run_dir}"
     )
     return 0
+
+
+def _close_train_dir(run_dir: Path, cfg: dict) -> None:
+    """Write train's manifest, then remove the output of a kl-test of an
+    earlier train into run_dir: it describes other checkpoints."""
+    write_manifest(run_dir, "train", cfg, _run_artifacts(run_dir))
+    for name in (KL_TEST_CSV, KL_TEST_MANIFEST):
+        (run_dir / name).unlink(missing_ok=True)
 
 
 def _export_top_words(beta, vocab, n: int, path: Path) -> None:
@@ -460,7 +471,7 @@ def cmd_kl_test(cfg: dict, run_dir_arg: str) -> int:
         ppl, kl, _ = metrics_mod.perplexity_and_kl(store, model_config, split)
         points.append((epoch, kl, ppl))
     traj = trainer_mod.improving_trajectory(points)
-    csv_path = run_dir / "kl_test.csv"
+    csv_path = run_dir / KL_TEST_CSV
     write_text(csv_path, trainer_mod.trajectory_csv(traj))
     write_manifest(run_dir, "kl-test", cfg, [csv_path], KL_TEST_MANIFEST)
     print(f"[kl-test] {len(traj)} improving checkpoints -> {csv_path}")

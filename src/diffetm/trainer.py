@@ -124,6 +124,18 @@ def checkpoint_epoch(name: str) -> int:
     return int(digits)
 
 
+# what train writes into a run directory besides the epoch checkpoints
+RUN_FILES = ("best.ckpt", "kl_trajectory.csv", "train_report.json")
+
+
+def _is_run_file(name: str) -> bool:
+    try:
+        checkpoint_epoch(name)
+    except ValueError:
+        return name in RUN_FILES
+    return True
+
+
 def _write_checkpoint(store: ad.ParamStore, config: ModelConfig, path: Path) -> None:
     with open(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
@@ -301,7 +313,9 @@ def train(
     most max_checkpoints epoch files (0 = unlimited), and those epochs'
     kl_trajectory.csv.  Raises Diverged, carrying the partial report
     without that epoch, on a non-finite loss or validation perplexity, KL
-    or z-KL; train_report.json is written either way.
+    or z-KL; train_report.json is written either way.  Then every file of
+    those names that this train did not write, such as an epoch file of an
+    earlier train into the same directory, is removed.
     """
     model_config.validate()
     train_config.validate()
@@ -333,17 +347,20 @@ def train(
             result = forward_batch(batch, store, model_config, noise_rng)
             recon, kl, total = result.values()
             if not np.isfinite(total):
-                _close_report(report, started, train_config.deterministic, run_dir)
+                _close_run(report, started, train_config.deterministic, run_dir, improving)
                 raise Diverged(
                     f"non-finite loss at epoch {epoch} (lr={train_config.learning_rate})",
                     report=report,
                 )
-            ad.backward(result.total)
             if train_config.clip_norm > 0.0:
+                # the global norm needs every gradient before any step
+                ad.backward(result.total)
                 norm = store.grad_global_norm()
                 if norm > train_config.clip_norm:
                     store.scale_grads(train_config.clip_norm / norm)
-            ad.adam_update(store, adam)
+                ad.adam_update(store, adam)
+            else:
+                ad.backward(result.total, store, adam)
             w = len(idx) / n
             sum_recon += recon * w
             sum_kl += kl * w
@@ -355,7 +372,7 @@ def train(
             )
             # a non-finite value can select no checkpoint, nor go into the JSON report
             if not np.isfinite([ppl, kl_term, z_kl]).all():
-                _close_report(report, started, train_config.deterministic, run_dir)
+                _close_run(report, started, train_config.deterministic, run_dir, improving)
                 raise Diverged(
                     f"non-finite validation at epoch {epoch}: perplexity {ppl}, kl {kl_term}, "
                     f"z-KL {z_kl} (lr={train_config.learning_rate})",
@@ -378,17 +395,34 @@ def train(
                     dropped = improving[-1 - train_config.max_checkpoints][0]
                     (run_dir / checkpoint_name(dropped)).unlink()
 
-    _close_report(report, started, train_config.deterministic, run_dir)
     if run_dir is not None:
         write_text(run_dir / "kl_trajectory.csv", trajectory_csv(improving))
+    _close_run(report, started, train_config.deterministic, run_dir, improving, finished=True)
     return report
 
 
-def _close_report(report: TrainReport, started: float, deterministic: bool, run_dir: Path | None) -> None:
-    """Stamp the wall-clock time and write train_report.json when run_dir is set."""
+def _close_run(
+    report: TrainReport,
+    started: float,
+    deterministic: bool,
+    run_dir: Path | None,
+    improving: list[tuple[int, float, float]],
+    finished: bool = False,
+) -> None:
+    """Stamp the wall-clock time; when run_dir is set, write
+    train_report.json and remove the run files this train did not write
+    (a finished train has written kl_trajectory.csv)."""
     report.wall_seconds = 0.0 if deterministic else time.monotonic() - started
-    if run_dir is not None:
-        write_text(run_dir / "train_report.json", report.to_json())
+    if run_dir is None:
+        return
+    write_text(run_dir / "train_report.json", report.to_json())
+    # a dropped epoch file is named too, but this train has already removed it
+    written = {checkpoint_name(epoch) for epoch, _, _ in improving} | {"train_report.json"}
+    written |= {"best.ckpt"} if improving else set()
+    written |= {"kl_trajectory.csv"} if finished else set()
+    for path in run_dir.iterdir():
+        if _is_run_file(path.name) and path.name not in written:
+            path.unlink()
 
 
 def improving_trajectory(points: Iterable[tuple]) -> list[tuple[int, float, float]]:

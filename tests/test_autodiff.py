@@ -700,6 +700,64 @@ class TestAdam:
         np.testing.assert_array_equal(p.grad, [[0.0]])
 
 
+class TestAdamInBackward:
+    def test_steps_the_store_and_leaves_other_leaves_their_gradients(self):
+        store = ad.ParamStore()
+        p = param(store, "p", [[1.0, 2.0]])
+        q = ad.Tensor([[3.0, -1.0]], requires=True)  # a leaf outside the store
+        state = ad.AdamState(lr=0.1)
+        ad.backward(ad.sum_all(ad.hadamard(p, q)), store, state)
+        # q's gradient is p before its step, and q is not stepped
+        np.testing.assert_array_equal(q.grad, [[1.0, 2.0]])
+        np.testing.assert_array_equal(q.data, [[3.0, -1.0]])
+        np.testing.assert_allclose(p.data, [[0.9, 2.1]], rtol=1e-9)
+        assert ad._is_zero_grad(p.grad)
+        assert (state.t, list(state.m), list(state.v)) == (1, ["p"], ["p"])
+
+    def test_a_parameter_the_walk_misses_takes_the_step_adam_update_gives(self):
+        def run(in_backward):
+            store = ad.ParamStore()
+            p, r = param(store, "p", [[1.0, -2.0]]), param(store, "r", [[0.5]])
+            unreached = param(store, "u", [[4.0]])
+            state = ad.AdamState(lr=0.1)
+            graphs = [
+                lambda: ad.add(ad.sum_all(ad.hadamard(p, p)), ad.sum_all(ad.exp(r))),
+                lambda: ad.sum_all(ad.hadamard(p, p)),  # r has moments but no gradient
+            ]
+            for graph in graphs:
+                if in_backward:
+                    ad.backward(graph(), store, state)
+                else:
+                    ad.backward(graph())
+                    ad.adam_update(store, state)
+            assert "u" not in state.m and unreached.data.tolist() == [[4.0]]
+            return [t.data.tobytes() for _, t in store.items()], state
+
+        params, state = run(True)
+        ref_params, ref_state = run(False)
+        assert params == ref_params
+        assert state.t == ref_state.t == 2
+        for name in ("p", "r"):
+            assert state.m[name].tobytes() == ref_state.m[name].tobytes()
+            assert state.v[name].tobytes() == ref_state.v[name].tobytes()
+
+    def test_a_consumed_graph_raises_before_any_step(self):
+        store = ad.ParamStore()
+        p = param(store, "p", [[1.0]])
+        out = ad.sum_all(ad.hadamard(p, p))
+        ad.backward(out)
+        state = ad.AdamState(lr=0.1)
+        with pytest.raises(ad.GraphConsumed):
+            ad.backward(out, store, state)
+        assert (state.t, state.m) == (0, {})
+
+    def test_the_store_and_the_state_come_together(self):
+        store = ad.ParamStore()
+        p = param(store, "p", [[1.0]])
+        with pytest.raises(ValueError, match="together"):
+            ad.backward(ad.sum_all(p), store)
+
+
 def test_param_store_rejects_duplicates():
     store = ad.ParamStore()
     store.add("w", np.zeros((1, 1)))

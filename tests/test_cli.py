@@ -392,6 +392,40 @@ class TestTrainCommand:
         assert "manifest.json" not in manifest["artifacts"]
 
 
+    def test_a_retrain_after_a_reingest_leaves_none_of_the_earlier_runs_files(self, tmp_path):
+        # the same config, so the same run id, on other text at the same
+        # paths: the second run selects fewer epochs than the first
+        cfg = {
+            "train_file": "raw/train.txt", "valid_file": "raw/valid.txt", "test_file": "raw/test.txt",
+            "min_df": 2, "corpus_dir": "corpus", "num_topics": 5, "embed_size": 8, "hidden_size": 8,
+            "epochs": 6, "batch_size": 50, "learning_rate": 0.3, "deterministic": True, "output_dir": "runs",
+        }
+        cfg = {k: str(tmp_path / v) if k.endswith(("_file", "_dir")) else v for k, v in cfg.items()}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        run_dir = tmp_path / "runs" / cli.run_id_of(cli.load_config(str(path)))
+        kl_test = ["kl-test", "--config", str(path), "--run-dir", str(run_dir)]
+        epochs = []  # each train's selected epochs, as checkpoint names
+        for seed, vocab_size in ((1, 120), (2, 80)):
+            write_split_files(tmp_path / "raw", 200, 50, 50, vocab_size=vocab_size, n_topics=5, seed=seed)
+            assert cli.main(["ingest", "--config", str(path)]) == 0
+            assert cli.main(["train", "--config", str(path)]) == 0
+            lines = (run_dir / "kl_trajectory.csv").read_text().splitlines()[1:]
+            epochs.append({cli.trainer_mod.checkpoint_name(int(line.split(",")[0])) for line in lines})
+            if seed == 1:
+                assert cli.main(kl_test) == 0
+        assert epochs[1] < epochs[0]
+        assert {p.name for p in run_dir.iterdir()} == epochs[1] | {
+            "best.ckpt", "kl_trajectory.csv", "train_report.json", "manifest.json",
+        }
+        artifacts = json.loads((run_dir / "manifest.json").read_text())["artifacts"]
+        assert set(artifacts) == epochs[1] | {"best.ckpt", "kl_trajectory.csv", "train_report.json"}
+        # kl-test reads this run's checkpoints alone
+        assert cli.main(kl_test) == 0
+        lines = (run_dir / "kl_test.csv").read_text().splitlines()
+        assert {cli.trainer_mod.checkpoint_name(int(line.split(",")[0])) for line in lines[1:]} <= epochs[1]
+
+
 class TestEvalCommand:
     def test_eval_and_quality_invariant(self, workspace):
         ckpt = workspace["run_dir"] / "best.ckpt"

@@ -601,6 +601,34 @@ class TestForwardBatch:
         assert (x_prime.data > 0).all()
 
 
+class TestAdamInBackward:
+    @pytest.mark.parametrize("mode", m.MODES)
+    def test_matches_backward_then_adam_update_bit_for_bit(self, mode):
+        cfg, store, x = small_setup(mode=mode, n=5)
+        _, ref, _ = small_setup(mode=mode, n=5)
+        init = {name: t.data.tobytes() for name, t in store.items()}
+        batch = batch_of(x, np.float32)
+        state, ref_state = ad.AdamState(lr=0.05), ad.AdamState(lr=0.05)
+        rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
+        for _ in range(4):
+            ad.backward(m.forward_batch(batch, ref, cfg, ref_rng).total)
+            ad.adam_update(ref, ref_state)
+            ad.backward(m.forward_batch(batch, store, cfg, rng).total, store, state)
+            assert state.t == ref_state.t
+            # the walk creates moments in its own order, not the store's
+            assert set(state.m) == set(ref_state.m) == set(state.v) == set(ref_state.v)
+            for name in state.m:
+                assert state.m[name].tobytes() == ref_state.m[name].tobytes(), name
+                assert state.v[name].tobytes() == ref_state.v[name].tobytes(), name
+            for name, t in store.items():
+                assert t.data.tobytes() == ref[name].data.tobytes(), name
+                assert ad._is_zero_grad(t.grad), name
+        moved = {name for name, t in store.items() if t.data.tobytes() != init[name]}
+        # only standard_etm's unreached X0 encoder stays where it started, without moments
+        unreached = {n for n in store.names() if n.startswith("diff.")} if mode == "standard_etm" else set()
+        assert moved == set(state.m) == set(store.names()) - unreached
+
+
 class TestDtype:
     @pytest.mark.parametrize("mode", m.MODES)
     def test_training_step_stays_float32(self, mode):
@@ -624,6 +652,10 @@ class TestDtype:
         ad.adam_update(store, state)
         for name, t in store.items():
             assert t.data.dtype == t.grad.dtype == np.float32, name
+        # standard_etm's graph never reaches diff.*, which Adam leaves without moments
+        unreached = {n for n in store.names() if n.startswith("diff.")} if mode == "standard_etm" else set()
+        assert set(state.m) == set(state.v) == set(store.names()) - unreached
+        for name in state.m:
             assert state.m[name].dtype == state.v[name].dtype == np.float32, name
 
     def test_noise_is_drawn_in_float64_then_cast(self):

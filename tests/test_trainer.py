@@ -211,6 +211,29 @@ class TestTrain:
         loose = tr.train(tiny_config, tiny_train_config(clip_norm=1e9), tiny_dataset)
         assert loose.to_json() == unclipped.to_json()
 
+    def test_unclipped_training_steps_inside_backward_and_leaves_standard_etm_x0_as_drawn(
+        self, tiny_dataset, tiny_config, tmp_path, monkeypatch
+    ):
+        states, backward = [], ad.backward
+
+        def recorded(output, params=None, state=None):
+            states.append(state)
+            backward(output, params, state)
+
+        monkeypatch.setattr(ad, "backward", recorded)
+        cfg = replace(tiny_config, mode="standard_etm")
+        tr.train(cfg, tiny_train_config(epochs=2), tiny_dataset, tmp_path)
+        state = states[0]
+        assert state is not None and all(s is state for s in states)
+        assert state.t == len(states)
+        drawn = init_params(cfg, tiny_dataset.vocab.V, np.random.default_rng([cfg.seed, 0]))
+        best, _ = tr.load_checkpoint(tmp_path / "best.ckpt")
+        x0_encoder = {n for n in drawn.names() if n.startswith("diff.")}
+        assert x0_encoder
+        for name in x0_encoder:
+            assert best[name].data.tobytes() == drawn[name].data.tobytes(), name
+        assert set(state.m) == set(state.v) == set(drawn.names()) - x0_encoder
+
 
 @pytest.mark.parametrize("mode", model.MODES)
 @pytest.mark.parametrize("name", ["word_emb", "mu.w1", "mu.w3"])
