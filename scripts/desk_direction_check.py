@@ -42,13 +42,10 @@ def main() -> None:
     results: dict[tuple[int, str], float] = {}
     for seed in args.seeds:
         for mode in ("diffusion", "no_diffusion", "standard_etm"):
-            mc = ModelConfig(
-                num_topics=50, embed_size=300, hidden_size=args.hidden,
-                mode=mode, seed=seed,
-            )
+            # K, E, the batch size and the learning rate are the defaults
+            mc = ModelConfig(hidden_size=args.hidden, mode=mode, seed=seed)
             tc = TrainConfig(
-                epochs=args.epochs, batch_size=1000, learning_rate=0.008,
-                eval_every=2, max_checkpoints=1, deterministic=True,
+                epochs=args.epochs, eval_every=2, max_checkpoints=1, deterministic=True,
             )
             t0 = time.time()
             rep = train(mc, tc, data)

@@ -94,11 +94,7 @@ class Tensor:
 
     def __init__(self, data, requires: bool = False):
         arr = _as_float(data)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        elif arr.ndim != 2:
+        if arr.ndim != 2:
             raise ShapeMismatch(f"expected a 2-D array, got ndim={arr.ndim}")
         self.data = arr
         self.grad: np.ndarray | None = None

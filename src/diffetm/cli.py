@@ -33,6 +33,7 @@ from .corpus import (
     CacheFormatError,
     Dataset,
     EmptySplit,
+    NotUtf8,
     Vocabulary,
     VocabularyFormatError,
     ingest_presplit,
@@ -134,7 +135,7 @@ def load_config(
         path = _input_file(config_path, "config file")
         try:
             loaded = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
             raise ConfigError(f"config file {config_path} is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {config_path} must hold a JSON object")
@@ -538,6 +539,7 @@ def main(argv: list[str] | None = None) -> int:
     except (
         AllTokensPruned,
         EmptySplit,
+        NotUtf8,
         CacheFormatError,
         VocabularyFormatError,
         CorruptCheckpoint,

@@ -39,6 +39,10 @@ class VocabularyFormatError(ValueError):
     """The vocabulary TSV is malformed."""
 
 
+class NotUtf8(ValueError):
+    """A corpus text file or stop-word file is not UTF-8 text."""
+
+
 CACHE_MAGIC = b"DETMCORP"
 CACHE_VERSION = 2
 SPLITS = ("train", "valid", "test")
@@ -247,13 +251,6 @@ def dense_counts(corpus: BowCorpus, indices, size: int, dtype) -> Batch:
     return Batch(x_norm, rows, cols, counts)
 
 
-def iter_batches(corpus: BowCorpus, size: int, batch_size: int, dtype):
-    """The batches of every document in corpus order, batch_size at a time."""
-    n = len(corpus)
-    for start in range(0, n, batch_size):
-        yield dense_counts(corpus, range(start, min(start + batch_size, n)), size, dtype)
-
-
 def check_split(fractions, seed: int) -> None:
     """The rule for a split's train/valid/test fractions and shuffle seed."""
     if len(fractions) != 3 or not all(isinstance(f, (int, float)) and f > 0 for f in fractions):
@@ -344,10 +341,13 @@ def _read_ids(path: str | Path, cache: _ChunkIds) -> tuple[np.ndarray, np.ndarra
     file of an ingest."""
     ids: list[int] = []
     ends = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            ids += map(cache.__getitem__, line.lower().split())
-            ends.append(len(ids))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                ids += map(cache.__getitem__, line.lower().split())
+                ends.append(len(ids))
+    except UnicodeDecodeError as exc:
+        raise NotUtf8(f"{path}: not UTF-8 text ({exc})") from None
     ids, ends = np.fromiter(ids, np.int64, count=len(ids)), np.array(ends, dtype=np.int64)
     kept = ids >= 0
     if not kept.all():  # some chunk normalised to nothing or to a stopword
@@ -360,8 +360,11 @@ def load_stopwords(path: str | Path | None) -> set[str]:
     lines that normalize to nothing are skipped."""
     if path is None:
         return set()
-    with open(path, encoding="utf-8") as fh:
-        return {w for w in (line.strip().lower().strip(_PUNCT) for line in fh) if w}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return {w for w in (line.strip().lower().strip(_PUNCT) for line in fh) if w}
+    except UnicodeDecodeError as exc:
+        raise NotUtf8(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def _ingest(

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import sparse
 
 from . import autodiff as ad
-from .corpus import BowCorpus, iter_batches
+from .corpus import BowCorpus, dense_counts
 from .model import (
     LOG_FLOOR,
     ModelConfig,
@@ -166,27 +166,26 @@ def perplexity_and_kl(
 
     The log-likelihood sums over the nonzero counts only, the entries where
     X log X' can differ from 0."""
-    if len(corpus_split) == 0:
+    n = len(corpus_split)
+    if n == 0:
         raise ValueError("perplexity: empty split")
     log_lik = 0.0
-    tokens = 0.0
     kl_sum = 0.0
     latents = []
-    for batch in iter_batches(
-        corpus_split, store_vocab_size(store), EVAL_BATCH_SIZE, store_dtype(store)
-    ):
+    for start in range(0, n, EVAL_BATCH_SIZE):
+        indices = range(start, min(start + EVAL_BATCH_SIZE, n))
+        batch = dense_counts(corpus_split, indices, store_vocab_size(store), store_dtype(store))
         x0, mu, logvar, x_prime = predict_batch(batch, store, config)
         latents.append((x0, mu, logvar))
         # the int64 counts keep the sum in float64
         log_lik += ad.log_likelihood(
             ad.Tensor(x_prime), batch.rows, batch.cols, batch.counts, LOG_FLOOR
         ).item()
-        tokens += float(batch.counts.sum())
         per_doc = 0.5 * (mu ** 2 + np.exp(logvar) - logvar - 1.0).sum(axis=1)
         kl_sum += float(per_doc.sum())
-    ppl = float(np.exp(-log_lik / tokens))
+    ppl = float(np.exp(-log_lik / corpus_split.total_tokens()))
     x0, mu, logvar = (None if arrays[0] is None else np.concatenate(arrays) for arrays in zip(*latents))
-    return ppl, kl_sum / len(corpus_split), (x0, mu, logvar)
+    return ppl, kl_sum / n, (x0, mu, logvar)
 
 
 def perplexity(store: ad.ParamStore, config: ModelConfig, corpus_split: BowCorpus) -> float:

@@ -213,29 +213,25 @@ def load_checkpoint(path: str | Path, digest=None) -> tuple[ad.ParamStore, Model
                 raise CorruptCheckpoint(f"{path}: mode code {values['mode']} names no mode")
             config = ModelConfig(**{**values, "mode": MODES[values["mode"]]})
             (n_params,) = struct.unpack("<I", read(4))
-            offset = 12 + CONFIG_BLOCK.size + 4
             store = ad.ParamStore()
             for _ in range(n_params):
                 (name_len,) = struct.unpack("<I", read(4))
-                offset += 4
                 # sizes are checked against the file before anything that large is read
-                if size < offset + name_len:
+                if size < fh.tell() + name_len:
                     raise CorruptCheckpoint(f"{path}: truncated name block")
                 name = read(name_len).decode("utf-8")
                 rows, cols = struct.unpack("<II", read(8))
-                offset += name_len + 8
                 nbytes = 4 * rows * cols
-                if size < offset + nbytes:
+                if size < fh.tell() + nbytes:
                     raise CorruptCheckpoint(f"{path}: truncated array for {name!r}")
                 arr = np.empty((rows, cols), dtype="<f4")
                 if fh.readinto(arr) != nbytes:  # the file shrank while it was read
                     raise CorruptCheckpoint(f"{path}: truncated array for {name!r}")
                 if digest is not None:
                     digest.update(arr)
-                offset += nbytes
                 store.add(name, arr, copy=False)
-            if offset != size:
-                raise CorruptCheckpoint(f"{path}: {size - offset} trailing bytes")
+            if fh.tell() != size:
+                raise CorruptCheckpoint(f"{path}: {size - fh.tell()} trailing bytes")
             if "word_emb" not in store:
                 raise CorruptCheckpoint(f"{path}: missing parameter 'word_emb'")
             config.validate()
@@ -294,12 +290,6 @@ def realized_z_kl(
 # training
 
 
-def _epoch_batches(n_docs: int, batch_size: int, rng: np.random.Generator):
-    perm = rng.permutation(n_docs)
-    for start in range(0, n_docs, batch_size):
-        yield perm[start:start + batch_size]
-
-
 def train(
     model_config: ModelConfig,
     train_config: TrainConfig,
@@ -342,7 +332,9 @@ def train(
 
     for epoch in range(1, train_config.epochs + 1):
         sum_recon = sum_kl = sum_total = 0.0
-        for idx in _epoch_batches(n, train_config.batch_size, shuffle_rng):
+        perm = shuffle_rng.permutation(n)
+        for start in range(0, n, train_config.batch_size):
+            idx = perm[start:start + train_config.batch_size]
             batch = dense_counts(data.train, idx, v, store_dtype(store))
             result = forward_batch(batch, store, model_config, noise_rng)
             recon, kl, total = result.values()

@@ -37,6 +37,23 @@ class TestPrimitives:
     def test_affine_shape_mismatch(self):
         with pytest.raises(ad.ShapeMismatch):
             ad.affine(ad.Tensor([[1.0, 2.0]]), ad.Tensor([[1.0]]), ad.Tensor([[0.0]]))
+        with pytest.raises(ad.ShapeMismatch, match="bias must be 1x2"):
+            ad.affine(ad.Tensor([[1.0]]), ad.Tensor([[1.0, 2.0]]), ad.Tensor([[0.0, 0.0, 0.0]]))
+
+    @pytest.mark.parametrize("op", [ad.add, ad.gaussian_kl], ids=["add", "gaussian_kl"])
+    def test_elementwise_ops_refuse_unequal_shapes(self, op):
+        with pytest.raises(ad.ShapeMismatch, match=f"{op.__name__}: \\(1, 2\\) vs \\(2, 1\\)"):
+            op(ad.Tensor([[1.0, 2.0]]), ad.Tensor([[1.0], [2.0]]))
+
+    @pytest.mark.parametrize("shape", [(), (3,), (1, 2, 2)], ids=["0-d", "1-d", "3-d"])
+    def test_tensor_data_must_be_2d(self, shape):
+        with pytest.raises(ad.ShapeMismatch, match=f"expected a 2-D array, got ndim={len(shape)}"):
+            ad.Tensor(np.zeros(shape))
+
+    def test_item_needs_a_1x1_tensor(self):
+        assert ad.Tensor([[2.5]]).item() == 2.5
+        with pytest.raises(ad.NotScalar, match=r"item\(\) on a \(1, 2\) tensor"):
+            ad.Tensor([[1.0, 2.0]]).item()
 
     def test_hadamard_shape_mismatch(self):
         with pytest.raises(ad.ShapeMismatch):

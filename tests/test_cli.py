@@ -149,6 +149,8 @@ class TestConfig:
         ("seed", -1, "seed"),
         ("seed", 2**63, "seed"),
         ("split_seed", -1, "split_seed"),
+        ("split_fractions", 0.8, "'split_fractions': expected a list"),
+        ("output_dir", None, "'output_dir': expected a directory, got null"),
     ])
     def test_bad_value_exits_2_before_any_directory(self, workspace, tmp_path, capsys, key, value, named):
         path = tmp_path / "bad.json"
@@ -195,6 +197,28 @@ class TestConfig:
         assert cli.main(argv) == 2
         assert named in capsys.readouterr().err
         assert sorted(p.name for p in cwd.iterdir()) == (["corpus"] if case == "vocab.tsv" else [])
+
+    @pytest.mark.parametrize("body,named", [
+        (b'{"min_df": 3,}', "is not valid JSON"),
+        (b'{"min_df": 3\xff}', "is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+        (b"[3]", "must hold a JSON object"),
+    ], ids=["syntax", "not-utf8", "array"])
+    def test_a_config_file_without_a_json_object_exits_2_before_any_directory(
+        self, tmp_path, monkeypatch, capsys, body, named
+    ):
+        monkeypatch.chdir(tmp_path)  # where the default output_dir, runs, would go
+        (tmp_path / "cfg.json").write_bytes(body)
+        assert cli.main(["train", "--config", "cfg.json"]) == 2
+        assert f"error: config file cfg.json {named}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_a_command_without_corpus_dir_exits_2_before_any_directory(self, workspace, tmp_path, capsys):
+        cfg = {k: v for k, v in workspace["cfg"].items() if k != "corpus_dir"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, "output_dir": str(tmp_path / "runs")}))
+        assert cli.main(["train", "--config", str(path)]) == 2
+        assert "config key 'corpus_dir' is required for this command" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_integer_too_large_for_a_float_is_a_config_error(self, tmp_path):
         path = tmp_path / "big.json"
@@ -293,6 +317,24 @@ class TestIngestCommand:
         path.write_text(json.dumps(cfg))
         assert cli.main(["ingest", "--config", str(path)]) == 1
         assert "min_df=2 keeps 1 token(s); a vocabulary needs at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bad,body", [
+        ("valid_file", b"alpha beta caf\xe9\n"),
+        ("stopword_file", b"\xff\xfea\x00\n\x00"),
+    ], ids=["valid.txt", "stop-words"])
+    def test_a_file_that_is_not_utf8_exits_1_before_output(self, tmp_path, capsys, bad, body):
+        cfg = {"min_df": 1, "corpus_dir": str(tmp_path / "out")}
+        for name in ("train", "valid", "test"):
+            cfg[f"{name}_file"] = str(tmp_path / f"{name}.txt")
+            (tmp_path / f"{name}.txt").write_text("alpha beta\nalpha gamma\n")
+        cfg["stopword_file"] = str(tmp_path / "stop.txt")
+        (tmp_path / "stop.txt").write_text("the\n")
+        Path(cfg[bad]).write_bytes(body)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["ingest", "--config", str(path)]) == 1
+        assert f"error: {cfg[bad]}: not UTF-8 text" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_higher_min_df_gives_smaller_vocab(self, workspace, tmp_path):
@@ -653,6 +695,13 @@ class TestKlTestCommand:
         assert cli.main(args) == 2
         assert "'checkpoint_epoch0002-old.ckpt' is not an epoch checkpoint name" in capsys.readouterr().err
         assert not (run_dir / "kl_test.csv").exists()
+
+    def test_a_run_dir_without_epoch_checkpoints_exits_2(self, workspace, tmp_path, capsys):
+        shutil.copy(workspace["run_dir"] / "best.ckpt", tmp_path / "best.ckpt")
+        args = ["kl-test", "--config", str(workspace["cfg_path"]), "--run-dir", str(tmp_path)]
+        assert cli.main(args) == 2
+        assert f"no epoch checkpoints under {tmp_path}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
 
     def test_missing_run_dir(self, workspace):
         rc = cli.main([

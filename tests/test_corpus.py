@@ -198,16 +198,13 @@ def test_vectorize_matches_a_per_document_count(tmp_path_factory, token_docs):
 class TestIterBatches:
     def test_batches_cover_the_split_in_order(self):
         corpus = corpus_of([{i % 3: i + 1} for i in range(7)], "valid")
-        batches = list(cp.iter_batches(corpus, 3, 3, np.float64))
+        batches = [cp.dense_counts(corpus, range(a, min(a + 3, 7)), 3, np.float64) for a in (0, 3, 6)]
         assert [b.shape for b in batches] == [(3, 3), (3, 3), (1, 3)]
         whole = cp.dense_counts(corpus, range(7), 3, np.float64)
         np.testing.assert_array_equal(
             np.concatenate([b.x_norm.toarray() for b in batches]), whole.x_norm.toarray()
         )
         np.testing.assert_array_equal(np.concatenate([b.counts for b in batches]), whole.counts)
-
-    def test_empty_split_yields_nothing(self):
-        assert list(cp.iter_batches(corpus_of([], "test"), 4, 2, np.float64)) == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -237,6 +234,14 @@ def test_dense_counts_matches_per_token_loop(maps, data):
     np.testing.assert_array_equal(got.rows, rows)
     np.testing.assert_array_equal(got.cols, cols)
     np.testing.assert_array_equal(got.counts, expected[rows, cols])
+
+
+def test_dense_counts_refuses_a_word_id_outside_the_vocabulary():
+    # scipy's CSR -> CSC conversion does not check its indices
+    corpus = corpus_of([{0: 1}, {2: 1, 5: 3}])
+    with pytest.raises(ValueError, match="^word id 5 outside a vocabulary of 5$"):
+        cp.dense_counts(corpus, [0, 1], 5, np.float32)
+    assert cp.dense_counts(corpus, [0, 1], 6, np.float32).shape == (2, 6)
 
 
 class TestBowCorpus:
@@ -292,6 +297,14 @@ class TestTake:
     def test_result_is_read_only(self):
         with pytest.raises(ValueError):
             self.CORPUS.take([1]).counts[0] = 9
+
+
+def test_dataset_split_refuses_an_unknown_name():
+    corpus = corpus_of([{0: 1}], "train", "x")
+    dataset = cp.Dataset(cp.Vocabulary(["a", "b"], np.array([1, 1])), corpus, corpus, corpus)
+    assert dataset.split("valid") is corpus
+    with pytest.raises(ValueError, match="unknown split 'dev'"):
+        dataset.split("dev")
 
 
 def _docs(n):

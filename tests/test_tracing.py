@@ -17,7 +17,7 @@ import pytest
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 # entries the package no longer defines; the tracer is due to drop them
-KNOWN_MISSING = {("trainer", "predict_batch"), ("metrics", "dense_counts")}
+KNOWN_MISSING = {("trainer", "predict_batch")}
 
 
 def _load_tracing():

@@ -16,7 +16,7 @@ from conftest import captured
 from diffetm import autodiff as ad
 from diffetm import metrics, model
 from diffetm import trainer as tr
-from diffetm.corpus import dense_counts, iter_batches
+from diffetm.corpus import BowCorpus, dense_counts
 from diffetm.model import ModelConfig, forward_batch, init_params
 
 
@@ -153,6 +153,13 @@ class TestTrain:
         assert report.val_perplexity[1] is not None
         assert report.val_perplexity[2] is None
 
+    @pytest.mark.parametrize("split", ["train", "valid"])
+    def test_splits_not_bound_to_the_vocabulary_are_refused(self, tiny_dataset, tiny_config, split):
+        c = tiny_dataset.split(split)
+        stray = BowCorpus(split, c.indptr, c.ids, c.counts, "another")
+        with pytest.raises(ValueError, match="not bound to the dataset vocabulary"):
+            tr.train(tiny_config, tiny_train_config(), replace(tiny_dataset, **{split: stray}))
+
     def test_eval_every_beyond_epochs_is_rejected(self, tiny_dataset, tiny_config, tmp_path):
         tr.TrainConfig(epochs=3, eval_every=3).validate()
         with pytest.raises(ValueError, match="eval_every must be <= epochs"):
@@ -288,18 +295,24 @@ class TestValidate:
         monkeypatch.setattr(metrics, "EVAL_BATCH_SIZE", 3)
         store = init_params(tiny_config, tiny_dataset.vocab.V, np.random.default_rng(1))
         expected = tr.validate(store, tiny_config, tiny_dataset.valid, np.random.default_rng(2))
-        rows = []
-        encode = model.encode_mu_logvar
+        rows, indices = [], []
+        encode, densify = model.encode_mu_logvar, metrics.dense_counts
 
         def counted(x_norm, store):
             rows.append(x_norm.shape[0])
             return encode(x_norm, store)
 
+        def recorded(corpus, idx, size, dtype):
+            indices.extend(idx)
+            return densify(corpus, idx, size, dtype)
+
         monkeypatch.setattr(model, "encode_mu_logvar", counted)
+        monkeypatch.setattr(metrics, "dense_counts", recorded)
         got = tr.validate(store, tiny_config, tiny_dataset.valid, np.random.default_rng(2))
         assert got == expected
         assert sum(rows) == len(tiny_dataset.valid)
         assert max(rows) == 3
+        assert indices == list(range(len(tiny_dataset.valid)))
 
 
 class TestRealizedZKl:
@@ -324,7 +337,9 @@ class TestRealizedZKl:
             rng = np.random.default_rng(2)
             with monkeypatch.context() as patch:
                 zs = captured(patch, model, "reparameterize")
-                for x in iter_batches(tiny_dataset.valid, tiny_dataset.vocab.V, 3, np.float32):
+                n, v = len(tiny_dataset.valid), tiny_dataset.vocab.V
+                for start in range(0, n, 3):
+                    x = dense_counts(tiny_dataset.valid, range(start, min(start + 3, n)), v, np.float32)
                     forward_batch(x, store, cfg, rng)
             z = np.concatenate([t.data for t in zs])
             var = np.maximum(z.var(axis=0), 1e-12)
@@ -535,6 +550,34 @@ class TestCheckpointIO:
                 store.add(name, t.data)
         path, _ = self._saved(tmp_path, tiny_config, store)
         with pytest.raises(tr.CorruptCheckpoint, match="topic_emb"):
+            tr.load_checkpoint(path)
+
+    def test_missing_word_emb(self, tiny_config, tmp_path):
+        # the vocabulary size is read from word_emb, so it is checked before the shapes
+        store = init_params(tiny_config, 9, np.random.default_rng(2))
+        lean = ad.ParamStore()
+        for name, t in store.items():
+            if name != "word_emb":
+                lean.add(name, t.data)
+        path, _ = self._saved(tmp_path, tiny_config, lean)
+        with pytest.raises(tr.CorruptCheckpoint, match="missing parameter 'word_emb'"):
+            tr.load_checkpoint(path)
+
+    MODE = 8 + 4 + struct.calcsize("<IIIIddd")  # the mode byte of the config block
+
+    @pytest.mark.parametrize("code", [3, 255])
+    def test_a_mode_code_past_the_modes_is_refused(self, tiny_config, tmp_path, code):
+        path, raw = self._saved(tmp_path, tiny_config)
+        assert raw[self.MODE] == model.MODES.index(tiny_config.mode)
+        raw[self.MODE] = code
+        path.write_bytes(bytes(raw))
+        with pytest.raises(tr.CorruptCheckpoint, match=f"mode code {code} names no mode"):
+            tr.load_checkpoint(path)
+
+    def test_trailing_bytes_are_refused(self, tiny_config, tmp_path):
+        path, raw = self._saved(tmp_path, tiny_config)
+        path.write_bytes(bytes(raw) + b"\0\0\0")
+        with pytest.raises(tr.CorruptCheckpoint, match="3 trailing bytes"):
             tr.load_checkpoint(path)
 
     def test_invalid_config(self, tiny_config, tmp_path):
