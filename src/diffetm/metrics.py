@@ -1,11 +1,12 @@
 """Evaluation suite: top words, NPMI coherence, diversity, quality, and
 held-out perplexity.
 
-Coherence uses document-level binary co-occurrence statistics from a
-reference corpus (the training split, never test, to avoid leakage) over
-each topic's top 10 words; diversity is the unique fraction of the top 25
-words across topics; quality is their product; perplexity is the
-exponentiated per-token negative log-likelihood on the deterministic
+Coherence reads a reference corpus (the training split, never test, to
+avoid leakage) as one (documents, V) 0/1 occurrence matrix in scipy's
+word-major CSC layout, and scores each topic's top 10 words from their
+column lengths and joint document counts; diversity is the unique fraction
+of the top 25 words across topics; quality is their product; perplexity is
+the exponentiated per-token negative log-likelihood on the deterministic
 evaluation path, computed in one pass together with the mean closed-form
 KL and the X0, mu and logvar that validation draws its z from.
 """
@@ -63,38 +64,11 @@ def top_words(beta: np.ndarray, n: int) -> list[list[int]]:
     return out
 
 
-class CooccurrenceStats:
-    """Document frequencies and word-major postings of a reference corpus.
-
-    Occurrence is binary per document.  Word w occurs in the documents
-    ``docs[indptr[w]:indptr[w + 1]]``, ascending; joint counts are computed
-    per word list on demand, so building the stats is linear in the corpus.
-    """
-
-    def __init__(self, n_docs: int, indptr: np.ndarray, docs: np.ndarray):
-        self.n_docs = n_docs
-        self.indptr = indptr
-        self.docs = docs
-        self.doc_freq = np.diff(indptr)
-
-    @property
-    def vocab_size(self) -> int:
-        return len(self.indptr) - 1
-
-    def joint_counts(self, words: list[int]) -> np.ndarray:
-        """The (len(words), len(words)) float64 matrix of joint document
-        counts, one product of the words' 0/1 document indicators: the
-        counts stay exact integers below 2**53 documents."""
-        ind = np.zeros((len(words), self.n_docs))
-        for row, w in zip(ind, words):
-            row[self.docs[self.indptr[w]:self.indptr[w + 1]]] = 1.0
-        return ind @ ind.T
-
-
-def build_cooccurrence(corpus: BowCorpus, vocab_size: int) -> CooccurrenceStats:
-    """Postings of every word id below vocab_size: the corpus's CSR arrays
-    converted to word-major order by scipy's compiled transpose, which keeps
-    each word's documents ascending."""
+def build_cooccurrence(corpus: BowCorpus, vocab_size: int) -> sparse.csc_array:
+    """The (documents, vocab_size) 0/1 occurrence matrix of the corpus in
+    word-major order: word w occurs in the documents
+    ``indices[indptr[w]:indptr[w + 1]]``, ascending, as scipy's compiled
+    CSR-to-CSC conversion leaves them."""
     ids = corpus.ids
     # scipy's conversion does not check indices, so a bad id must stop here
     if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
@@ -106,8 +80,17 @@ def build_cooccurrence(corpus: BowCorpus, vocab_size: int) -> CooccurrenceStats:
         (np.ones(ids.size, dtype=np.int8), ids.astype(index), corpus.indptr.astype(index)),
         shape=(len(corpus), vocab_size),
     )
-    by_word = by_doc.tocsc()
-    return CooccurrenceStats(len(corpus), by_word.indptr, by_word.indices)
+    return by_doc.tocsc()
+
+
+def joint_counts(stats: sparse.csc_array, words: list[int]) -> np.ndarray:
+    """The (len(words), len(words)) float64 matrix of joint document counts,
+    one product of the words' 0/1 document indicators: the counts stay exact
+    integers below 2**53 documents."""
+    ind = np.zeros((len(words), stats.shape[0]))
+    for row, w in zip(ind, words):
+        row[stats.indices[stats.indptr[w]:stats.indptr[w + 1]]] = 1.0
+    return ind @ ind.T
 
 
 def npmi_pair(p_i: float, p_j: float, p_ij: float) -> float:
@@ -125,18 +108,18 @@ def npmi_pair(p_i: float, p_j: float, p_ij: float) -> float:
     return min(1.0, max(-1.0, math.log(p_ij / (p_i * p_j)) / (-math.log(p_ij))))
 
 
-def npmi_coherence(topics: list[list[int]], stats: CooccurrenceStats) -> float:
-    """Mean over topics of the mean pairwise NPMI of their top words."""
-    n = stats.n_docs
+def npmi_coherence(topics: list[list[int]], stats: sparse.csc_array) -> float:
+    """Mean over topics of the mean pairwise NPMI of their top words, from
+    build_cooccurrence's occurrence matrix."""
+    n, vocab_size = stats.shape
+    doc_freq = np.diff(stats.indptr)
     per_topic = []
     for words in topics:
         for w in words:
-            if not 0 <= w < stats.vocab_size:
-                raise VocabularyMismatch(
-                    f"word id {w} outside reference vocabulary of {stats.vocab_size}"
-                )
-        joint = stats.joint_counts(words).tolist()
-        p = (stats.doc_freq[words] / n).tolist()
+            if not 0 <= w < vocab_size:
+                raise VocabularyMismatch(f"word id {w} outside reference vocabulary of {vocab_size}")
+        joint = joint_counts(stats, words).tolist()
+        p = (doc_freq[words] / n).tolist()
         scores = []
         for i, j in combinations(range(len(words)), 2):
             scores.append(npmi_pair(p[i], p[j], joint[i][j] / n))

@@ -421,6 +421,7 @@ class TestTrainCommand:
             for name in ("a.ckpt", "best.ckpt", "report.json")
         }
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_rerun_manifest_excludes_itself(self, workspace, tmp_path):
         path = tmp_path / "diverge.json"
         path.write_text(json.dumps({

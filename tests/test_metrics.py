@@ -96,14 +96,17 @@ class TestNpmi:
 
     def test_vocabulary_mismatch(self):
         stats = mx.build_cooccurrence(corpus_of([{0}]), 1)
-        with pytest.raises(mx.VocabularyMismatch):
-            mx.npmi_coherence([[0, 5]], stats)
+        # V = 1, so -1 and 1 are the nearest ids outside on either side
+        for bad in (5, -1, 1):
+            with pytest.raises(mx.VocabularyMismatch, match=f"word id {bad} "):
+                mx.npmi_coherence([[0, bad]], stats)
 
     def test_joint_bounded_by_marginals(self):
         stats = mx.build_cooccurrence(corpus_of([{0, 1}, {0}, {0, 1}, {1}, {0}]), 2)
-        joint = stats.joint_counts([0, 1])
-        assert joint[0, 1] <= min(stats.doc_freq[0], stats.doc_freq[1])
-        assert joint[0, 1] == stats.joint_counts([1, 0])[1, 0]
+        doc_freq = np.diff(stats.indptr)
+        joint = mx.joint_counts(stats, [0, 1])
+        assert joint[0, 1] <= min(doc_freq[0], doc_freq[1])
+        assert joint[0, 1] == mx.joint_counts(stats, [1, 0])[1, 0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -121,12 +124,13 @@ def test_npmi_values_bounded(id_sets, words):
 @given(st.lists(st.sets(st.integers(0, 7)), max_size=12))
 def test_postings_match_the_per_document_loop(id_sets):
     stats = mx.build_cooccurrence(corpus_of(id_sets), 8)
-    assert stats.n_docs == len(id_sets)
-    joint = stats.joint_counts(list(range(8)))
+    assert stats.shape == (len(id_sets), 8)
+    doc_freq = np.diff(stats.indptr)
+    joint = mx.joint_counts(stats, list(range(8)))
     for w in range(8):
         expected = [d for d, ids in enumerate(id_sets) if w in ids]
-        assert stats.doc_freq[w] == len(expected)
-        assert stats.docs[stats.indptr[w]:stats.indptr[w + 1]].tolist() == expected
+        assert doc_freq[w] == len(expected)
+        assert stats.indices[stats.indptr[w]:stats.indptr[w + 1]].tolist() == expected
         for w2 in range(8):
             both = sum(1 for ids in id_sets if w in ids and w2 in ids)
             assert joint[w, w2] == both

@@ -46,6 +46,7 @@ class TestTrain:
         r2 = tr.train(tiny_config, cfg, tiny_dataset)
         assert r1.to_json() == r2.to_json()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_partial_report(self, tiny_dataset, tiny_config):
         # absurd learning rate forces non-finite loss quickly
         cfg = tiny_train_config(epochs=60, learning_rate=1e9)
@@ -53,6 +54,7 @@ class TestTrain:
             tr.train(tiny_config, cfg, tiny_dataset)
         assert excinfo.value.report is not None
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_writes_the_partial_report(self, tiny_dataset, tiny_config, tmp_path):
         with pytest.raises(tr.Diverged) as excinfo:
             tr.train(tiny_config, tiny_train_config(epochs=60, learning_rate=1e9), tiny_dataset, tmp_path)
