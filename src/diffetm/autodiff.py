@@ -22,7 +22,10 @@ pre-activation is kept.
 The model's loss is two nodes with hand-written backwards:
 ``log_likelihood`` reads X' at a batch's nonzero entries alone, and
 ``gaussian_kl`` sums the closed-form Gaussian KL terms.  Evaluation takes its
-log-likelihood from the same node, on a graph-free tensor.
+log-likelihood from the same node, on a graph-free tensor.  No backward
+reads X''s value, so ``model.forward_batch`` releases X' as soon as the
+loss has gathered its entries: a training step never holds X' and its
+gradient at once, and X' must be read before ``forward_batch`` returns.
 
 Backward closures receive the output gradient as an argument and capture
 only input tensors and saved arrays, never the output node itself, so a
@@ -58,8 +61,8 @@ class NotScalar(ValueError):
 
 
 class GraphConsumed(RuntimeError):
-    """backward() reached, or a read asked for the value of, a node that an
-    earlier backward has released."""
+    """backward() reached a node that an earlier backward has released, or a
+    read asked for the value of a node whose value was released."""
 
 
 _grad_enabled = True
@@ -104,7 +107,7 @@ class Tensor:
 
     def _value(self) -> np.ndarray:
         if self.data is None:
-            raise GraphConsumed("read of a graph node an earlier backward released")
+            raise GraphConsumed("read of a graph node whose value was released")
         return self.data
 
     @property
@@ -323,10 +326,13 @@ def log_likelihood(x: Tensor, rows, cols, counts: np.ndarray, floor: float) -> T
     """The 1x1 sum of counts * log(max(x[rows, cols], floor)), summed in the
     dtype of counts * x.
 
-    x is read at the listed entries alone.  The (row, col) pairs must be
-    distinct: the backward scatters the entries' gradient into zeros shaped
-    like x by assignment, so a repeated pair would keep only one of its
-    gradients.  The gradient reaches an entry only where x > floor (not NaN).
+    x is read at the listed entries alone, and only here: the backward
+    takes x's shape and dtype from the forward, so an interior x may have
+    its value released once this returns (``model.forward_batch`` releases
+    X').  The (row, col) pairs must be distinct: the backward scatters the
+    entries' gradient into zeros shaped like x by assignment, so a repeated
+    pair would keep only one of its gradients.  The gradient reaches an
+    entry only where x > floor (not NaN).
     """
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
@@ -336,9 +342,10 @@ def log_likelihood(x: Tensor, rows, cols, counts: np.ndarray, floor: float) -> T
         )
     picked = x.data[rows, cols]
     clamped = np.maximum(picked, floor)
+    shape, dtype = x.data.shape, x.data.dtype
 
     def back(g: np.ndarray) -> None:
-        out = np.zeros_like(x.data)
+        out = np.zeros(shape, dtype=dtype)
         out[rows, cols] = g[0, 0] * counts / clamped * (picked > floor)
         _accum(x, out)
 

@@ -166,6 +166,8 @@ def perplexity_and_kl(
         ).item()
         per_doc = 0.5 * (mu ** 2 + np.exp(logvar) - logvar - 1.0).sum(axis=1)
         kl_sum += float(per_doc.sum())
+        # the next batch's prediction is not to overlap this (B, V) X'
+        del batch, x_prime
     ppl = float(np.exp(-log_lik / corpus_split.total_tokens()))
     x0, mu, logvar = (None if arrays[0] is None else np.concatenate(arrays) for arrays in zip(*latents))
     return ppl, kl_sum / n, (x0, mu, logvar)

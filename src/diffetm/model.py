@@ -321,9 +321,15 @@ def forward_batch(
     Given an rng, eps is sampled (training); without one it is replaced by
     its conditional mean and no randomness is consumed (evaluation).  One
     beta is shared by every document of the batch.
+
+    The loss releases X' once it has gathered the nonzero counts, before
+    the backward allocates X''s gradient: X' must be read before this
+    returns (wrap ``reconstruct``); reading it after raises GraphConsumed.
     """
     _, mu, logvar, x_prime = _forward_core(x_counts, store, config, rng)
     recon = reconstruction_loss(x_counts, x_prime)
+    # no backward reads X''s value: the (B, V) array goes now
+    x_prime.data = None
     kl = kl_loss(mu, logvar)
     total = total_loss(recon, kl, config.kl_weight)
     return ForwardResult(recon=recon, kl=kl, total=total)

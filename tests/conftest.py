@@ -66,15 +66,20 @@ def graph_nodes(output: ad.Tensor) -> list[ad.Tensor]:
     return list(seen.values())
 
 
-def captured(monkeypatch, module, name: str) -> list:
+def captured(monkeypatch, module, name: str, values: bool = False) -> list:
     """Every result of module.<name> from now on, in call order: the function
-    is wrapped at the attribute its callers look it up by."""
+    is wrapped at the attribute its callers look it up by.
+
+    values records each resulting tensor's array as it is returned, for a
+    value that is released before the caller returns (forward_batch's X').
+    """
     results = []
     fn = getattr(module, name)
 
     def wrapper(*args):
-        results.append(fn(*args))
-        return results[-1]
+        out = fn(*args)
+        results.append(out.data if values else out)
+        return out
 
     monkeypatch.setattr(module, name, wrapper)
     return results

@@ -506,6 +506,31 @@ class TestGather:
         ad.backward(out)
         assert out_dtype == p.grad.dtype == np.float32
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_reads_no_value_of_its_input(self, dtype):
+        """The gradient is the same, bit for bit, when the input's value is
+        released after the forward, as model.forward_batch releases X'."""
+        rng = np.random.default_rng(4)
+        values = rng.dirichlet(np.ones(9), size=5).astype(dtype)
+        values[2, 3] = 1e-14  # below the floor: no gradient there
+        rows, cols = np.nonzero(rng.integers(0, 2, size=values.shape))
+        rows, cols = np.append(rows, 2), np.append(cols, 3)
+        counts = rng.integers(1, 5, size=rows.size).astype(dtype)
+
+        def grad(release):
+            store = ad.ParamStore()
+            p = store.add("p", values)
+            x = ad.scale(p, 1.0)  # an interior node, the loss its one reader
+            out = ad.log_likelihood(x, rows, cols, counts, 1e-12)
+            if release:
+                x.data = None
+            ad.backward(out)
+            return p.grad
+
+        kept, released = grad(False), grad(True)
+        assert released.dtype == dtype
+        assert released.tobytes() == kept.tobytes()
+
     def test_index_shapes_must_agree(self):
         x = ad.Tensor(np.ones((2, 2)))
         with pytest.raises(ad.ShapeMismatch):

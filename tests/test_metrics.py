@@ -1,4 +1,6 @@
 import math
+import weakref
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import batch_of
 from diffetm import metrics as mx
 from diffetm.corpus import BowCorpus
-from diffetm.model import init_params
+from diffetm.model import MODES, init_params
 
 
 def corpus_of(id_sets):
@@ -271,6 +273,38 @@ class TestPerplexity:
     def test_at_least_one(self, tiny_dataset, tiny_config):
         store = init_params(tiny_config, tiny_dataset.vocab.V, np.random.default_rng(5))
         assert mx.perplexity(store, tiny_config, tiny_dataset.valid) >= 1.0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_holds_one_prediction_at_a_time(self, tiny_dataset, tiny_config, monkeypatch, mode):
+        """A split of several evaluation batches drops each batch and its X'
+        before the next prediction, with the bits of a pass that keeps them."""
+        monkeypatch.setattr(mx, "EVAL_BATCH_SIZE", 2)
+        config = replace(tiny_config, mode=mode)
+        store = init_params(config, tiny_dataset.vocab.V, np.random.default_rng(6))
+        split = tiny_dataset.valid
+        predict = mx.predict_batch
+        kept = []
+
+        def keeping(batch, store, config):
+            kept.append((batch, predict(batch, store, config)))
+            return kept[-1][1]
+
+        monkeypatch.setattr(mx, "predict_batch", keeping)
+        expected = mx.perplexity_and_kl(store, config, split)
+        alive = []
+
+        def watched(batch, store, config):
+            assert all(ref() is None for ref in alive)
+            out = predict(batch, store, config)
+            alive[:] = [weakref.ref(batch), weakref.ref(out[3])]
+            return out
+
+        monkeypatch.setattr(mx, "predict_batch", watched)
+        ppl, kl, latents = mx.perplexity_and_kl(store, config, split)
+        assert len(kept) > 2
+        assert (ppl, kl) == expected[:2]
+        for got, want in zip(latents, expected[2], strict=True):
+            assert (got is None and want is None) or got.tobytes() == want.tobytes()
 
     def test_empty_split_rejected(self, tiny_dataset, tiny_config):
         store = init_params(tiny_config, tiny_dataset.vocab.V, np.random.default_rng(5))

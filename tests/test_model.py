@@ -126,6 +126,15 @@ def small_setup(seed=0, v=12, k=4, e=5, h=7, n=3, mode="diffusion"):
     return cfg, store, x
 
 
+def wide_corpus(b, v):
+    """b documents of 20-59 distinct words each over a vocabulary of v, with
+    counts 1-4: at v in the thousands, the (b, v) arrays dwarf the rest."""
+    rng = np.random.default_rng(8)
+    lengths = rng.integers(20, 60, size=b)
+    ids = np.concatenate([np.sort(rng.choice(v, size=n, replace=False)) for n in lengths])
+    return BowCorpus("train", np.append(0, np.cumsum(lengths)), ids, rng.integers(1, 5, ids.size), "r")
+
+
 def zero_store(cfg, v):
     store = m.init_params(cfg, v, np.random.default_rng(0))
     for _, t in store.items():
@@ -591,14 +600,62 @@ class TestForwardBatch:
     @pytest.mark.parametrize("mode", m.MODES)
     def test_stochastic_rows_sum_to_one(self, mode, monkeypatch):
         cfg, store, x = small_setup(mode=mode, seed=11)
-        x_primes = captured(monkeypatch, m, "reconstruct")
+        # X' as reconstruct returns it: the loss releases it before forward_batch returns
+        x_primes = captured(monkeypatch, m, "reconstruct", values=True)
         m.forward_batch(batch_of(x, np.float32), store, cfg, np.random.default_rng(2))
         with ad.no_grad():
             beta = m.topic_word_dist(store["topic_emb"], store["word_emb"]).data
         np.testing.assert_allclose(beta.sum(axis=1), 1.0, atol=1e-6)
         (x_prime,) = x_primes
-        np.testing.assert_allclose(x_prime.data.sum(axis=1), 1.0, atol=1e-6)
-        assert (x_prime.data > 0).all()
+        np.testing.assert_allclose(x_prime.sum(axis=1), 1.0, atol=1e-6)
+        assert (x_prime > 0).all()
+
+    @pytest.mark.parametrize("mode", m.MODES)
+    def test_a_training_step_releases_x_prime(self, mode, monkeypatch):
+        cfg, store, x = small_setup(mode=mode)
+        x_primes = captured(monkeypatch, m, "reconstruct")
+        result = m.forward_batch(batch_of(x, np.float32), store, cfg, np.random.default_rng(1))
+        (x_prime,) = x_primes
+        # an interior node of the step's graph, still to be differentiated
+        assert x_prime._parents and x_prime._backward is not None
+        assert x_prime.data is None
+        with pytest.raises(ad.GraphConsumed, match="released"):
+            x_prime.rows
+        result.values()  # the losses keep their values
+        ad.backward(result.total)
+
+    @pytest.mark.parametrize("mode", m.MODES)
+    def test_a_training_step_never_holds_x_prime_and_its_gradient(self, mode):
+        """At a shape where the (B, V) arrays dominate, the second step's
+        traced peak stays below its graph plus one (B, V) array, X''s
+        gradient.  At B=512, V=4096, float32 the (B, V) array is 8.4 MB and
+        the rest of the bound about 2 MB, so holding X' too would exceed it."""
+        b, v, k, e, h = 512, 4096, 4, 8, 8
+        corpus = wide_corpus(b, v)
+        cfg = m.ModelConfig(num_topics=k, embed_size=e, hidden_size=h, mode=mode)
+        store = m.init_params(cfg, v, np.random.default_rng(1))
+        state, noise = ad.AdamState(lr=0.01), np.random.default_rng(2)
+        batch = dense_counts(corpus, range(b), v, np.float32)
+        # a first step, so that the Adam moments, lazy imports and caches are not counted
+        ad.backward(m.forward_batch(batch, store, cfg, noise).total, store, state)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            ad.backward(m.forward_batch(batch, store, cfg, noise).total, store, state)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        s, nnz = 4, batch.counts.size
+        # the graph: per encoder two (B, H) and one (B, K) values, ten (B, K)
+        # latent nodes with room to spare, the (K, V) logits and beta, and
+        # the loss's gathers and float counts at the nonzero entries
+        graph = b * (3 * (2 * h + k) + 16 * k) * s + 2 * k * v * s + 4 * nnz * s
+        # the backward's transients beside X''s gradient: at most every
+        # parameter gradient, the (K, V) and nonzero-entry temporaries, one
+        # Adam block and the Python objects of the graph
+        params = sum(t.data.nbytes for _, t in store.items())
+        transients = params + 2 * k * v * s + 4 * nnz * s + ad.ADAM_BLOCK * s + 64 * 1024
+        assert peak < graph + b * v * s + transients
 
 
 class TestAdamInBackward:
@@ -631,17 +688,25 @@ class TestAdamInBackward:
 
 class TestDtype:
     @pytest.mark.parametrize("mode", m.MODES)
-    def test_training_step_stays_float32(self, mode):
+    def test_training_step_stays_float32(self, mode, monkeypatch):
         cfg, store, x = small_setup(mode=mode)
+        # X' as reconstruct returns it: the loss releases it before forward_batch returns
+        x_primes = captured(monkeypatch, m, "reconstruct", values=True)
         result = m.forward_batch(batch_of(x, np.float32), store, cfg, np.random.default_rng(1))
-        seen, stack = set(), [result.total]
+        (x_prime,) = x_primes
+        assert x_prime.dtype == np.float32
+        seen, stack, released = set(), [result.total], 0
         while stack:
             t = stack.pop()
             if id(t) in seen:
                 continue
             seen.add(id(t))
-            assert t.data.dtype == np.float32, t
+            if t.data is None:
+                released += 1
+            else:
+                assert t.data.dtype == np.float32, t
             stack.extend(t._parents)
+        assert released == 1
         assert len(seen) > len(store)
         for array in m.predict_batch(batch_of(x, np.float32), store, cfg):
             assert array is None or array.dtype == np.float32
@@ -748,10 +813,7 @@ class TestPredictBatch:
         (B, V) array of the model's dtype and little more: no float64 count
         matrix on the way."""
         b, v = 256, 4096
-        rng = np.random.default_rng(8)
-        lengths = rng.integers(20, 60, size=b)
-        ids = np.concatenate([np.sort(rng.choice(v, size=n, replace=False)) for n in lengths])
-        corpus = BowCorpus("train", np.append(0, np.cumsum(lengths)), ids, rng.integers(1, 5, ids.size), "r")
+        corpus = wide_corpus(b, v)
         cfg = m.ModelConfig(num_topics=4, embed_size=8, hidden_size=16)
         store = m.init_params(cfg, v, np.random.default_rng(1))
         if dtype == np.float64:
