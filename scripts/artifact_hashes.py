@@ -11,7 +11,9 @@ runs one diffusion ``train`` that validates every other epoch, keeps one
 epoch checkpoint and clips its gradients, followed by ``kl-test``.  Last,
 one short ``train`` with ``--preset`` and ``--seed`` on a config that leaves
 the preset's keys unset, so the merged config, and with it the run id and
-the manifest, passes through every layer (defaults < preset < file < flags).
+the manifest, passes through every layer (defaults < preset < file < flags);
+then ``kl-test`` on that run and the same ``train`` again, which leaves the
+run directory without kl-test's output, as a retrain must.
 Prints ``{relative path: sha256}`` for every file the run left, as JSON.  A change
 that must keep every artifact byte-identical is checked with one command,
 which runs the script once more in a subprocess with the other tree's
@@ -128,7 +130,13 @@ def run(work: Path, seed: int = 17) -> dict[str, str]:
         run_dir = Path(SINGLE["output_dir"]) / cli.run_id_of(cli.load_config("single.json"))
         _diffetm("kl-test", "--config", "single.json", "--run-dir", run_dir)
         Path("preset.json").write_text(json.dumps(PRESET_CONFIG))
-        _diffetm("train", "--config", "preset.json", "--preset", PRESET, "--seed", PRESET_SEED)
+        preset = ("--config", "preset.json", "--preset", PRESET, "--seed", PRESET_SEED)
+        _diffetm("train", *preset)
+        run_dir = Path(PRESET_CONFIG["output_dir"]) / cli.run_id_of(
+            cli.load_config("preset.json", PRESET, {"seed": PRESET_SEED})
+        )
+        _diffetm("kl-test", *preset, "--run-dir", run_dir)
+        _diffetm("train", *preset)
     finally:
         os.chdir(cwd)
     return {

@@ -45,7 +45,7 @@ from .corpus import (
 )
 from .metrics import VocabularyMismatch
 from .model import MAX_DIFF_STEPS, ModelConfig
-from .trainer import CorruptCheckpoint, Diverged, TrainConfig, load_checkpoint
+from .trainer import KL_TEST_CSV, KL_TEST_MANIFEST, CorruptCheckpoint, Diverged, TrainConfig, load_checkpoint
 
 
 class ConfigError(ValueError):
@@ -187,15 +187,10 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-# kl-test writes into a run directory; a name of its own keeps the run's manifest
-KL_TEST_MANIFEST = "kl_test_manifest.json"
-KL_TEST_CSV = "kl_test.csv"
-
-
 def _run_artifacts(run_dir: Path) -> list[Path]:
-    """A run directory's files that train's manifest hashes: not the
-    manifests, nor kl-test's csv, which its own manifest hashes."""
-    return [p for p in sorted(run_dir.glob("*")) if p.name not in ("manifest.json", KL_TEST_CSV, KL_TEST_MANIFEST)]
+    """A run directory's files that train's manifest hashes: all but the
+    manifest itself, as train has removed any earlier kl-test's output."""
+    return [p for p in sorted(run_dir.glob("*")) if p.name != "manifest.json"]
 
 
 # the variables OpenBLAS reads its thread count from, in the order it reads them
@@ -353,25 +348,19 @@ def cmd_train(cfg: dict) -> int:
     run_dir = _output_dir(Path(cfg["output_dir"]) / run_id_of(cfg))
     dataset = load_dataset(_require_dir_key(cfg, "corpus_dir"))
     try:
-        report = trainer_mod.train(model_config_of(cfg), train_config_of(cfg), dataset, run_dir)
+        outcome = trainer_mod.train(model_config_of(cfg), train_config_of(cfg), dataset, run_dir)
     except Diverged as exc:
-        _close_train_dir(run_dir, cfg)
-        print(f"[train] diverged: {exc}", file=sys.stderr)
+        outcome = exc
+    # a finished or a diverged train has a manifest; any other failure leaves none
+    write_manifest(run_dir, "train", cfg, _run_artifacts(run_dir))
+    if isinstance(outcome, Diverged):
+        print(f"[train] diverged: {outcome}", file=sys.stderr)
         return 1
-    _close_train_dir(run_dir, cfg)
     print(
-        f"[train] best validation perplexity {report.best_val_perplexity:.2f} "
-        f"at epoch {report.best_epoch} -> {run_dir}"
+        f"[train] best validation perplexity {outcome.best_val_perplexity:.2f} "
+        f"at epoch {outcome.best_epoch} -> {run_dir}"
     )
     return 0
-
-
-def _close_train_dir(run_dir: Path, cfg: dict) -> None:
-    """Write train's manifest, then remove the output of a kl-test of an
-    earlier train into run_dir: it describes other checkpoints."""
-    write_manifest(run_dir, "train", cfg, _run_artifacts(run_dir))
-    for name in (KL_TEST_CSV, KL_TEST_MANIFEST):
-        (run_dir / name).unlink(missing_ok=True)
 
 
 def _export_top_words(beta, vocab, n: int, path: Path) -> None:
@@ -457,6 +446,8 @@ def cmd_kl_test(cfg: dict, run_dir_arg: str) -> int:
     run_dir = Path(run_dir_arg)
     if not run_dir.exists():
         raise ConfigError(f"run directory does not exist: {run_dir}")
+    if not run_dir.is_dir():
+        raise ConfigError(f"run directory is not a directory: {run_dir}")
     found = run_dir.glob("checkpoint_epoch*.ckpt")
     try:  # by epoch number: as a name, epoch 10000 sorts before 9999
         ckpts = sorted((trainer_mod.checkpoint_epoch(p.name), p) for p in found)

@@ -46,7 +46,7 @@ CONFIG_BLOCK = struct.Struct("<IIIIdddBq")
 class Diverged(RuntimeError):
     """Training produced a non-finite loss or validation (learning rate too high)."""
 
-    def __init__(self, message: str, report: "TrainReport | None" = None):
+    def __init__(self, message: str, report: "TrainReport"):
         super().__init__(message)
         self.report = report
 
@@ -124,8 +124,11 @@ def checkpoint_epoch(name: str) -> int:
     return int(digits)
 
 
-# what train writes into a run directory besides the epoch checkpoints
-RUN_FILES = ("best.ckpt", "kl_trajectory.csv", "train_report.json")
+# kl-test writes into a run directory; a name of its own keeps the run's manifest
+KL_TEST_CSV = "kl_test.csv"
+KL_TEST_MANIFEST = "kl_test_manifest.json"
+# what train, then kl-test, writes into a run directory besides the epoch checkpoints
+RUN_FILES = ("best.ckpt", "kl_trajectory.csv", "train_report.json", KL_TEST_CSV, KL_TEST_MANIFEST)
 
 
 def _is_run_file(name: str) -> bool:
@@ -303,9 +306,9 @@ def train(
     most max_checkpoints epoch files (0 = unlimited), and those epochs'
     kl_trajectory.csv.  Raises Diverged, carrying the partial report
     without that epoch, on a non-finite loss or validation perplexity, KL
-    or z-KL; train_report.json is written either way.  Then every file of
-    those names that this train did not write, such as an epoch file of an
-    earlier train into the same directory, is removed.
+    or z-KL; train_report.json is written either way.  Then every run file
+    (RUN_FILES or an epoch file) that this train did not write, such as an
+    earlier train's epoch file or an earlier kl-test's output, is removed.
     """
     model_config.validate()
     train_config.validate()
@@ -327,8 +330,21 @@ def train(
     report = TrainReport(seed=seed, epochs=train_config.epochs)
     # (epoch, val_kl, val_ppl) of each selected checkpoint, in epoch order
     improving: list[tuple[int, float, float]] = []
+    # the run files this train writes; a dropped epoch file stays named, as it is already gone
+    written = {"train_report.json"}
     n = len(data.train)
     started = time.monotonic()
+
+    def close() -> TrainReport:
+        """Stamp the wall-clock time; when run_dir is set, write
+        train_report.json, then remove the run files this train did not write."""
+        report.wall_seconds = 0.0 if train_config.deterministic else time.monotonic() - started
+        if run_dir is not None:
+            write_text(run_dir / "train_report.json", report.to_json())
+            for path in run_dir.iterdir():
+                if _is_run_file(path.name) and path.name not in written:
+                    path.unlink()
+        return report
 
     for epoch in range(1, train_config.epochs + 1):
         sum_recon = sum_kl = sum_total = 0.0
@@ -339,10 +355,8 @@ def train(
             result = forward_batch(batch, store, model_config, noise_rng)
             recon, kl, total = result.values()
             if not np.isfinite(total):
-                _close_run(report, started, train_config.deterministic, run_dir, improving)
                 raise Diverged(
-                    f"non-finite loss at epoch {epoch} (lr={train_config.learning_rate})",
-                    report=report,
+                    f"non-finite loss at epoch {epoch} (lr={train_config.learning_rate})", close()
                 )
             if train_config.clip_norm > 0.0:
                 # the global norm needs every gradient before any step
@@ -364,11 +378,10 @@ def train(
             )
             # a non-finite value can select no checkpoint, nor go into the JSON report
             if not np.isfinite([ppl, kl_term, z_kl]).all():
-                _close_run(report, started, train_config.deterministic, run_dir, improving)
                 raise Diverged(
                     f"non-finite validation at epoch {epoch}: perplexity {ppl}, kl {kl_term}, "
                     f"z-KL {z_kl} (lr={train_config.learning_rate})",
-                    report=report,
+                    close(),
                 )
         report.train_recon.append(sum_recon)
         report.train_kl.append(sum_kl)
@@ -383,38 +396,15 @@ def train(
             if run_dir is not None:
                 save_checkpoint(store, model_config, run_dir / checkpoint_name(epoch))
                 link_checkpoint(run_dir / checkpoint_name(epoch), run_dir / "best.ckpt")
+                written |= {checkpoint_name(epoch), "best.ckpt"}
                 if 0 < train_config.max_checkpoints < len(improving):
                     dropped = improving[-1 - train_config.max_checkpoints][0]
                     (run_dir / checkpoint_name(dropped)).unlink()
 
     if run_dir is not None:
         write_text(run_dir / "kl_trajectory.csv", trajectory_csv(improving))
-    _close_run(report, started, train_config.deterministic, run_dir, improving, finished=True)
-    return report
-
-
-def _close_run(
-    report: TrainReport,
-    started: float,
-    deterministic: bool,
-    run_dir: Path | None,
-    improving: list[tuple[int, float, float]],
-    finished: bool = False,
-) -> None:
-    """Stamp the wall-clock time; when run_dir is set, write
-    train_report.json and remove the run files this train did not write
-    (a finished train has written kl_trajectory.csv)."""
-    report.wall_seconds = 0.0 if deterministic else time.monotonic() - started
-    if run_dir is None:
-        return
-    write_text(run_dir / "train_report.json", report.to_json())
-    # a dropped epoch file is named too, but this train has already removed it
-    written = {checkpoint_name(epoch) for epoch, _, _ in improving} | {"train_report.json"}
-    written |= {"best.ckpt"} if improving else set()
-    written |= {"kl_trajectory.csv"} if finished else set()
-    for path in run_dir.iterdir():
-        if _is_run_file(path.name) and path.name not in written:
-            path.unlink()
+        written.add("kl_trajectory.csv")
+    return close()
 
 
 def improving_trajectory(points: Iterable[tuple]) -> list[tuple[int, float, float]]:

@@ -102,6 +102,8 @@ def runs(tmp_path_factory):
 ])
 def test_a_write_failing_mid_way_keeps_the_old_file_and_leaves_no_temp(runs, monkeypatch, command, name):
     argv, dirs = runs
+    if command == "kl-test":  # a retrain in an earlier case removes kl-test's output
+        assert cli.main(argv[command]) == 0
     path = dirs[command] / name
     written = path.read_bytes()
     path.write_bytes(b"old")

@@ -710,6 +710,13 @@ class TestKlTestCommand:
         ])
         assert rc == 2
 
+    def test_a_run_dir_that_is_a_file_exits_2(self, workspace, tmp_path, capsys):
+        path = tmp_path / "run"
+        path.write_text("")
+        args = ["kl-test", "--config", str(workspace["cfg_path"]), "--run-dir", str(path)]
+        assert cli.main(args) == 2
+        assert f"run directory is not a directory: {path}" in capsys.readouterr().err
+
 
 class TestSplitsRead:
     """Each command parses the caches of the splits it uses, each once."""

@@ -56,9 +56,15 @@ class TestTrain:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_writes_the_partial_report(self, tiny_dataset, tiny_config, tmp_path):
+        # an earlier train's epoch file and kl-test's output go; other files stay
+        stale = ["kl_test.csv", "kl_test_manifest.json", "checkpoint_epoch0099.ckpt"]
+        for name in [*stale, "notes.txt"]:
+            (tmp_path / name).write_text("stale")
         with pytest.raises(tr.Diverged) as excinfo:
             tr.train(tiny_config, tiny_train_config(epochs=60, learning_rate=1e9), tiny_dataset, tmp_path)
         assert (tmp_path / "train_report.json").read_text() == excinfo.value.report.to_json()
+        assert not [name for name in stale if (tmp_path / name).exists()]
+        assert (tmp_path / "notes.txt").read_text() == "stale"
 
     @pytest.mark.parametrize(
         "ppl,kl,z_kl",
