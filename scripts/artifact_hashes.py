@@ -3,11 +3,13 @@
 
 Writes a seeded synthetic corpus, ingests it, and then, in each model mode,
 runs ``train`` (deterministic, so no wall-clock time reaches a report),
-``eval``, ``topics``, ``kl-test`` and ``sweep-t``.  It then ingests the same
-documents again as one input file with a stop-word list, after a fixed block
-of prose-like lines that exercise the tokenizer (case, edge punctuation, CRLF
-and lone-CR line ends, blank lines, Unicode case and whitespace), and on that corpus
-runs one diffusion ``train`` that validates every other epoch, keeps one
+``eval``, ``topics``, ``kl-test`` and ``sweep-t``.  ``sweep-t`` trains
+diffusion whatever the mode, so the paths of no_diffusion and standard_etm
+are covered by their ``train``, ``eval``, ``topics`` and ``kl-test``.  It
+then ingests the same documents again as one input file with a stop-word
+list, after a fixed block of prose-like lines that exercise the tokenizer
+(case, edge punctuation, CRLF and lone-CR line ends, blank lines, Unicode
+case and whitespace), and on that corpus runs one diffusion ``train`` that validates every other epoch, keeps one
 epoch checkpoint and clips its gradients, followed by ``kl-test``.  Last,
 one short ``train`` with ``--preset`` and ``--seed`` on a config that leaves
 the preset's keys unset, so the merged config, and with it the run id and

@@ -188,9 +188,10 @@ def _sha256(path: Path) -> str:
 
 
 def _run_artifacts(run_dir: Path) -> list[Path]:
-    """A run directory's files that train's manifest hashes: all but the
-    manifest itself, as train has removed any earlier kl-test's output."""
-    return [p for p in sorted(run_dir.glob("*")) if p.name != "manifest.json"]
+    """A run directory's files that train's manifest hashes: its regular
+    files but the manifest itself, as train has removed any earlier
+    kl-test's output; a subdirectory is left alone."""
+    return [p for p in sorted(run_dir.glob("*")) if p.is_file() and p.name != "manifest.json"]
 
 
 # the variables OpenBLAS reads its thread count from, in the order it reads them

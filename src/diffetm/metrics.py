@@ -142,10 +142,10 @@ def perplexity_and_kl(
     store: ad.ParamStore,
     config: ModelConfig,
     corpus_split: BowCorpus,
-) -> tuple[float, float, tuple[np.ndarray | None, np.ndarray, np.ndarray]]:
+) -> tuple[float, float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """One deterministic pass over the split: exp(-sum(X log X') / sum(X)),
     the per-document mean of the closed-form KL against N(0, I), and the
-    split's (X0 or None, mu, logvar) in split order.
+    split's (X0, mu, logvar) in split order.
 
     The log-likelihood sums over the nonzero counts only, the entries where
     X log X' can differ from 0."""
@@ -169,7 +169,7 @@ def perplexity_and_kl(
         # the next batch's prediction is not to overlap this (B, V) X'
         del batch, x_prime
     ppl = float(np.exp(-log_lik / corpus_split.total_tokens()))
-    x0, mu, logvar = (None if arrays[0] is None else np.concatenate(arrays) for arrays in zip(*latents))
+    x0, mu, logvar = (np.concatenate(arrays) for arrays in zip(*latents))
     return ppl, kl_sum / n, (x0, mu, logvar)
 
 

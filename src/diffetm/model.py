@@ -12,7 +12,8 @@ cross-entropy plus a weighted closed-form Gaussian KL.
 Modes, each one case of eps ~ sqrt(abar) * X0 + sqrt(1 - abar) * N(0, I):
   diffusion     abar = alpha_bar_T of the noise schedule
   no_diffusion  abar = 1, so eps = X0 (the noising step removed)
-  standard_etm  no X0, so eps ~ N(0, I) (the classic embedded topic model)
+  standard_etm  abar = 0 and X0 a zero constant, so eps ~ N(0, I) (the
+                classic embedded topic model)
 """
 
 from __future__ import annotations
@@ -90,10 +91,11 @@ class ModelConfig:
         self.alpha_bar()  # the step and beta-range rules; InvalidSchedule is a ValueError
 
     def alpha_bar(self) -> float:
-        """The abar of the latent driver: alpha_bar_T of the schedule, or 1 in
-        no_diffusion; the schedule is checked in every mode."""
+        """The abar of the latent driver: alpha_bar_T of the schedule in
+        diffusion, 1 in no_diffusion and 0 in standard_etm; the schedule is
+        checked in every mode."""
         abar = final_alpha_bar(self.diff_steps, self.beta_start, self.beta_end)
-        return 1.0 if self.mode == "no_diffusion" else abar
+        return {"no_diffusion": 1.0, "standard_etm": 0.0}.get(self.mode, abar)
 
 
 # encoder parameter-name prefixes, in checkpoint order
@@ -188,29 +190,19 @@ def encode_mu_logvar(x_norm, store: ad.ParamStore) -> tuple[ad.Tensor, ad.Tensor
     return _mlp3(x_norm, store, "mu"), _mlp3(x_norm, store, "sigma")
 
 
-def sample_eps(
-    x0: ad.Tensor | None,
-    abar: float,
-    rng: np.random.Generator | None,
-    shape: tuple[int, int],
-    dtype: np.dtype,
-) -> ad.Tensor:
+def sample_eps(x0: ad.Tensor, abar: float, rng: np.random.Generator | None) -> ad.Tensor:
     """The latent driver eps = sqrt(abar) * X0 + sqrt(1 - abar) * n for one
     batch, n ~ N(0, I): the one-shot closed form of running the noising
     chain to its end.
 
     Given an rng, n is drawn (the sampled path); without one eps is its
     conditional mean given X0 and no randomness is consumed (the
-    deterministic path).  At abar = 1 X0 passes through unchanged.  Without
-    X0 (standard_etm) eps is n itself, of the given shape.
+    deterministic path).  At abar = 1 X0 passes through unchanged; at
+    abar = 0 (standard_etm, whose X0 is zero) eps is n itself.
 
-    Noise is always drawn in float64, so the rng stream does not depend on
-    the dtype, and then cast to dtype.
+    Noise is always drawn in float64 with X0's shape, so the rng stream does
+    not depend on the dtype, and then cast to X0's dtype.
     """
-    if x0 is None:
-        if rng is None:
-            return ad.Tensor(np.zeros(shape, dtype=dtype))
-        return ad.Tensor(rng.standard_normal(shape).astype(dtype, copy=False))
     if abar == 1.0:
         return x0
     if rng is None:
@@ -218,7 +210,7 @@ def sample_eps(
     noise = rng.standard_normal(x0.data.shape)
     return ad.add(
         ad.scale(x0, math.sqrt(abar)),
-        ad.Tensor((math.sqrt(1.0 - abar) * noise).astype(dtype, copy=False)),
+        ad.Tensor((math.sqrt(1.0 - abar) * noise).astype(x0.data.dtype, copy=False)),
     )
 
 
@@ -287,10 +279,12 @@ def _forward_core(
     store: ad.ParamStore,
     config: ModelConfig,
     rng: np.random.Generator | None,
-) -> tuple[ad.Tensor | None, ad.Tensor, ad.Tensor, ad.Tensor]:
+) -> tuple[ad.Tensor, ad.Tensor, ad.Tensor, ad.Tensor]:
     """Encoders, latent driver and decoder, shared by training and
-    evaluation; returns X0 (None in standard_etm), mu, logvar and the
-    reconstruction X'.
+    evaluation; returns X0, mu, logvar and the reconstruction X'.
+
+    standard_etm has no X0 encoder: its X0 is a (B, K) zero constant, which
+    abar = 0 leaves out of eps and which no gradient reaches.
 
     Everything is computed in the dtype of the store's parameters, which
     the batch must have been built in.  The config is taken as validated
@@ -300,8 +294,11 @@ def _forward_core(
     if batch.x_norm.dtype != dtype:
         raise ValueError(f"forward_batch: a {batch.x_norm.dtype} batch for {dtype} parameters")
 
-    x0 = None if config.mode == "standard_etm" else encode_x0(batch.x_norm, store)
-    eps = sample_eps(x0, config.alpha_bar(), rng, (batch.shape[0], config.num_topics), dtype)
+    if config.mode == "standard_etm":
+        x0 = ad.Tensor(np.zeros((batch.shape[0], config.num_topics), dtype=dtype))
+    else:
+        x0 = encode_x0(batch.x_norm, store)
+    eps = sample_eps(x0, config.alpha_bar(), rng)
     mu, logvar = encode_mu_logvar(batch.x_norm, store)
     z = reparameterize(eps, mu, logvar)
     theta = doc_topic_dist(z)
@@ -339,9 +336,9 @@ def predict_batch(
     x_counts: Batch,
     store: ad.ParamStore,
     config: ModelConfig,
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluation pass on the deterministic path: X0 (None in standard_etm),
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Evaluation pass on the deterministic path: X0 (zero in standard_etm),
     mu, logvar and X', with no loss and no graph."""
     with ad.no_grad():
         x0, mu, logvar, x_prime = _forward_core(x_counts, store, config, None)
-    return None if x0 is None else x0.data, mu.data, logvar.data, x_prime.data
+    return x0.data, mu.data, logvar.data, x_prime.data

@@ -266,7 +266,7 @@ def validate(
 
 
 def realized_z_kl(
-    latents: tuple[np.ndarray | None, np.ndarray, np.ndarray],
+    latents: tuple[np.ndarray, np.ndarray, np.ndarray],
     config: ModelConfig,
     rng: np.random.Generator,
 ) -> float:
@@ -274,14 +274,14 @@ def realized_z_kl(
 
     Diagnostic only: with diffusion the marginal of z is not the Gaussian
     the closed form assumes, so this and the closed-form term are logged
-    side by side without being compared.  z is drawn from the (X0 or None,
-    mu, logvar) of a deterministic pass; the normal stream does not depend
+    side by side without being compared.  z is drawn from the (X0, mu,
+    logvar) of a deterministic pass; the normal stream does not depend
     on how the draws are chunked, so z equals that of a sampled forward pass
     over the same documents in the same order.
     """
     x0, mu, logvar = latents
     with ad.no_grad():
-        eps = sample_eps(None if x0 is None else ad.Tensor(x0), config.alpha_bar(), rng, mu.shape, mu.dtype)
+        eps = sample_eps(ad.Tensor(x0), config.alpha_bar(), rng)
         z = reparameterize(eps, ad.Tensor(mu), ad.Tensor(logvar)).data
     mean = z.mean(axis=0)
     var = z.var(axis=0)

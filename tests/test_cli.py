@@ -421,6 +421,20 @@ class TestTrainCommand:
             for name in ("a.ckpt", "best.ckpt", "report.json")
         }
 
+    def test_a_retrain_leaves_a_subdirectory_of_the_run_alone(self, workspace, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**workspace["cfg"], "epochs": 1, "output_dir": str(tmp_path / "runs")}))
+        assert cli.main(["train", "--config", str(path)]) == 0
+        run_dir = tmp_path / "runs" / cli.run_id_of(cli.load_config(str(path)))
+        (run_dir / "notes").mkdir()
+        (run_dir / "notes" / "todo.txt").write_text("look at topic 3\n")
+        assert cli.main(["train", "--config", str(path)]) == 0
+        artifacts = json.loads((run_dir / "manifest.json").read_text())["artifacts"]
+        assert "notes" not in artifacts
+        assert "train_report.json" in artifacts
+        assert [p.name for p in (run_dir / "notes").iterdir()] == ["todo.txt"]
+        assert (run_dir / "notes" / "todo.txt").read_text() == "look at topic 3\n"
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_rerun_manifest_excludes_itself(self, workspace, tmp_path):
         path = tmp_path / "diverge.json"
@@ -636,6 +650,17 @@ class TestSweepCommand:
         assert nd_report["train_total"] == t0_report["train_total"]
         assert nd_report["val_perplexity"] == t0_report["val_perplexity"]
 
+
+    def test_every_run_trains_diffusion_whatever_the_configured_mode(self, workspace, tmp_path):
+        path = tmp_path / "standard.json"
+        path.write_text(json.dumps({
+            **workspace["cfg"], "mode": "standard_etm", "epochs": 1, "output_dir": str(tmp_path / "runs"),
+        }))
+        assert cli.main(["sweep-t", "--config", str(path)]) == 0
+        sweep_dir = tmp_path / "runs" / f"sweep_{cli.run_id_of(cli.load_config(str(path)))}"
+        for t in workspace["cfg"]["sweep_t_values"]:
+            _, config = load_checkpoint(sweep_dir / f"t{t:04d}" / "best.ckpt")
+            assert (config.mode, config.diff_steps) == ("diffusion", t)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_run_diverging_at_validation_is_a_nan_row(self, workspace, tmp_path, capsys):

@@ -306,6 +306,14 @@ class TestPerplexity:
         for got, want in zip(latents, expected[2], strict=True):
             assert (got is None and want is None) or got.tobytes() == want.tobytes()
 
+    def test_standard_etm_x0_is_a_zero_array(self, tiny_dataset, tiny_config):
+        config = replace(tiny_config, mode="standard_etm")
+        store = init_params(config, tiny_dataset.vocab.V, np.random.default_rng(6))
+        _, _, (x0, mu, _) = mx.perplexity_and_kl(store, config, tiny_dataset.valid)
+        assert x0.shape == (len(tiny_dataset.valid), config.num_topics)
+        assert x0.dtype == mu.dtype
+        assert not x0.any()
+
     def test_empty_split_rejected(self, tiny_dataset, tiny_config):
         store = init_params(tiny_config, tiny_dataset.vocab.V, np.random.default_rng(5))
         with pytest.raises(ValueError, match="empty"):

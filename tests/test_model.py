@@ -71,6 +71,16 @@ class TestLinearSchedule:
         with pytest.raises(m.InvalidSchedule):
             replace(cfg, diff_steps=m.MAX_DIFF_STEPS + 1).validate()
 
+    @pytest.mark.parametrize("steps,b0,bt", [(0, 0.0, 0.02), (1, 0.0, 0.02), (7, 0.001, 0.3), (100, 0.0, 0.02)])
+    def test_standard_etm_is_the_driver_rule_at_alpha_bar_zero(self, steps, b0, bt):
+        cfg = m.ModelConfig(mode="standard_etm", diff_steps=steps, beta_start=b0, beta_end=bt)
+        assert cfg.alpha_bar() == 0.0
+        assert replace(cfg, mode="diffusion").alpha_bar() == m.final_alpha_bar(steps, b0, bt)
+        # the schedule rules hold here too, though abar does not read the schedule
+        for field, value in (("beta_end", 1.0), ("diff_steps", m.MAX_DIFF_STEPS + 1)):
+            with pytest.raises(m.InvalidSchedule):
+                replace(cfg, **{field: value}).alpha_bar()
+
     @pytest.mark.parametrize("steps,b0,bt", [(1, 0.0, 0.02), (7, 0.001, 0.3), (100, 0.0, 0.02)])
     def test_alpha_bar_non_increasing_and_positive(self, steps, b0, bt):
         abar = [m.final_alpha_bar(t, b0, bt) for t in range(steps + 1)]
@@ -185,33 +195,34 @@ class TestSampleEps:
     def test_empty_schedule_passes_x0_through_bitwise(self):
         x0 = ad.Tensor(np.random.default_rng(0).normal(size=(4, 3)))
         abar = m.final_alpha_bar(0, 0.0, 0.02)
-        out = m.sample_eps(x0, abar, np.random.default_rng(1), (4, 3), np.float64)
+        out = m.sample_eps(x0, abar, np.random.default_rng(1))
         assert out is x0
 
     def test_zero_beta_schedule_passes_x0_through_bitwise(self):
         x0 = ad.Tensor(np.random.default_rng(0).normal(size=(4, 3)))
         abar = m.final_alpha_bar(5, 0.0, 0.0)
-        out = m.sample_eps(x0, abar, np.random.default_rng(1), (4, 3), np.float64)
+        out = m.sample_eps(x0, abar, np.random.default_rng(1))
         assert out is x0
 
     def test_no_rng_gives_the_conditional_mean(self):
         x0 = ad.Tensor(np.random.default_rng(0).normal(size=(4, 3)))
         abar = m.final_alpha_bar(100, 0.0, 0.02)
-        out = m.sample_eps(x0, abar, None, (4, 3), np.float64)
+        out = m.sample_eps(x0, abar, None)
         np.testing.assert_array_equal(out.data, math.sqrt(abar) * x0.data)
         no_diffusion = m.ModelConfig(mode="no_diffusion").alpha_bar()
-        assert m.sample_eps(x0, no_diffusion, None, (4, 3), np.float64) is x0
-        zeros = m.sample_eps(None, abar, None, (4, 3), np.float64)
+        assert m.sample_eps(x0, no_diffusion, None) is x0
+        standard = m.ModelConfig(mode="standard_etm").alpha_bar()
+        zeros = m.sample_eps(ad.Tensor(np.zeros((4, 3))), standard, None)
         np.testing.assert_array_equal(zeros.data, np.zeros((4, 3)))
 
     def test_standard_mode_draws_the_given_shape(self):
-        abar = m.final_alpha_bar(10, 0.0, 0.1)
-        out = m.sample_eps(None, abar, np.random.default_rng(7), (5, 2), np.float64)
+        abar = m.ModelConfig(mode="standard_etm").alpha_bar()
+        out = m.sample_eps(ad.Tensor(np.zeros((5, 2))), abar, np.random.default_rng(7))
         np.testing.assert_array_equal(out.data, np.random.default_rng(7).standard_normal((5, 2)))
 
     def test_standard_mode_moments(self):
-        abar = m.final_alpha_bar(10, 0.0, 0.1)
-        out = m.sample_eps(None, abar, np.random.default_rng(7), (100_000, 4), np.float64)
+        abar = m.ModelConfig(mode="standard_etm").alpha_bar()
+        out = m.sample_eps(ad.Tensor(np.zeros((100_000, 4))), abar, np.random.default_rng(7))
         assert np.abs(out.data.mean(axis=0)).max() < 4e-2
         assert np.abs(out.data.var(axis=0) - 1.0).max() < 0.02
 
@@ -219,7 +230,7 @@ class TestSampleEps:
         abar = m.final_alpha_bar(100, 0.0, 0.02)
         x0_row = np.array([[-1.0, 0.0, 0.5, 2.0]])
         x0 = ad.Tensor(np.tile(x0_row, (100_000, 1)))
-        out = m.sample_eps(x0, abar, np.random.default_rng(9), (100_000, 4), np.float64)
+        out = m.sample_eps(x0, abar, np.random.default_rng(9))
         se = math.sqrt(1.0 - abar) / math.sqrt(100_000)
         assert np.abs(out.data.mean(axis=0) - math.sqrt(abar) * x0_row[0]).max() < 5 * se
         assert np.abs(out.data.var(axis=0) - (1.0 - abar)).max() < 0.02 * (1.0 - abar)
@@ -234,8 +245,7 @@ class TestSampleEps:
         for b in beta:
             x = math.sqrt(1.0 - b) * x + math.sqrt(b) * rng.standard_normal((n, 2))
         one_shot = m.sample_eps(
-            ad.Tensor(np.tile(x0, (n, 1))), m.final_alpha_bar(5, 0.0, 0.3),
-            np.random.default_rng(13), (n, 2), np.float64,
+            ad.Tensor(np.tile(x0, (n, 1))), m.final_alpha_bar(5, 0.0, 0.3), np.random.default_rng(13)
         ).data
         np.testing.assert_allclose(x.mean(axis=0), one_shot.mean(axis=0), atol=0.02)
         np.testing.assert_allclose(x.var(axis=0), one_shot.var(axis=0), rtol=0.02)
@@ -467,11 +477,21 @@ class TestForwardBatch:
     def test_standard_etm_deterministic_path_gives_z_equals_mu(self):
         cfg, store, x = small_setup(mode="standard_etm")
         x0, mu, _, x_prime = m.predict_batch(batch_of(x, np.float32), store, cfg)
-        assert x0 is None
+        np.testing.assert_array_equal(x0, np.zeros((x.shape[0], cfg.num_topics), dtype=np.float32))
         with ad.no_grad():
             beta = m.topic_word_dist(store["topic_emb"], store["word_emb"])
             expected = m.reconstruct(m.doc_topic_dist(ad.Tensor(mu)), beta).data
         np.testing.assert_array_equal(x_prime, expected)
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_standard_etm_draws_eps_as_a_plain_normal_stream(self, seed, monkeypatch):
+        # abar = 0 over a zero X0 is n itself: the same float64 draw of (B, K), cast
+        cfg, store, x = small_setup(mode="standard_etm", n=5)
+        eps = captured(monkeypatch, m, "sample_eps")
+        m.forward_batch(batch_of(x, np.float32), store, cfg, np.random.default_rng(seed))
+        expected = np.random.default_rng(seed).standard_normal((5, cfg.num_topics)).astype(np.float32)
+        assert eps[0].data.dtype == np.float32
+        assert eps[0].data.tobytes() == expected.tobytes()
 
     def test_values_after_the_backward_of_the_total_raise_graph_consumed(self):
         cfg, store, x = small_setup()
@@ -726,12 +746,14 @@ class TestDtype:
     def test_noise_is_drawn_in_float64_then_cast(self):
         abar = m.final_alpha_bar(10, 0.0, 0.1)
         x0 = ad.Tensor(np.ones((3, 2), dtype=np.float32))
-        out = m.sample_eps(x0, abar, np.random.default_rng(4), (3, 2), np.float32)
+        out = m.sample_eps(x0, abar, np.random.default_rng(4))
         noise = math.sqrt(1.0 - abar) * np.random.default_rng(4).standard_normal((3, 2))
         expected = np.float32(math.sqrt(abar)) * x0.data + noise.astype(np.float32)
         assert out.data.dtype == np.float32
         np.testing.assert_array_equal(out.data, expected)
-        etm = m.sample_eps(None, abar, np.random.default_rng(4), (3, 2), np.float32)
+        standard = m.ModelConfig(mode="standard_etm").alpha_bar()
+        etm = m.sample_eps(ad.Tensor(np.zeros((3, 2), dtype=np.float32)), standard, np.random.default_rng(4))
+        assert etm.data.dtype == np.float32
         np.testing.assert_array_equal(
             etm.data, np.random.default_rng(4).standard_normal((3, 2)).astype(np.float32)
         )

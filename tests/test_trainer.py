@@ -357,6 +357,18 @@ class TestRealizedZKl:
             assert validated[2] == got, mode
 
 
+    def test_standard_etm_draws_z_from_mu_sigma_and_a_plain_normal_stream(self, tiny_dataset, tiny_config):
+        cfg = replace(tiny_config, mode="standard_etm")
+        store = init_params(cfg, tiny_dataset.vocab.V, np.random.default_rng(1))
+        _, _, latents = metrics.perplexity_and_kl(store, cfg, tiny_dataset.valid)
+        got = tr.realized_z_kl(latents, cfg, np.random.default_rng(4))
+        _, mu, logvar = latents
+        n = np.random.default_rng(4).standard_normal(mu.shape).astype(np.float32)
+        z = n * np.exp(0.5 * logvar) + mu
+        var = np.maximum(z.var(axis=0), 1e-12)
+        assert got == float(0.5 * (z.mean(axis=0) ** 2 + var - np.log(var) - 1.0).sum())
+
+
 class TestKlTrajectory:
     def _report(self, ppls, kls=None):
         r = tr.TrainReport(seed=0, epochs=len(ppls))
